@@ -21,7 +21,7 @@ import numpy as np
 
 from .envelope import (ConvergenceError, balayage_step, build_branched_witness,
                        gain_on_grid, iterate_envelopes, unbranched_envelope)
-from .gain import GainError, gain_from_config
+from .gain import GainError, GainField, gain_from_config
 from .geometry import GridRegion, save_mask_csv
 from .grids import radial_grid
 from .harmonic import NonTerminationError
@@ -64,6 +64,15 @@ def _grid_from_config(cfg: dict):
     raise ConfigError(f"unknown grid kind {kind!r}")
 
 
+def _gain_from_config(cfg: dict) -> GainField:
+    """The config's gain; a top-level ``dim``, if given, must be the gain's."""
+    gain = gain_from_config(cfg.get("gain", {}))
+    if "dim" in cfg and int(cfg["dim"]) != gain.dim:
+        raise ConfigError(f"top-level dim {cfg['dim']} disagrees with the gain's dim "
+                          f"{gain.dim}; set gain.dim instead")
+    return gain
+
+
 def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -82,7 +91,7 @@ def _contact_csv(contact, fld, path: Path) -> None:
 
 
 def _run_envelope(cfg: dict, out: Path, seed: int):
-    gain = gain_from_config(cfg.get("gain", {}))
+    gain = _gain_from_config(cfg)
     grid = _grid_from_config(cfg)
     env_cfg = cfg.get("envelope", {})
     run = unbranched_envelope(gain, grid, env_cfg.get("dictionary"))
@@ -131,7 +140,7 @@ def cmd_balayage(cfg: dict, out: Path, seed: int, threads: int) -> int:
 
 
 def cmd_oracle(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain = gain_from_config(cfg.get("gain", {}))
+    gain = _gain_from_config(cfg)
     ocfg = cfg.get("oracle", {})
     wrote = False
     radial_prof = None
@@ -143,7 +152,7 @@ def cmd_oracle(cfg: dict, out: Path, seed: int, threads: int) -> int:
         radii = radial_grid(int(cfg.get("grid", {}).get("nodes", 2048))
                             if cfg.get("grid", {}).get("kind", "radial") == "radial" else 2048,
                             float(cfg.get("grid", {}).get("r_min", 1e-3)))
-        radial_prof = radial_value_oracle(gain, int(cfg.get("dim", 2)), radii)
+        radial_prof = radial_value_oracle(gain, gain.dim, radii)
         radial_prof.to_csv(out / "oracle_radial.csv")
         wrote = True
     if ocfg.get("psor", False):
@@ -292,7 +301,7 @@ def cmd_selftest(threads: int) -> int:
     from .gain import spiked_gain, mollify
     from .geometry import Ball, hausdorff_distance, boundary_samples
     from .harmonic import BoundaryData, WosConfig, poisson_ball_eval, wos_harmonic_eval
-    from .oracle import upper_concave_hull
+    from .grids import upper_concave_hull
 
     ok = True
 

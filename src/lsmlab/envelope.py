@@ -7,6 +7,13 @@ non-contact component by the component's obstacle-respecting harmonic
 replacement, which coincides with plain log/power interpolation whenever the
 interpolant clears the gain.  The plain replacement (which may dip below the
 gain, and does for spiked gains) is kept as the balayage diagnostic.
+
+Radial fields are affine in the scale coordinate on a harmonic stretch, so the
+obstacle-respecting replacement of a non-contact run is the upper concave hull
+of the gain with the run's ends pinned, and the balayage is interpolation
+between contact nodes.  Cartesian fields use red-black (projected) SOR on the
+cut-cell disc stencil.  Both primitives live in ``lsmlab.grids`` and are
+shared with the oracles.
 """
 
 from __future__ import annotations
@@ -20,13 +27,16 @@ from scipy import ndimage
 
 from .gain import GainField, outer_running_max
 from .geometry import Annulus, Ball, GridRegion
-from .grids import cartesian_grid, scale_coordinate
+from .grids import (DiscStencil, cartesian_grid, disc_stencil, scale_coordinate,
+                    upper_concave_hull)
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, branched, cap_patch, constant_patch,
                        leaf, MajorantError)
 
 CONTACT_TOL = 1e-9
 RELAX_TOL = 1e-11
+MAX_SWEEPS = 200_000   # per-component SOR sweep budget
+SOR_OMEGA = 1.9
 
 
 class EnvelopeError(ValueError):
@@ -432,8 +442,7 @@ def _envelope_cartesian(gain: GainField, n: int, cfg: dict) -> EnvelopeRun:
 # Balayage (plain harmonic replacement) and obstacle-respecting refinement
 # ---------------------------------------------------------------------------
 
-def balayage_step(w: GridField, contact: ContactSet, gain: GainField,
-                  omega: float = 1.9, max_sweeps: int = 200_000) -> GridField:
+def balayage_step(w: GridField, contact: ContactSet, gain: GainField) -> GridField:
     """Harmonic replacement of w on each non-contact component, clipped above by w.
 
     This realises the expected gain at the first exit from the non-contact
@@ -441,32 +450,25 @@ def balayage_step(w: GridField, contact: ContactSet, gain: GainField,
     failure of unbranched envelopes the refinement scheme repairs.
     """
     if w.kind == "radial":
+        # Affine in the scale coordinate between contact nodes; a run touching
+        # the unit sphere is pinned to 0 there, one touching the innermost
+        # node is constant (bounded at the origin).
+        pins = contact.contact_mask.copy()
+        pins[-1] = True
+        data = np.where(contact.contact_mask, w.values, 0.0)
+        out = np.interp(w.scale, w.scale[pins], data[pins])
+    else:
         out = w.values.copy()
-        s = w.scale
-        for i0, i1 in _runs(contact.noncontact_mask):
-            left = None if i0 == 0 else w.values[i0 - 1]
-            right = w.values[i1 + 1] if i1 + 1 < len(out) else 0.0
-            s_l = s[i0 - 1] if i0 > 0 else s[0]
-            s_r = s[i1 + 1] if i1 + 1 < len(out) else s[-1]
-            if left is None:
-                out[i0:i1 + 1] = right
-            else:
-                t = (s[i0:i1 + 1] - s_l) / (s_r - s_l)
-                out[i0:i1 + 1] = left + (right - left) * t
-        out = np.minimum(out, w.values)
-        return w.copy_with(out, tag="balayage")
-    out = w.values.copy()
-    arms = _arms(w)
-    for label in range(1, contact.n_components + 1):
-        comp = contact.labels == label
-        _relax_component(out, comp, arms, obstacle=None, omega=omega,
-                         tol=RELAX_TOL, max_sweeps=max_sweeps)
+        stencil = disc_stencil(w.coords, w.spacing)
+        for label in range(1, contact.n_components + 1):
+            _relax_component(out, contact.labels == label, stencil, obstacle=None,
+                             omega=SOR_OMEGA)
     out = np.minimum(out, w.values)
     return w.copy_with(out, tag="balayage")
 
 
 def envelope_step(w: GridField, contact: ContactSet, gain: GainField,
-                  omega: float = 1.9, max_sweeps: int = 200_000) -> GridField:
+                  omega: float = SOR_OMEGA) -> GridField:
     """Obstacle-respecting replacement on each non-contact component, min with w.
 
     Where the plain interpolant stays above the gain this is exactly the
@@ -476,142 +478,45 @@ def envelope_step(w: GridField, contact: ContactSet, gain: GainField,
     gvals = gain_on_grid(gain, w)
     out = w.values.copy()
     if w.kind == "radial":
-        s = w.scale
         for i0, i1 in _runs(contact.noncontact_mask):
-            left = None if i0 == 0 else w.values[i0 - 1]
-            right = w.values[i1 + 1] if i1 + 1 < len(out) else 0.0
-            s_l = s[i0 - 1] if i0 > 0 else None
-            s_r = s[i1 + 1] if i1 + 1 < len(out) else s[-1]
-            seg = _segment_obstacle_solve(s[i0:i1 + 1], gvals[i0:i1 + 1],
-                                          left, right, s_l, s_r)
-            out[i0:i1 + 1] = seg
+            out[i0:i1 + 1] = _pinned_concave_majorant(w, gvals, i0, i1)
     else:
-        arms = _arms(w)
+        stencil = disc_stencil(w.coords, w.spacing)
         for label in range(1, contact.n_components + 1):
-            comp = contact.labels == label
-            _relax_component(out, comp, arms, obstacle=gvals, omega=omega,
-                             tol=RELAX_TOL, max_sweeps=max_sweeps)
+            _relax_component(out, contact.labels == label, stencil, obstacle=gvals,
+                             omega=omega)
     out = np.minimum(out, w.values)
     return w.copy_with(out, tag="envelope")
 
 
-def _segment_obstacle_solve(s: np.ndarray, phi: np.ndarray, left: float | None,
-                            right: float, s_left: float | None, s_right: float,
-                            max_cycles: int = 2000) -> np.ndarray:
-    """Smallest concave-in-s majorant of phi with pinned ends on one component.
+def _pinned_concave_majorant(w: GridField, gvals: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Smallest concave-in-scale majorant of the gain on the run [i0, i1] with pinned ends.
 
-    Active nodes sit on the obstacle; inactive stretches interpolate affinely
-    in s (exact harmonic interpolation per interval).  A left pin of None is
-    the bounded-at-the-origin condition: stretches touching the left edge are
-    constant.  Activate/release cycles implement the complementarity system.
+    Radial harmonic functions are affine in the scale coordinate, so the
+    obstacle-respecting harmonic replacement on a run is the upper concave
+    hull of the gain there.  The ends are pinned to w at the neighbouring
+    contact nodes, or to max(g, 0) at the unit-sphere node.  A run starting
+    at the innermost node is bounded at the origin: an anchor left of the run
+    at the maximum of the points makes the hull flat up to its rightmost peak.
     """
-    m = len(s)
-    active = np.zeros(m, dtype=bool)
-    u = np.empty(m)
-    for _ in range(max_cycles):
-        _interpolate_runs(u, s, phi, active, left, right, s_left, s_right)
-        viol = (phi - u) > 1e-13
-        if viol.any():
-            active |= viol
-            continue
-        release = _convex_kinks(u, s, active, left, right, s_left, s_right)
-        if release.any():
-            active &= ~release
-            continue
-        return u
-    raise ConvergenceError("segment obstacle solve did not settle",
-                           float(np.max(np.abs(phi - u))))
+    s = w.scale
+    xs, ys = s[i0:i1 + 1], gvals[i0:i1 + 1].copy()
+    if i1 + 1 == len(s):
+        ys[-1] = max(ys[-1], 0.0)
+    else:
+        xs, ys = np.append(xs, s[i1 + 1]), np.append(ys, w.values[i1 + 1])
+    if i0 == 0:
+        xs, ys = np.append(xs[0] - 1.0, xs), np.append(ys.max(), ys)
+    else:
+        xs, ys = np.append(s[i0 - 1], xs), np.append(w.values[i0 - 1], ys)
+    hx, hy = upper_concave_hull(xs, ys)
+    return np.interp(s[i0:i1 + 1], hx, hy)
 
 
-def _interpolate_runs(u: np.ndarray, s: np.ndarray, phi: np.ndarray, active: np.ndarray,
-                      left: float | None, right: float, s_left: float | None,
-                      s_right: float) -> None:
-    m = len(s)
-    u[active] = phi[active]
-    for i0, i1 in _runs(~active):
-        lv = phi[i0 - 1] if i0 > 0 else left
-        ls = s[i0 - 1] if i0 > 0 else s_left
-        rv = phi[i1 + 1] if i1 + 1 < m else right
-        rs = s[i1 + 1] if i1 + 1 < m else s_right
-        if lv is None:
-            u[i0:i1 + 1] = rv
-        else:
-            t = (s[i0:i1 + 1] - ls) / (rs - ls)
-            u[i0:i1 + 1] = lv + (rv - lv) * t
+# Cartesian red-black SOR on the cut-cell disc stencil ---------------------
 
-
-def _convex_kinks(u: np.ndarray, s: np.ndarray, active: np.ndarray, left: float | None,
-                  right: float, s_left: float | None, s_right: float) -> np.ndarray:
-    """Active nodes violating discrete superharmonicity (value below neighbour chord)."""
-    m = len(s)
-    release = np.zeros(m, dtype=bool)
-    idx = np.nonzero(active)[0]
-    for i in idx:
-        if i == 0:
-            if left is None:
-                # Bounded-at-origin condition: flat continuation to the left.
-                chord = u[1] if m > 1 else right
-            else:
-                ls, lv = s_left, left
-                rs, rv = (s[1], u[1]) if m > 1 else (s_right, right)
-                chord = lv + (rv - lv) * (s[0] - ls) / (rs - ls)
-        elif i == m - 1:
-            ls, lv = s[m - 2], u[m - 2]
-            chord = lv + (right - lv) * (s[i] - ls) / (s_right - ls)
-        else:
-            ls, lv = s[i - 1], u[i - 1]
-            rs, rv = s[i + 1], u[i + 1]
-            chord = lv + (rv - lv) * (s[i] - ls) / (rs - ls)
-        if u[i] < chord - 1e-13:
-            release[i] = True
-    return release
-
-
-# Cartesian relaxation with cut-cell boundary arms -------------------------
-
-_ARM_CACHE: dict[int, dict] = {}
-
-
-def _arms(w: GridField) -> dict:
-    key = id(w.coords)
-    hit = _ARM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    coords = w.coords
-    inside = w.inside
-    n = coords.shape[0]
-    sp = w.spacing
-    thetas = {}
-    nbr_inside = {}
-    offsets = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
-    for name, (di, dj) in offsets.items():
-        theta = np.ones((n, n))
-        nin = np.zeros((n, n), dtype=bool)
-        src_i = np.clip(np.arange(n)[:, None] + di, 0, n - 1)
-        src_j = np.clip(np.arange(n)[None, :] + dj, 0, n - 1)
-        nin = inside[src_i, src_j] & inside
-        cut = inside & ~inside[src_i, src_j]
-        if cut.any():
-            p = coords[cut]
-            e = np.array([di, dj], dtype=float)
-            a = sp * sp
-            b = 2.0 * sp * (p @ e)
-            c = np.sum(p * p, axis=1) - 1.0
-            disc = np.sqrt(np.maximum(b * b - 4 * a * c, 0.0))
-            t = (-b + disc) / (2 * a)
-            theta[cut] = np.clip(t, 1e-6, 1.0)
-        thetas[name] = theta
-        nbr_inside[name] = nin
-    out = {"thetas": thetas, "nbr_inside": nbr_inside}
-    _ARM_CACHE[key] = out
-    if len(_ARM_CACHE) > 16:
-        _ARM_CACHE.pop(next(iter(_ARM_CACHE)))
-    return out
-
-
-def _relax_component(values: np.ndarray, comp: np.ndarray, arms: dict,
-                     obstacle: np.ndarray | None, omega: float, tol: float,
-                     max_sweeps: int) -> None:
+def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
+                     obstacle: np.ndarray | None, omega: float) -> None:
     """(Projected) SOR on one component; values is updated in place.
 
     Nodes off the component act as Dirichlet data; neighbours outside the
@@ -620,24 +525,16 @@ def _relax_component(values: np.ndarray, comp: np.ndarray, arms: dict,
     ii, jj = np.nonzero(comp)
     if ii.size == 0:
         return
-    te = arms["thetas"]["E"][comp]
-    tw = arms["thetas"]["W"][comp]
-    tn = arms["thetas"]["N"][comp]
-    ts = arms["thetas"]["S"][comp]
-    ae = 2.0 / (te * (te + tw))
-    aw = 2.0 / (tw * (te + tw))
-    an = 2.0 / (tn * (tn + ts))
-    a_s = 2.0 / (ts * (tn + ts))
-    diag = 2.0 / (te * tw) + 2.0 / (tn * ts)
-    ne = arms["nbr_inside"]["E"][comp]
-    nw = arms["nbr_inside"]["W"][comp]
-    nn = arms["nbr_inside"]["N"][comp]
-    ns = arms["nbr_inside"]["S"][comp]
+    ae, aw = stencil.coeffs["E"][comp], stencil.coeffs["W"][comp]
+    an, a_s = stencil.coeffs["N"][comp], stencil.coeffs["S"][comp]
+    diag = stencil.diag[comp]
+    ne, nw = stencil.nbr_inside["E"][comp], stencil.nbr_inside["W"][comp]
+    nn, ns = stencil.nbr_inside["N"][comp], stencil.nbr_inside["S"][comp]
     phi = obstacle[comp] if obstacle is not None else None
     red = ((ii + jj) % 2 == 0)
     scale = float(np.max(np.abs(values))) + 1.0
 
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         biggest = 0.0
         for color in (red, ~red):
             if not color.any():
@@ -654,7 +551,7 @@ def _relax_component(values: np.ndarray, comp: np.ndarray, arms: dict,
                 new = np.maximum(phi[color], new)
             biggest = max(biggest, float(np.max(np.abs(new - values[ci, cj]))))
             values[ci, cj] = new
-        if biggest < tol * scale:
+        if biggest < RELAX_TOL * scale:
             return
     raise ConvergenceError("component relaxation hit the sweep limit", biggest)
 
@@ -674,7 +571,8 @@ class EnvelopeSequence:
 
 
 def iterate_envelopes(gain: GainField, start, max_iter: int = 32, tol: float = 1e-9,
-                      contact_tol: float = CONTACT_TOL, omega: float = 1.9) -> EnvelopeSequence:
+                      contact_tol: float = CONTACT_TOL,
+                      omega: float = SOR_OMEGA) -> EnvelopeSequence:
     """Monotone refinement along decreasing non-contact sets.
 
     Each level replaces the previous one on its non-contact components and is

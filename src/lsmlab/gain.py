@@ -366,15 +366,22 @@ def outer_running_max(g: GainField, radii: np.ndarray) -> np.ndarray:
 def gain_from_config(block: dict) -> GainField:
     """Build a gain from the run-config gain block."""
     kind = block.get("kind")
+
+    def required(key: str):
+        if key not in block:
+            raise GainError(f"gain kind {kind!r} needs the key {key!r}")
+        return block[key]
+
     margin = float(block.get("gstar_margin", 0.25))
     if kind == "spiked":
-        g = spiked_gain(float(block["epsilon"]), dim=int(block.get("dim", 2)), gstar_margin=margin)
+        g = spiked_gain(float(required("epsilon")), dim=int(block.get("dim", 2)),
+                        gstar_margin=margin)
     elif kind == "radial-bump":
-        g = radial_bump_gain(float(block["center_radius"]), float(block["width"]),
+        g = radial_bump_gain(float(required("center_radius")), float(required("width")),
                              height=float(block.get("height", 1.0)),
                              dim=int(block.get("dim", 2)), gstar_margin=margin)
     elif kind == "offset-bump":
-        g = offset_bump_gain(block["center"], float(block["radius"]),
+        g = offset_bump_gain(required("center"), float(required("radius")),
                              height=float(block.get("height", 1.0)), gstar_margin=margin)
     else:
         raise GainError(f"unknown gain kind {kind!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -117,6 +118,18 @@ class GridRegion:
         ys = (np.arange(ny) - (ny - 1) / 2.0) * self.spacing
         return xs, ys
 
+    @cached_property
+    def sdf_table(self) -> np.ndarray:
+        """Signed distance at every cell centre, computed once per region."""
+        mask = self.mask
+        if not mask.any():
+            return np.full(mask.shape, np.inf)
+        # Distance (in cells) to the nearest cell of the opposite phase; the
+        # interface sits half a cell beyond, hence the 0.5 shift.
+        d_out = ndimage.distance_transform_edt(~mask)
+        d_in = ndimage.distance_transform_edt(mask)
+        return np.where(mask, -(d_in - 0.5), d_out - 0.5) * self.spacing
+
 
 Domain = Union[Ball, Annulus, Cap, FullBall, GridRegion]
 
@@ -147,32 +160,6 @@ def _points(x, d: int) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 # Signed distance
 # ---------------------------------------------------------------------------
-
-_GRID_SDF_CACHE: dict[int, tuple] = {}
-
-
-def _grid_sdf_table(region: GridRegion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = id(region)
-    hit = _GRID_SDF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    mask = region.mask
-    sp = region.spacing
-    # Distance (in cells) to the nearest cell of the opposite phase; the
-    # interface sits half a cell beyond, hence the 0.5 shift.
-    if mask.any():
-        d_out = ndimage.distance_transform_edt(~mask)
-        d_in = ndimage.distance_transform_edt(mask)
-        table = np.where(mask, -(d_in - 0.5), d_out - 0.5) * sp
-    else:
-        table = np.full(mask.shape, np.inf)
-    xs, ys = region.axes()
-    result = (table, xs, ys)
-    _GRID_SDF_CACHE[key] = result
-    if len(_GRID_SDF_CACHE) > 64:
-        _GRID_SDF_CACHE.pop(next(iter(_GRID_SDF_CACHE)))
-    return result
-
 
 def _bilinear(table: np.ndarray, xs: np.ndarray, ys: np.ndarray, pts: np.ndarray) -> np.ndarray:
     sp_x = xs[1] - xs[0]
@@ -207,8 +194,7 @@ def signed_distance(dom: Domain, x) -> float | np.ndarray:
     elif isinstance(dom, FullBall):
         out = np.linalg.norm(pts, axis=1) - 1.0
     elif isinstance(dom, GridRegion):
-        table, xs, ys = _grid_sdf_table(dom)
-        out = _bilinear(table, xs, ys, pts)
+        out = _bilinear(dom.sdf_table, *dom.axes(), pts)
     else:
         raise GeometryError(f"unknown domain descriptor {dom!r}")
     return float(out[0]) if single else out
@@ -419,7 +405,7 @@ def smooth_inner_approximation(region: GridRegion | Ball | Annulus, delta: float
             return shrunk
         # Raster offsets spoiled the exact shrink; fall through to the grid path.
 
-    table, _, _ = _grid_sdf_table(region)
+    table = region.sdf_table
     sigma_cells = (delta / 4.0) / region.spacing
     mollified = ndimage.gaussian_filter(table, sigma=sigma_cells, mode="nearest")
     new_mask = mollified < -delta / 2.0

@@ -1,6 +1,13 @@
-"""Radial and Cartesian grid helpers shared by the envelope and oracle modules."""
+"""Grid helpers and numerical kernels shared by the envelope and oracle modules.
+
+Radial and Cartesian grids, the upper concave hull (the radial obstacle
+primitive in the scale coordinate) and the Shortley-Weller cut-cell stencil
+of the disc (the Cartesian one).
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,3 +50,72 @@ def cartesian_grid(n: int = 257) -> tuple[np.ndarray, float]:
     spacing = axis[1] - axis[0]
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     return np.stack([xx, yy], axis=-1), spacing
+
+
+def upper_concave_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the upper concave hull of the point set (xs increasing).
+
+    Monotone chain (Andrew 1979); interpolating the vertices gives the
+    smallest concave majorant of the points over [xs[0], xs[-1]].
+    """
+    hx: list[float] = []
+    hy: list[float] = []
+    for x, y in zip(xs, ys):
+        while len(hx) >= 2:
+            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
+            if cross >= 0.0:
+                hx.pop()
+                hy.pop()
+            else:
+                break
+        hx.append(float(x))
+        hy.append(float(y))
+    return np.asarray(hx), np.asarray(hy)
+
+
+@dataclass(eq=False)
+class DiscStencil:
+    """Shortley-Weller 5-point stencil on the disc-masked grid.
+
+    ``coeffs`` and ``nbr_inside`` are keyed by arm ("E", "W", "N", "S").  At
+    an inside node, -Laplacian u = (diag * u - sum of coeffs * neighbour u)
+    / spacing**2, where a neighbour outside the disc contributes zero.
+    """
+
+    inside: np.ndarray
+    coeffs: dict
+    diag: np.ndarray
+    nbr_inside: dict
+
+
+def disc_stencil(coords: np.ndarray, spacing: float) -> DiscStencil:
+    """Cut-cell stencil of -Laplacian on the nodes of ``coords`` inside the unit disc.
+
+    An arm that leaves the disc is shortened to the fraction theta of a cell
+    at which it meets the unit circle (Shortley & Weller 1938), where the
+    Dirichlet value is zero.
+    """
+    n = coords.shape[0]
+    inside = np.linalg.norm(coords, axis=-1) < 1.0
+    nbr_inside = {}
+    thetas = {}
+    for name, (di, dj) in {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}.items():
+        src_i = np.clip(np.arange(n)[:, None] + di, 0, n - 1)
+        src_j = np.clip(np.arange(n)[None, :] + dj, 0, n - 1)
+        theta = np.ones((n, n))
+        cut = inside & ~inside[src_i, src_j]
+        if cut.any():
+            p = coords[cut]
+            e = np.array([di, dj], dtype=float)
+            a = spacing * spacing
+            b = 2.0 * spacing * (p @ e)
+            c = np.sum(p * p, axis=1) - 1.0
+            disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+            theta[cut] = np.clip((-b + disc) / (2.0 * a), 1e-6, 1.0)
+        thetas[name] = theta
+        nbr_inside[name] = inside[src_i, src_j] & inside
+    te, tw, tn, ts = thetas["E"], thetas["W"], thetas["N"], thetas["S"]
+    coeffs = {"E": 2.0 / (te * (te + tw)), "W": 2.0 / (tw * (te + tw)),
+              "N": 2.0 / (tn * (tn + ts)), "S": 2.0 / (ts * (tn + ts))}
+    diag = 2.0 / (te * tw) + 2.0 / (tn * ts)
+    return DiscStencil(inside=inside, coeffs=coeffs, diag=diag, nbr_inside=nbr_inside)

@@ -241,33 +241,3 @@ def wos_harmonic_eval(dom: DomainLike, f: BoundaryData | Callable, x, cfg: WosCo
     mean = float(vals.mean())
     sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return mean, sem
-
-
-def dump_step_histogram_csv(hist: np.ndarray, path) -> None:
-    """Write a steps-to-absorption histogram as `steps,count` rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# units: steps per walk, walk count\n")
-        fh.write("steps,count\n")
-        for k, c in enumerate(np.asarray(hist, dtype=int)):
-            fh.write(f"{k},{c}\n")
-
-
-def wos_step_histogram(dom: DomainLike, x, cfg: WosConfig, bins: int = 32) -> np.ndarray:
-    """Steps-to-absorption counts, for diagnostics dumps."""
-    x = np.asarray(x, dtype=float)
-    gen = rngmod.stream(cfg.seed, 1)
-    pos = np.tile(x, (cfg.walks, 1))
-    dist = -_sd(dom, pos)
-    active = dist > cfg.shell
-    counts = np.zeros(cfg.walks, dtype=int)
-    steps = 0
-    while active.any() and steps < cfg.max_steps:
-        idx = np.nonzero(active)[0]
-        dirs = rngmod.uniform_directions(gen, idx.size, pos.shape[1])
-        pos[idx] += dist[idx, None] * dirs
-        counts[idx] += 1
-        dist[idx] = -_sd(dom, pos[idx])
-        active[idx] = dist[idx] > cfg.shell
-        steps += 1
-    hist, _ = np.histogram(counts, bins=bins, range=(0, bins))
-    return hist

@@ -241,7 +241,6 @@ class ExtensionMap:
     """Lazy map from interior-boundary points to successor majorants."""
 
     query: Callable[[np.ndarray], "BranchedMajorant"]
-    contiguous: bool = True
 
     def __call__(self, u: np.ndarray) -> "BranchedMajorant":
         return self.query(np.asarray(u, dtype=float))
@@ -352,7 +351,7 @@ def upward_translate(h: BranchedMajorant, c: float) -> BranchedMajorant:
     if h.extension is None:
         return BranchedMajorant(base=base, extension=None, depth=1, error_bound=0.0)
     old = h.extension
-    ext = ExtensionMap(query=lambda u: upward_translate(old(u), c), contiguous=old.contiguous)
+    ext = ExtensionMap(query=lambda u: upward_translate(old(u), c))
     return BranchedMajorant(base=base, extension=ext, depth=h.depth, error_bound=h.error_bound)
 
 

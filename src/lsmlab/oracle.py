@@ -1,9 +1,16 @@
 """Independent ground-truth solvers for the stopping value function.
 
-Two routes that share nothing with the envelope pipeline: the classical
-one-dimensional reduction (smallest concave majorant of the radial profile in
-the scale coordinate, built by a monotone-chain hull) and a projected-SOR
+Two routes to the value function that do not go through the envelope
+refinement: the classical one-dimensional reduction (smallest concave majorant
+of the whole radial profile in the scale coordinate) and a projected-SOR
 solve of the discrete obstacle complementarity system on a disc-masked grid.
+
+They share the numerical primitives of ``lsmlab.grids`` with the envelope
+module: the upper concave hull and the cut-cell disc stencil.  What stays
+independent is the algorithm: one global hull with a far-left anchor here
+against one pinned hull per non-contact run at each refinement level there,
+and one projected-SOR solve of the whole disc here against relaxation per
+non-contact component at each level there.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import numpy as np
 
 from .envelope import GridField, cartesian_field
 from .gain import GainField
-from .grids import cartesian_grid, scale_coordinate
+from .grids import (DiscStencil, cartesian_grid, disc_stencil, scale_coordinate,
+                    upper_concave_hull)
 
 
 class OracleError(ValueError):
@@ -64,23 +72,6 @@ class RadialProfile:
 # Radial concave-majorant oracle
 # ---------------------------------------------------------------------------
 
-def upper_concave_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices of the upper concave hull of the point set (xs increasing)."""
-    hx: list[float] = []
-    hy: list[float] = []
-    for x, y in zip(xs, ys):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
-            if cross >= 0.0:
-                hx.pop()
-                hy.pop()
-            else:
-                break
-        hx.append(float(x))
-        hy.append(float(y))
-    return np.asarray(hx), np.asarray(hy)
-
-
 def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray,
                         anchor_gap: float = 50.0) -> RadialProfile:
     """Value function of the radial problem via the smallest concave majorant.
@@ -123,46 +114,6 @@ def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray,
 # Projected SOR obstacle solver on the disc
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class DiscStencil:
-    """Shortley-Weller 5-point stencil on the disc-masked grid."""
-
-    inside: np.ndarray
-    coeffs: dict
-    diag: np.ndarray
-    nbr_inside: dict
-
-
-def _disc_stencil(coords: np.ndarray, spacing: float) -> DiscStencil:
-    n = coords.shape[0]
-    inside = np.linalg.norm(coords, axis=-1) < 1.0
-    coeffs = {}
-    nbr_inside = {}
-    thetas = {}
-    for name, (di, dj) in {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}.items():
-        src_i = np.clip(np.arange(n)[:, None] + di, 0, n - 1)
-        src_j = np.clip(np.arange(n)[None, :] + dj, 0, n - 1)
-        nin = inside[src_i, src_j] & inside
-        theta = np.ones((n, n))
-        cut = inside & ~inside[src_i, src_j]
-        if cut.any():
-            p = coords[cut]
-            e = np.array([di, dj], dtype=float)
-            a = spacing * spacing
-            b = 2.0 * spacing * (p @ e)
-            c = np.sum(p * p, axis=1) - 1.0
-            disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-            theta[cut] = np.clip((-b + disc) / (2.0 * a), 1e-6, 1.0)
-        thetas[name] = theta
-        nbr_inside[name] = nin
-    coeffs["E"] = 2.0 / (thetas["E"] * (thetas["E"] + thetas["W"]))
-    coeffs["W"] = 2.0 / (thetas["W"] * (thetas["E"] + thetas["W"]))
-    coeffs["N"] = 2.0 / (thetas["N"] * (thetas["N"] + thetas["S"]))
-    coeffs["S"] = 2.0 / (thetas["S"] * (thetas["N"] + thetas["S"]))
-    diag = 2.0 / (thetas["E"] * thetas["W"]) + 2.0 / (thetas["N"] * thetas["S"])
-    return DiscStencil(inside=inside, coeffs=coeffs, diag=diag, nbr_inside=nbr_inside)
-
-
 def neg_laplacian(u: np.ndarray, stencil: DiscStencil, spacing: float) -> np.ndarray:
     """-(discrete Laplacian) with cut-cell arms; zero off the disc."""
     out = np.zeros_like(u)
@@ -191,7 +142,7 @@ def psor_obstacle_solve(gain: GainField, n: int = 257, omega: float = 1.7,
     if not 0.0 < omega < 2.0:
         raise OracleError("relaxation factor must lie in (0, 2)")
     coords, spacing = cartesian_grid(n)
-    stencil = _disc_stencil(coords, spacing)
+    stencil = disc_stencil(coords, spacing)
     inside = stencil.inside
     phi = gain(coords.reshape(-1, 2)).reshape(n, n)
     phi = np.where(inside, phi, 0.0)
@@ -240,7 +191,7 @@ def psor_obstacle_solve(gain: GainField, n: int = 257, omega: float = 1.7,
 def complementarity_residual(fld: GridField, gain: GainField) -> float:
     """Max over nodes of |min(-lap u, u - g)| for a solver-output field."""
     coords, spacing = fld.coords, fld.spacing
-    stencil = _disc_stencil(coords, spacing)
+    stencil = disc_stencil(coords, spacing)
     phi = gain(coords.reshape(-1, 2)).reshape(fld.values.shape)
     neg_lap = neg_laplacian(fld.values, stencil, spacing)
     comp = np.minimum(neg_lap, fld.values - phi)

@@ -1,5 +1,9 @@
-"""Shared fixtures: the expensive envelope/oracle runs are built once per session."""
+"""Shared fixtures: the expensive envelope/oracle runs are built once per session.
 
+Also the brute-force reference that the concave-hull tests compare against.
+"""
+
+import numpy as np
 import pytest
 
 import lsmlab as L
@@ -68,3 +72,13 @@ def cap_cart_seq(cap_gain):
 @pytest.fixture(scope="session")
 def cap_psor(cap_gain):
     return psor_obstacle_solve(cap_gain, n=257, omega=1.9)
+
+
+def highest_chords(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Brute-force smallest concave majorant of the points, at the points."""
+    out = np.empty(len(xs))
+    for i in range(len(xs)):
+        chords = [ys[j] + (ys[k] - ys[j]) * (xs[i] - xs[j]) / (xs[k] - xs[j])
+                  for j in range(i + 1) for k in range(i, len(xs)) if k > j]
+        out[i] = max(chords + [ys[i]])
+    return out

@@ -70,6 +70,11 @@ class TestEnvelopeCommand:
         err = capsys.readouterr().err
         assert "spike radius" in err
 
+    def test_missing_gain_key_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"gain": {"kind": "spiked"}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "x"), "envelope"]) == 2
+        assert "'epsilon'" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_spiked_ball_pass(self, tmp_path):
@@ -150,6 +155,12 @@ class TestOracleCommand:
         payload["oracle"] = {}
         cfg = write_cfg(tmp_path, payload)
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "oracle"]) == 3
+
+    def test_top_level_dim_must_match_gain(self, tmp_path, capsys):
+        payload = dict(FAST_SPIKED, dim=3)
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "oracle"]) == 2
+        assert "dim" in capsys.readouterr().err
 
 
 class TestBalayageCommand:

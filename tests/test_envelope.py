@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import highest_chords
+from hypothesis import given, settings, strategies as st
 
 import lsmlab as L
 from lsmlab.envelope import (NoWitnessError, balayage_step, build_branched_witness,
                              contact_set, envelope_step, gain_on_grid, iterate_envelopes,
                              radial_field, unbranched_envelope)
+from lsmlab.gain import GainField
 from lsmlab.majorant import majorises_gain, matching_error
 
 
@@ -183,6 +186,46 @@ class TestEnvelopeStep:
         assert np.all(stepped.values >= gv - 1e-12)
         bal = balayage_step(fld, c, spiked)
         assert np.any(stepped.values > bal.values + 1e-3)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_radial_step_is_pinned_concave_majorant(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        radii = L.radial_grid(n, r_min=1e-2)
+        g = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.8)
+        g[-1] = rng.choice([0.0, rng.uniform(0.0, 0.3)])
+        lift = np.where(rng.uniform(size=n) < 0.6, rng.uniform(0.01, 1.0, n), 0.0)
+        lift[[0, -1]] = rng.uniform(0.01, 1.0, 2)  # a run at the origin and one at the sphere
+        lift[n // 2] = 0.0
+        gain = GainField(evaluator=lambda p: np.interp(np.linalg.norm(p, axis=1), radii, g),
+                         support_radius=0.99, max_gain=1.0, gstar=2.0, lipschitz=1.0,
+                         continuous=False, radial_evaluator=lambda r: np.interp(r, radii, g))
+        w = radial_field(radii, g + lift, tag="w")
+        contact = contact_set(w, gain)
+        stepped = envelope_step(w, contact, gain)
+
+        s = np.log(radii)
+        expect = w.values.copy()
+        for label in range(1, contact.n_components + 1):
+            i0, i1 = np.nonzero(contact.labels == label)[0][[0, -1]]
+            xs, ys = list(s[i0:i1 + 1]), list(g[i0:i1 + 1])
+            if i1 == n - 1:
+                ys[-1] = max(ys[-1], 0.0)
+            else:
+                xs.append(s[i1 + 1])
+                ys.append(w.values[i1 + 1])
+            if i0 > 0:
+                xs.insert(0, s[i0 - 1])
+                ys.insert(0, w.values[i0 - 1])
+            run = slice(1 if i0 > 0 else 0, None if i1 == n - 1 else -1)
+            major = highest_chords(np.array(xs), np.array(ys))[run]
+            if i0 == 0:
+                # Bounded at the origin: concave on (-inf, 0] means nondecreasing.
+                major = np.maximum(major, np.maximum.accumulate(ys[::-1])[::-1][run])
+            expect[i0:i1 + 1] = major
+        expect = np.minimum(expect, w.values)
+        assert np.allclose(stepped.values, expect, rtol=0.0, atol=1e-12)
 
 
 class TestWitness:

@@ -11,6 +11,7 @@ from lsmlab.geometry import (Annulus, Ball, Cap, DegenerateApproximationError, F
                              load_mask_csv, project_to_boundary, project_to_boundary_batch,
                              rasterize, ray_exit, save_mask_csv, sdf, signed_distance,
                              smooth_inner_approximation)
+from lsmlab.grids import cartesian_grid
 
 
 class TestSignedDistance:
@@ -37,6 +38,20 @@ class TestSignedDistance:
         region = rasterize(Ball((0.0, 0.0), 0.5), n=256)
         assert signed_distance(region, np.array([0.0, 0.0])) == pytest.approx(-0.5, abs=0.02)
         assert signed_distance(region, np.array([0.7, 0.0])) == pytest.approx(0.2, abs=0.02)
+
+    def test_grid_region_table_belongs_to_its_region(self):
+        # Each region is freed before the next is built, so CPython may reuse
+        # its address: a distance table cached by id() would be served to a
+        # disc of another radius.
+        coords, spacing = cartesian_grid(129)
+        node_r = np.linalg.norm(coords, axis=-1)
+
+        def origin_distance(radius):
+            return signed_distance(GridRegion(mask=node_r < radius, spacing=spacing), np.zeros(2))
+
+        radii = 0.05 + 0.9 * np.arange(400) / 400
+        errors = np.array([origin_distance(r) + r for r in radii])
+        assert np.max(np.abs(errors)) <= spacing
 
     @given(st.floats(0.1, 0.9), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
     @settings(max_examples=40, deadline=None)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from lsmlab.grids import cartesian_grid, radial_grid, scale_coordinate
+from lsmlab.envelope import balayage_step, cartesian_field, contact_set, gain_on_grid
+from lsmlab.gain import GainField
+from lsmlab.grids import cartesian_grid, disc_stencil, radial_grid, scale_coordinate
+from lsmlab.oracle import neg_laplacian
 
 
 def test_radial_grid_contract():
@@ -36,3 +39,39 @@ def test_cartesian_grid_shape():
     assert coords.shape == (65, 65, 2)
     assert spacing == pytest.approx(2.0 / 64)
     assert coords[0, 0, 0] == -1.0 and coords[-1, -1, 1] == 1.0
+
+
+@pytest.mark.parametrize("n", [65, 129, 257])
+def test_disc_stencil_exact_on_quadratics_and_harmonics(n):
+    coords, spacing = cartesian_grid(n)
+    stencil = disc_stencil(coords, spacing)
+    x, y = coords[..., 0], coords[..., 1]
+    # 1 - x^2 - y^2 vanishes on the circle, so the cut arms see its true
+    # boundary value, and Shortley-Weller is exact for quadratics.
+    bowl = neg_laplacian(1.0 - x * x - y * y, stencil, spacing)
+    assert np.max(np.abs(bowl[stencil.inside] - 4.0)) <= 1e-9
+    full = stencil.inside & np.logical_and.reduce(list(stencil.nbr_inside.values()))
+    for u in (x, x * x - y * y, x * y):
+        assert np.max(np.abs(neg_laplacian(u, stencil, spacing)[full])) <= 1e-9
+
+
+def test_solver_stencil_matches_its_grid():
+    # Fields are freed between steps, so their coordinate arrays may reuse an
+    # address: a stencil cached by id() would come back at another grid size.
+    gain = GainField(evaluator=lambda p: np.where(np.linalg.norm(p, axis=1) < 0.5, 0.5, 0.0),
+                     support_radius=0.5, max_gain=0.5, gstar=1.0, lipschitz=1.0,
+                     radial=False, continuous=False)
+
+    def balayage_of_fresh_field(n):
+        fld = cartesian_field(n, np.zeros((n, n)), tag="probe")
+        g = gain_on_grid(gain, fld)
+        lifted = g.copy()
+        lifted[n // 2 - 1:n // 2 + 2, n // 2 - 1:n // 2 + 2] += 0.1
+        w = fld.copy_with(lifted, tag="w")
+        return balayage_step(w, contact_set(w, gain), gain).values, g
+
+    for k in range(30):
+        n = (33, 49, 65)[k % 3]
+        values, g = balayage_of_fresh_field(n)
+        assert values.shape == (n, n)
+        assert np.max(np.abs(values - g)) <= 1e-9

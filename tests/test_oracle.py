@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import highest_chords
 from hypothesis import given, settings, strategies as st
 
 import lsmlab as L
 from lsmlab.gain import spiked_gain, mollify
+from lsmlab.grids import disc_stencil, upper_concave_hull
 from lsmlab.oracle import (OracleError, complementarity_residual, cross_validate,
-                           radial_value_oracle, upper_concave_hull)
+                           radial_value_oracle)
 
 
 class TestConcaveHull:
@@ -34,6 +36,8 @@ class TestConcaveHull:
         assert np.all(hull >= ys - 1e-12)
         slopes = np.diff(hy) / np.diff(hx)
         assert np.all(np.diff(slopes) <= 1e-9)
+        # Minimal: at each x_i the hull is the highest chord (x_j, x_k), j <= i <= k.
+        assert np.allclose(hull, highest_chords(xs, ys), rtol=0.0, atol=1e-12)
 
 
 class TestRadialOracle:
@@ -103,8 +107,8 @@ class TestPsor:
         assert np.all(annulus_psor.values[inside] >= gv[inside] - 1e-8)
 
     def test_discretely_superharmonic(self, annulus_gain, annulus_psor):
-        from lsmlab.oracle import _disc_stencil, neg_laplacian
-        stencil = _disc_stencil(annulus_psor.coords, annulus_psor.spacing)
+        from lsmlab.oracle import neg_laplacian
+        stencil = disc_stencil(annulus_psor.coords, annulus_psor.spacing)
         neg_lap = neg_laplacian(annulus_psor.values, stencil, annulus_psor.spacing)
         assert np.min(neg_lap[stencil.inside]) >= -1e-8
 
