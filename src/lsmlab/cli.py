@@ -5,7 +5,7 @@ selftest.  All outputs are CSV/JSON data files for external plotting; with a
 fixed config and seed the emitted files are byte-identical across runs.
 
 Exit codes: 0 ok, 2 config error, 3 incomplete, 4 structural error,
-5 non-convergence.
+5 non-convergence; ``EXIT_TABLE`` maps exception classes to them.
 """
 
 from __future__ import annotations
@@ -19,16 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .envelope import (ConvergenceError, balayage_step, build_branched_witness,
-                       gain_on_grid, iterate_envelopes, unbranched_envelope)
+from .envelope import (ConvergenceError, EnvelopeError, NoWitnessError, balayage_step,
+                       build_branched_witness, gain_on_grid, iterate_envelopes,
+                       unbranched_envelope)
 from .gain import GainError, GainField, gain_from_config
 from .geometry import GridRegion, save_mask_csv
 from .grids import radial_grid
 from .harmonic import NonTerminationError
-from .majorant import dump_tree_json, matching_error
+from .majorant import MajorantError, dump_tree_json, matching_error
 from .oracle import (OracleConvergenceError, cross_validate, psor_obstacle_solve,
                      radial_value_oracle)
-from .pathsim import (PathConfig, StructuralError, run_algorithm1,
+from .pathsim import (PathConfig, PathError, StructuralError, run_algorithm1,
                       run_algorithm1_batch, trace_to_csv)
 
 EXIT_OK = 0
@@ -42,32 +43,91 @@ class ConfigError(ValueError):
     pass
 
 
+# Exception classes to exit codes, most specific first: ConvergenceError and
+# NoWitnessError are EnvelopeErrors, which otherwise count as structural.
+# Errors outside the table are faults of the program and keep their traceback.
+EXIT_TABLE = (
+    ((ConvergenceError, OracleConvergenceError, NonTerminationError), EXIT_NONCONVERGED,
+     "non-convergence"),
+    ((NoWitnessError,), EXIT_INCOMPLETE, "incomplete"),
+    ((StructuralError, MajorantError, EnvelopeError), EXIT_STRUCTURAL, "structural error"),
+    ((ConfigError, GainError), EXIT_CONFIG, "config error"),
+)
+
+# Accepted keys of the top level and of each block; the gain block is checked
+# by ``gain_from_config``.
+CONFIG_KEYS = {
+    "grid": {"kind", "nodes", "r_min"},
+    "envelope": {"max_iter", "tol", "contact_tol", "omega", "dictionary"},
+    "paths": {"dt", "n_paths", "seed", "scheme", "sample_traces", "probe"},
+    "oracle": {"radial", "psor", "psor_omega", "psor_tol"},
+}
+TOP_LEVEL_KEYS = {"gain", "dim", *CONFIG_KEYS}
+
+
 def load_config(name_or_path: str) -> dict:
     """Read a config file path or a named preset."""
     path = Path(name_or_path)
-    if path.exists():
-        with open(path) as fh:
-            return json.load(fh)
-    candidate = resources.files("lsmlab.presets").joinpath(f"{name_or_path}.json")
-    if candidate.is_file():
-        return json.loads(candidate.read_text())
+    try:
+        if path.exists():
+            return json.loads(path.read_text())
+        candidate = resources.files("lsmlab.presets").joinpath(f"{name_or_path}.json")
+        if candidate.is_file():
+            return json.loads(candidate.read_text())
+    except ValueError as exc:  # malformed JSON or text
+        raise ConfigError(f"{name_or_path}: {exc}") from None
     raise ConfigError(f"config {name_or_path!r} is neither a file nor a known preset")
 
 
+def check_config(cfg) -> None:
+    """Reject a config that is not an object, or that has an unknown key or block."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("a config must be a JSON object")
+    for key in cfg:
+        if key not in TOP_LEVEL_KEYS:
+            raise ConfigError(f"unknown top-level key {key!r}")
+    for block in ("gain", *CONFIG_KEYS):
+        if not isinstance(cfg.get(block, {}), dict):
+            raise ConfigError(f"the {block} block must be a JSON object")
+    for block, keys in CONFIG_KEYS.items():
+        for key in cfg.get(block, {}):
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in the {block} block")
+
+
+def _number(cfg: dict, block: str, key: str, default, cast=float):
+    """cfg[block][key] converted by cast, or the default when absent."""
+    value = cfg.get(block, {}).get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{block}.{key} must be a number, got {value!r}") from None
+
+
+def _radial_grid(nodes: int, r_min: float) -> np.ndarray:
+    try:
+        return radial_grid(nodes, r_min)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from None
+
+
 def _grid_from_config(cfg: dict):
-    grid = cfg.get("grid", {})
-    kind = grid.get("kind", "radial")
+    kind = cfg.get("grid", {}).get("kind", "radial")
     if kind == "radial":
-        return radial_grid(int(grid.get("nodes", 2048)), float(grid.get("r_min", 1e-3)))
+        return _radial_grid(_number(cfg, "grid", "nodes", 2048, int),
+                            _number(cfg, "grid", "r_min", 1e-3))
     if kind == "cartesian":
-        return int(grid.get("nodes", 257))
+        nodes = _number(cfg, "grid", "nodes", 257, int)
+        if nodes < 3:
+            raise ConfigError("grid: a cartesian grid needs at least 3 nodes per side")
+        return nodes
     raise ConfigError(f"unknown grid kind {kind!r}")
 
 
 def _gain_from_config(cfg: dict) -> GainField:
     """The config's gain; a top-level ``dim``, if given, must be the gain's."""
     gain = gain_from_config(cfg.get("gain", {}))
-    if "dim" in cfg and int(cfg["dim"]) != gain.dim:
+    if "dim" in cfg and cfg["dim"] != gain.dim:
         raise ConfigError(f"top-level dim {cfg['dim']} disagrees with the gain's dim "
                           f"{gain.dim}; set gain.dim instead")
     return gain
@@ -93,14 +153,13 @@ def _contact_csv(contact, fld, path: Path) -> None:
 def _run_envelope(cfg: dict, out: Path, seed: int):
     gain = _gain_from_config(cfg)
     grid = _grid_from_config(cfg)
-    env_cfg = cfg.get("envelope", {})
-    run = unbranched_envelope(gain, grid, env_cfg.get("dictionary"))
+    run = unbranched_envelope(gain, grid, cfg.get("envelope", {}).get("dictionary"))
     seq = iterate_envelopes(
         gain, run,
-        max_iter=int(env_cfg.get("max_iter", 32)),
-        tol=float(env_cfg.get("tol", 1e-9)),
-        contact_tol=float(env_cfg.get("contact_tol", 1e-9)),
-        omega=float(env_cfg.get("omega", 1.9)),
+        max_iter=_number(cfg, "envelope", "max_iter", 32, int),
+        tol=_number(cfg, "envelope", "tol", 1e-9),
+        contact_tol=_number(cfg, "envelope", "contact_tol", 1e-9),
+        omega=_number(cfg, "envelope", "omega", 1.9),
     )
     return gain, run, seq
 
@@ -119,8 +178,7 @@ def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
         "seed": seed,
     }
     _write_json(out / "summary.json", summary)
-    max_iter = int(cfg.get("envelope", {}).get("max_iter", 32))
-    if not seq.converged and max_iter > 0:
+    if not seq.converged and _number(cfg, "envelope", "max_iter", 32, int) > 0:
         print("envelope iteration did not converge within max_iter", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -149,19 +207,24 @@ def cmd_oracle(cfg: dict, out: Path, seed: int, threads: int) -> int:
         if not gain.radial:
             print("radial oracle requested for a non-radial gain", file=sys.stderr)
             return EXIT_CONFIG
-        radii = radial_grid(int(cfg.get("grid", {}).get("nodes", 2048))
-                            if cfg.get("grid", {}).get("kind", "radial") == "radial" else 2048,
-                            float(cfg.get("grid", {}).get("r_min", 1e-3)))
+        if gain.dim not in (2, 3):
+            raise ConfigError("the radial oracle supports gain.dim 2 and 3")
+        if cfg.get("grid", {}).get("kind", "radial") == "radial":
+            radii = _grid_from_config(cfg)
+        else:
+            radii = _radial_grid(2048, _number(cfg, "grid", "r_min", 1e-3))
         radial_prof = radial_value_oracle(gain, gain.dim, radii)
         radial_prof.to_csv(out / "oracle_radial.csv")
         wrote = True
     if ocfg.get("psor", False):
-        n = int(cfg.get("grid", {}).get("nodes", 257))
-        if cfg.get("grid", {}).get("kind", "radial") != "cartesian":
-            n = 257
-        psor_fld = psor_obstacle_solve(gain, n=n,
-                                       omega=float(ocfg.get("psor_omega", 1.7)),
-                                       tol=float(ocfg.get("psor_tol", 1e-8)))
+        if gain.dim != 2:
+            raise ConfigError("the PSOR oracle needs gain.dim 2")
+        n = _grid_from_config(cfg) if cfg.get("grid", {}).get("kind") == "cartesian" else 257
+        omega = _number(cfg, "oracle", "psor_omega", 1.7)
+        if not 0.0 < omega < 2.0:
+            raise ConfigError(f"oracle.psor_omega must lie in (0, 2), got {omega}")
+        psor_fld = psor_obstacle_solve(gain, n=n, omega=omega,
+                                       tol=_number(cfg, "oracle", "psor_tol", 1e-8))
         psor_fld.to_csv(out / "oracle_psor.csv")
         wrote = True
     if not wrote:
@@ -248,16 +311,28 @@ def cmd_paths(cfg: dict, out: Path, seed: int, threads: int) -> int:
         print("envelope run did not converge; paths need converged artifacts", file=sys.stderr)
         return EXIT_NONCONVERGED
     pcfg_block = cfg.get("paths", {})
-    n_paths = int(pcfg_block.get("n_paths", 10_000))
-    probe = np.asarray(pcfg_block.get("probe", [0.3, 0.0]), dtype=float)
-    pcfg = PathConfig(dt=float(pcfg_block.get("dt", 1e-4)), seed=seed,
-                      scheme=str(pcfg_block.get("scheme", "wos-jump")))
+    n_paths = _number(cfg, "paths", "n_paths", 10_000, int)
+    if n_paths < 0:
+        raise ConfigError(f"paths.n_paths must be nonnegative, got {n_paths}")
+    raw_probe = pcfg_block.get("probe", [0.3, 0.0])
+    try:
+        probe = np.asarray(raw_probe, dtype=float)
+    except (TypeError, ValueError):
+        probe = None
+    if probe is None or probe.shape != (gain.dim,) or not np.linalg.norm(probe) <= 1.0:
+        raise ConfigError(f"paths.probe must be a point of the closed unit ball, "
+                          f"got {raw_probe!r}")
+    try:
+        pcfg = PathConfig(dt=_number(cfg, "paths", "dt", 1e-4), seed=seed,
+                          scheme=str(pcfg_block.get("scheme", "wos-jump")))
+    except PathError as exc:
+        raise ConfigError(f"paths: {exc}") from None
     witness = build_branched_witness(seq, len(seq.levels) - 1, probe)
     dump_tree_json(witness, out / "witness_tree.json")
 
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
-    n_traces = int(pcfg_block.get("sample_traces", 2))
+    n_traces = _number(cfg, "paths", "sample_traces", 2, int)
     for k in range(n_traces):
         rec = run_algorithm1(witness, probe, pcfg, path_index=k)
         trace_to_csv(rec, traces_dir / f"trace_{k:03d}.csv")
@@ -357,37 +432,20 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return cmd_selftest(args.threads)
 
+    commands = {"envelope": cmd_envelope, "balayage": cmd_balayage, "oracle": cmd_oracle,
+                "paths": cmd_paths, "reproduce": cmd_reproduce_spiked_ball}
     try:
         cfg = load_config(args.config)
-    except (ConfigError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    seed = args.seed if args.seed is not None else int(cfg.get("paths", {}).get("seed", 0))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        if args.command == "envelope":
-            return cmd_envelope(cfg, out, seed, args.threads)
-        if args.command == "balayage":
-            return cmd_balayage(cfg, out, seed, args.threads)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, out, seed, args.threads)
-        if args.command == "paths":
-            return cmd_paths(cfg, out, seed, args.threads)
-        if args.command == "reproduce":
-            return cmd_reproduce_spiked_ball(cfg, out, seed, args.threads)
-    except (GainError, ConfigError, ValueError) as exc:
-        if isinstance(exc, (ConvergenceError, OracleConvergenceError, NonTerminationError)):
-            print(f"non-convergence: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGED
-        if isinstance(exc, StructuralError):
-            print(f"structural error: {exc}", file=sys.stderr)
-            return EXIT_STRUCTURAL
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_CONFIG
+        check_config(cfg)
+        seed = args.seed if args.seed is not None else _number(cfg, "paths", "seed", 0, int)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return commands[args.command](cfg, out, seed, args.threads)
+    except tuple(cls for classes, _, _ in EXIT_TABLE for cls in classes) as exc:
+        code, label = next((code, label) for classes, code, label in EXIT_TABLE
+                           if isinstance(exc, classes))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

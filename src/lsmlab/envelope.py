@@ -13,7 +13,10 @@ obstacle-respecting replacement of a non-contact run is the upper concave hull
 of the gain with the run's ends pinned, and the balayage is interpolation
 between contact nodes.  Cartesian fields use red-black (projected) SOR on the
 cut-cell disc stencil.  Both primitives live in ``lsmlab.grids`` and are
-shared with the oracles.
+shared with the oracles.  The SOR kernel builds its gather tables once per
+component (flat node and neighbour indices per colour and arm, with a zero
+sentinel slot for arms that leave the disc, plus the coefficient, diagonal and
+obstacle slices), so a sweep is only flat gathers, multiply-adds and scatters.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from scipy import ndimage
 
 from .gain import GainField, outer_running_max
 from .geometry import Annulus, Ball, GridRegion
-from .grids import (DiscStencil, cartesian_grid, disc_stencil, scale_coordinate,
+from .grids import (ARMS, DiscStencil, cartesian_grid, disc_stencil, scale_coordinate,
                     upper_concave_hull)
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, branched, cap_patch, constant_patch,
@@ -520,38 +523,48 @@ def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
     """(Projected) SOR on one component; values is updated in place.
 
     Nodes off the component act as Dirichlet data; neighbours outside the
-    disc contribute zero through shortened cut-cell arms.
+    disc contribute zero through shortened cut-cell arms.  Everything that is
+    the same on every sweep is gathered once: per colour, the flat node
+    indices, one flat neighbour index per arm (E, W, N, S) into a padded flat
+    copy of ``values`` whose last slot is a zero sentinel for arms that leave
+    the disc, and the coefficient, diagonal and obstacle slices.  A sweep is
+    then four flat gathers with multiply-adds and one scatter per colour.
     """
     ii, jj = np.nonzero(comp)
     if ii.size == 0:
         return
-    ae, aw = stencil.coeffs["E"][comp], stencil.coeffs["W"][comp]
-    an, a_s = stencil.coeffs["N"][comp], stencil.coeffs["S"][comp]
-    diag = stencil.diag[comp]
-    ne, nw = stencil.nbr_inside["E"][comp], stencil.nbr_inside["W"][comp]
-    nn, ns = stencil.nbr_inside["N"][comp], stencil.nbr_inside["S"][comp]
-    phi = obstacle[comp] if obstacle is not None else None
+    ncols = values.shape[1]
+    work = np.append(values.ravel(), 0.0)
+    sentinel = work.size - 1
     red = ((ii + jj) % 2 == 0)
+    tables = []
+    for color in (red, ~red):
+        if not color.any():
+            continue
+        ci, cj = ii[color], jj[color]
+        arms = []
+        for name, (di, dj) in ARMS.items():
+            nbr = (ci + di) * ncols + (cj + dj)
+            arms.append((np.where(stencil.nbr_inside[name][ci, cj], nbr, sentinel),
+                         stencil.coeffs[name][ci, cj]))
+        phi = obstacle[ci, cj] if obstacle is not None else None
+        tables.append((ci * ncols + cj, arms, stencil.diag[ci, cj], phi))
     scale = float(np.max(np.abs(values))) + 1.0
 
     for sweep in range(MAX_SWEEPS):
         biggest = 0.0
-        for color in (red, ~red):
-            if not color.any():
-                continue
-            ci, cj = ii[color], jj[color]
-            s = np.zeros(ci.size)
-            s += np.where(ne[color], values[np.minimum(ci + 1, values.shape[0] - 1), cj], 0.0) * ae[color]
-            s += np.where(nw[color], values[np.maximum(ci - 1, 0), cj], 0.0) * aw[color]
-            s += np.where(nn[color], values[ci, np.minimum(cj + 1, values.shape[1] - 1)], 0.0) * an[color]
-            s += np.where(ns[color], values[ci, np.maximum(cj - 1, 0)], 0.0) * a_s[color]
-            gs = s / diag[color]
-            new = (1.0 - omega) * values[ci, cj] + omega * gs
+        for idx, arms, diag, phi in tables:
+            s = np.zeros(idx.size)
+            for nbr, coeff in arms:
+                s += work[nbr] * coeff
+            old = work[idx]
+            new = (1.0 - omega) * old + omega * (s / diag)
             if phi is not None:
-                new = np.maximum(phi[color], new)
-            biggest = max(biggest, float(np.max(np.abs(new - values[ci, cj]))))
-            values[ci, cj] = new
+                new = np.maximum(phi, new)
+            biggest = max(biggest, float(np.max(np.abs(new - old))))
+            work[idx] = new
         if biggest < RELAX_TOL * scale:
+            values[ii, jj] = work[ii * ncols + jj]
             return
     raise ConvergenceError("component relaxation hit the sweep limit", biggest)
 

@@ -367,25 +367,30 @@ def gain_from_config(block: dict) -> GainField:
     """Build a gain from the run-config gain block."""
     kind = block.get("kind")
 
-    def required(key: str):
-        if key not in block:
+    def number(key: str, default=None, cast=float):
+        """block[key] converted by cast; required when there is no default."""
+        if default is None and key not in block:
             raise GainError(f"gain kind {kind!r} needs the key {key!r}")
-        return block[key]
+        value = block.get(key, default)
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            raise GainError(f"gain.{key} has a bad value {value!r}") from None
 
-    margin = float(block.get("gstar_margin", 0.25))
+    margin = number("gstar_margin", 0.25)
     if kind == "spiked":
-        g = spiked_gain(float(required("epsilon")), dim=int(block.get("dim", 2)),
-                        gstar_margin=margin)
+        g = spiked_gain(number("epsilon"), dim=number("dim", 2, int), gstar_margin=margin)
     elif kind == "radial-bump":
-        g = radial_bump_gain(float(required("center_radius")), float(required("width")),
-                             height=float(block.get("height", 1.0)),
-                             dim=int(block.get("dim", 2)), gstar_margin=margin)
+        g = radial_bump_gain(number("center_radius"), number("width"),
+                             height=number("height", 1.0), dim=number("dim", 2, int),
+                             gstar_margin=margin)
     elif kind == "offset-bump":
-        g = offset_bump_gain(required("center"), float(required("radius")),
-                             height=float(block.get("height", 1.0)), gstar_margin=margin)
+        g = offset_bump_gain(number("center", cast=lambda v: np.asarray(v, float).reshape(2)),
+                             number("radius"),
+                             height=number("height", 1.0), gstar_margin=margin)
     else:
         raise GainError(f"unknown gain kind {kind!r}")
-    width = float(block.get("mollify", 0.0))
+    width = number("mollify", 0.0)
     if width > 0.0:
         g = mollify(g, width)
     return g

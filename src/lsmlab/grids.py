@@ -73,6 +73,10 @@ def upper_concave_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.n
     return np.asarray(hx), np.asarray(hy)
 
 
+# Grid offsets (di, dj) of the stencil's arms, in the order every loop uses.
+ARMS = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
+
+
 @dataclass(eq=False)
 class DiscStencil:
     """Shortley-Weller 5-point stencil on the disc-masked grid.
@@ -99,7 +103,7 @@ def disc_stencil(coords: np.ndarray, spacing: float) -> DiscStencil:
     inside = np.linalg.norm(coords, axis=-1) < 1.0
     nbr_inside = {}
     thetas = {}
-    for name, (di, dj) in {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}.items():
+    for name, (di, dj) in ARMS.items():
         src_i = np.clip(np.arange(n)[:, None] + di, 0, n - 1)
         src_j = np.clip(np.arange(n)[None, :] + dj, 0, n - 1)
         theta = np.ones((n, n))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .envelope import GridField, cartesian_field
 from .gain import GainField
-from .grids import (DiscStencil, cartesian_grid, disc_stencil, scale_coordinate,
+from .grids import (ARMS, DiscStencil, cartesian_grid, disc_stencil, scale_coordinate,
                     upper_concave_hull)
 
 
@@ -119,7 +119,7 @@ def neg_laplacian(u: np.ndarray, stencil: DiscStencil, spacing: float) -> np.nda
     out = np.zeros_like(u)
     n = u.shape[0]
     acc = stencil.diag * u
-    for name, (di, dj) in {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}.items():
+    for name, (di, dj) in ARMS.items():
         src_i = np.clip(np.arange(n)[:, None] + di, 0, n - 1)
         src_j = np.clip(np.arange(n)[None, :] + dj, 0, n - 1)
         nbr = np.where(stencil.nbr_inside[name], u[src_i, src_j], 0.0)

@@ -75,10 +75,19 @@ def cap_psor(cap_gain):
 
 
 def highest_chords(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Brute-force smallest concave majorant of the points, at the points."""
-    out = np.empty(len(xs))
-    for i in range(len(xs)):
-        chords = [ys[j] + (ys[k] - ys[j]) * (xs[i] - xs[j]) / (xs[k] - xs[j])
-                  for j in range(i + 1) for k in range(i, len(xs)) if k > j]
-        out[i] = max(chords + [ys[i]])
+    """Brute-force smallest concave majorant of the points, at the points.
+
+    At x_i: the highest chord through (x_j, y_j) and (x_k, y_k) over all
+    j <= i <= k with j < k, or y_i itself.  O(n^3) work, vectorised per node.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    n = len(xs)
+    out = np.empty(n)
+    for i in range(n):
+        xj, yj = xs[:i + 1, None], ys[:i + 1, None]
+        xk, yk = xs[None, i:], ys[None, i:]
+        pair = np.arange(i, n)[None, :] > np.arange(i + 1)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chords = yj + (yk - yj) * (xs[i] - xj) / (xk - xj)
+        out[i] = max(ys[i], chords[pair].max(initial=-np.inf))
     return out

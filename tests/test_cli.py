@@ -1,9 +1,22 @@
 """CLI contract: subcommands, exit codes, reproducibility, file formats."""
 
+import importlib.util
 import json
+import re
 from pathlib import Path
 
-from lsmlab.cli import main
+import pytest
+
+from lsmlab import cli
+from lsmlab.cli import ConfigError, check_config, load_config, main
+from lsmlab.envelope import ConvergenceError, EnvelopeError, NoWitnessError
+from lsmlab.gain import GainError
+from lsmlab.harmonic import NonTerminationError
+from lsmlab.majorant import MajorantError
+from lsmlab.oracle import OracleConvergenceError
+from lsmlab.pathsim import StructuralError
+
+REPO = Path(__file__).resolve().parents[1]
 
 FAST_SPIKED = {
     "gain": {"kind": "spiked", "epsilon": 0.05, "mollify": 0.01, "gstar_margin": 0.25},
@@ -111,6 +124,87 @@ class TestExitCodes:
         payload["envelope"] = {"max_iter": 1}
         cfg = write_cfg(tmp_path, payload)
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "paths"]) == 5
+
+
+class TestExitCodeTable:
+    """One case per row of cli.EXIT_TABLE, each class raised from inside a command."""
+
+    def run_raising(self, exc, monkeypatch, tmp_path):
+        def fail(*args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_envelope", fail)
+        cfg = write_cfg(tmp_path, FAST_SPIKED)
+        return main(["--config", cfg, "--out", str(tmp_path / "o"), "envelope"])
+
+    @pytest.mark.parametrize("exc", [ConfigError("bad key"), GainError("bad gain")])
+    def test_config_row_exits_two(self, exc, monkeypatch, tmp_path, capsys):
+        assert self.run_raising(exc, monkeypatch, tmp_path) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_no_witness_row_exits_three(self, monkeypatch, tmp_path, capsys):
+        assert self.run_raising(NoWitnessError("in the contact set"), monkeypatch, tmp_path) == 3
+        assert capsys.readouterr().err.startswith("incomplete:")
+
+    @pytest.mark.parametrize("exc", [StructuralError("gap"), MajorantError("not contiguous"),
+                                     EnvelopeError("field drops below the gain")])
+    def test_structural_row_exits_four(self, exc, monkeypatch, tmp_path, capsys):
+        assert self.run_raising(exc, monkeypatch, tmp_path) == 4
+        assert capsys.readouterr().err.startswith("structural error:")
+
+    @pytest.mark.parametrize("exc", [ConvergenceError("sweeps", 1e-3),
+                                     OracleConvergenceError("sweeps", 1e-3),
+                                     NonTerminationError("steps")])
+    def test_nonconvergence_row_exits_five(self, exc, monkeypatch, tmp_path, capsys):
+        assert self.run_raising(exc, monkeypatch, tmp_path) == 5
+        assert capsys.readouterr().err.startswith("non-convergence:")
+
+    def test_probe_in_contact_set_is_incomplete(self, tmp_path, capsys):
+        payload = dict(FAST_SPIKED, paths=dict(FAST_SPIKED["paths"], probe=[0.0, 0.0]))
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "paths"]) == 3
+        assert "contact set" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("block, key", [(None, "dims"), ("grid", "node"),
+                                            ("envelope", "max_iters"), ("paths", "n_path"),
+                                            ("oracle", "psor_tolerance")])
+    def test_unknown_key_exits_two_and_names_it(self, block, key, tmp_path, capsys):
+        payload = json.loads(json.dumps(FAST_SPIKED))
+        (payload if block is None else payload[block])[key] = 0
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "envelope"]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (out / "w1.csv").exists()
+
+    @pytest.mark.parametrize("command, block, key, value", [
+        ("envelope", "gain", "epsilon", "wide"), ("envelope", "grid", "nodes", "many"),
+        ("envelope", "envelope", "tol", None), ("paths", "paths", "probe", [0.3]),
+        ("oracle", "oracle", "psor_omega", 2.5)])
+    def test_bad_value_exits_two(self, command, block, key, value, tmp_path, capsys):
+        payload = json.loads(json.dumps(FAST_SPIKED))
+        payload["oracle"]["psor"] = True
+        payload[block][key] = value
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_presets_and_readme_example_are_accepted(self):
+        for preset in ("spiked-ball", "annulus-gain", "cap-gain"):
+            check_config(load_config(preset))
+        readme = (REPO / "README.md").read_text()
+        example = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S).group(1)
+        check_config(json.loads(example))
+
+    def test_benchmark_configs_are_accepted(self):
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      REPO / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for case in workloads.cases(name, seed=1):
+                check_config(case["config"])
 
 
 class TestThreads:

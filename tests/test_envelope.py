@@ -1,16 +1,23 @@
 """Envelope scan, contact sets, balayage, monotone refinement, witnesses."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import highest_chords
 from hypothesis import given, settings, strategies as st
 
 import lsmlab as L
-from lsmlab.envelope import (NoWitnessError, balayage_step, build_branched_witness,
-                             contact_set, envelope_step, gain_on_grid, iterate_envelopes,
-                             radial_field, unbranched_envelope)
+from lsmlab import envelope
+from lsmlab.cli import main
+from lsmlab.envelope import (ContactSet, ConvergenceError, NoWitnessError, balayage_step,
+                             build_branched_witness, cartesian_field, contact_set,
+                             envelope_step, gain_on_grid, iterate_envelopes, radial_field,
+                             unbranched_envelope)
 from lsmlab.gain import GainField
+from lsmlab.grids import disc_stencil
 from lsmlab.majorant import majorises_gain, matching_error
+from lsmlab.oracle import neg_laplacian
 
 
 class TestUnbranchedEnvelope:
@@ -226,6 +233,59 @@ class TestEnvelopeStep:
             expect[i0:i1 + 1] = major
         expect = np.minimum(expect, w.values)
         assert np.allclose(stepped.values, expect, rtol=0.0, atol=1e-12)
+
+
+class TestCartesianKernel:
+    """The red-black SOR kernel behind the Cartesian balayage and envelope steps."""
+
+    N = 49
+
+    @pytest.mark.parametrize("which", ["x", "x2-y2", "xy"])
+    def test_balayage_reproduces_discrete_harmonic_data(self, which):
+        n = self.N
+        fld = cartesian_field(n, np.zeros((n, n)), tag="grid")
+        stencil = disc_stencil(fld.coords, fld.spacing)
+        x, y = fld.coords[..., 0], fld.coords[..., 1]
+        u = {"x": x, "x2-y2": x * x - y * y, "xy": x * y}[which]
+        # On full-stencil nodes the cut-cell stencil is the plain 5-point one,
+        # for which u is exactly discrete harmonic; the ring around them holds
+        # u as Dirichlet data, so the harmonic replacement is u itself.
+        comp = stencil.inside & np.logical_and.reduce(list(stencil.nbr_inside.values()))
+        w = fld.copy_with(np.where(comp, u + 1.0, u), tag="lifted")
+        contact = ContactSet(contact_mask=stencil.inside & ~comp, noncontact_mask=comp,
+                             labels=comp.astype(int), n_components=1, tol=0.0)
+        bal = balayage_step(w, contact, gain=None)
+        assert np.max(np.abs(bal.values - u)[stencil.inside]) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["annulus", "cap"])
+    def test_projected_solve_is_complementary(self, kind):
+        gain = (L.radial_bump_gain(0.3, 0.15) if kind == "annulus"
+                else L.offset_bump_gain((0.4, 0.0), 0.15))
+        w = unbranched_envelope(gain, self.N).field
+        contact = contact_set(w, gain)
+        comp = contact.noncontact_mask
+        stepped = envelope_step(w, contact, gain).values
+        gap = (stepped - gain_on_grid(gain, w))[comp]
+        assert np.all(gap >= 0.0)
+        assert np.any(gap == 0.0)  # the obstacle is active somewhere
+        # -Laplacian in the stencil's own units (times spacing**2): the sweep
+        # stops on a 1e-11-relative update, so this residual sits near 1e-10.
+        lap = neg_laplacian(stepped, disc_stencil(w.coords, w.spacing), w.spacing)
+        residual = np.minimum(lap * w.spacing ** 2, stepped - gain_on_grid(gain, w))
+        assert np.max(np.abs(residual[comp])) <= 1e-8
+
+    def test_sweep_budget_raises_with_residual(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(envelope, "MAX_SWEEPS", 1)
+        gain = L.radial_bump_gain(0.3, 0.15)
+        w = unbranched_envelope(gain, 33).field
+        with pytest.raises(ConvergenceError) as err:
+            envelope_step(w, contact_set(w, gain), gain)
+        assert np.isfinite(err.value.residual) and err.value.residual > 0.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "gain": {"kind": "radial-bump", "center_radius": 0.3, "width": 0.15},
+            "grid": {"kind": "cartesian", "nodes": 33}}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "envelope"]) == 5
 
 
 class TestWitness:

@@ -83,6 +83,22 @@ class TestRadialOracle:
         want = np.sqrt(0.25 - min(0.5, r_shell) ** 2)
         assert np.allclose(prof.values[inner], want, atol=2e-3)
 
+    @pytest.mark.parametrize("profile", ["mollified", "raw"])
+    def test_matches_brute_force_majorant(self, profile):
+        # An independent guard for the hull primitive: the refinement limit and
+        # the reproduce verdict compare two uses of upper_concave_hull, so
+        # only a reference that does not call it can catch a bug in it.
+        gain = (mollify(spiked_gain(0.024), 0.006) if profile == "mollified"
+                else spiked_gain(0.04))
+        radii = L.radial_grid(512)
+        prof = np.clip(gain.profile(radii), 0.0, None)
+        s = np.log(radii)
+        xs = np.concatenate([[s[0] - 50.0], s])
+        ys = np.concatenate([[prof.max()], prof])
+        expect = np.maximum(highest_chords(xs, ys)[1:], prof)
+        got = radial_value_oracle(gain, 2, radii, anchor_gap=50.0).values
+        assert np.max(np.abs(got - expect)) <= 1e-12
+
     def test_rejects_nonradial(self, cap_gain, radii):
         with pytest.raises(OracleError):
             radial_value_oracle(cap_gain, 2, radii)
