@@ -58,7 +58,7 @@ EXIT_TABLE = (
 # by ``gain_from_config``.
 CONFIG_KEYS = {
     "grid": {"kind", "nodes", "r_min"},
-    "envelope": {"max_iter", "tol", "contact_tol", "omega", "dictionary"},
+    "envelope": {"max_iter", "tol", "contact_tol", "omega"},
     "paths": {"dt", "n_paths", "seed", "scheme", "sample_traces", "probe"},
     "oracle": {"radial", "psor", "psor_omega", "psor_tol"},
 }
@@ -150,10 +150,10 @@ def _contact_csv(contact, fld, path: Path) -> None:
         save_mask_csv(GridRegion(mask=contact.contact_mask, spacing=fld.spacing), path)
 
 
-def _run_envelope(cfg: dict, out: Path, seed: int):
+def _run_envelope(cfg: dict):
     gain = _gain_from_config(cfg)
     grid = _grid_from_config(cfg)
-    run = unbranched_envelope(gain, grid, cfg.get("envelope", {}).get("dictionary"))
+    run = unbranched_envelope(gain, grid)
     seq = iterate_envelopes(
         gain, run,
         max_iter=_number(cfg, "envelope", "max_iter", 32, int),
@@ -165,7 +165,7 @@ def _run_envelope(cfg: dict, out: Path, seed: int):
 
 
 def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain, run, seq = _run_envelope(cfg, out, seed)
+    gain, run, seq = _run_envelope(cfg)
     run.field.to_csv(out / "w1.csv")
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
         fld.to_csv(out / f"env_level_{k:03d}.csv")
@@ -178,14 +178,14 @@ def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
         "seed": seed,
     }
     _write_json(out / "summary.json", summary)
-    if not seq.converged and _number(cfg, "envelope", "max_iter", 32, int) > 0:
+    if not seq.converged and len(seq.levels) > 1:
         print("envelope iteration did not converge within max_iter", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 
 
 def cmd_balayage(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain, run, seq = _run_envelope(cfg, out, seed)
+    gain, run, seq = _run_envelope(cfg)
     rows = []
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
         bal = balayage_step(fld, contact, gain)
@@ -245,7 +245,7 @@ def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> 
         _write_json(out / "verdict.json", {"verdict": "INCOMPLETE",
                                            "reason": "radial oracle disabled in config"})
         return EXIT_INCOMPLETE
-    gain, run, seq = _run_envelope(cfg, out, seed)
+    gain, run, seq = _run_envelope(cfg)
     fld = run.field
     radii = fld.radii
     contact1 = seq.contacts[0]
@@ -306,7 +306,7 @@ def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> 
 
 
 def cmd_paths(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain, run, seq = _run_envelope(cfg, out, seed)
+    gain, run, seq = _run_envelope(cfg)
     if not seq.converged:
         print("envelope run did not converge; paths need converged artifacts", file=sys.stderr)
         return EXIT_NONCONVERGED

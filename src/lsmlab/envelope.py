@@ -30,8 +30,8 @@ from scipy import ndimage
 
 from .gain import GainField, outer_running_max
 from .geometry import Annulus, Ball, GridRegion
-from .grids import (ARMS, DiscStencil, cartesian_grid, disc_stencil, scale_coordinate,
-                    upper_concave_hull)
+from .grids import (ARMS, DiscStencil, bilinear, cartesian_grid, disc_stencil,
+                    scale_coordinate, upper_concave_hull)
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, branched, cap_patch, constant_patch,
                        leaf, MajorantError)
@@ -100,16 +100,7 @@ class GridField:
             return float(out[0]) if single else out
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         single = np.asarray(x).ndim == 1
-        n = self.values.shape[0]
-        sp = self.spacing
-        lo = self.coords[0, 0]
-        fx = np.clip((pts[:, 0] - lo[0]) / sp, 0.0, n - 1.000001)
-        fy = np.clip((pts[:, 1] - lo[1]) / sp, 0.0, n - 1.000001)
-        ix, iy = fx.astype(int), fy.astype(int)
-        tx, ty = fx - ix, fy - iy
-        v = self.values
-        out = (v[ix, iy] * (1 - tx) * (1 - ty) + v[ix + 1, iy] * tx * (1 - ty)
-               + v[ix, iy + 1] * (1 - tx) * ty + v[ix + 1, iy + 1] * tx * ty)
+        out = bilinear(self.values, self.coords[0, 0], (self.spacing, self.spacing), pts)
         return float(out[0]) if single else out
 
     def to_csv(self, path) -> None:
@@ -219,6 +210,7 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
 FAMILY_CONSTANT = 0
 FAMILY_CAP = 1
 FAMILY_ANNULUS = 2
+CAP_DIRECTIONS = 256   # cap directions scanned on a Cartesian grid
 
 
 @dataclass(eq=False)
@@ -280,20 +272,18 @@ class EnvelopeRun:
         return patch
 
 
-def unbranched_envelope(gain: GainField, grid, dictionary: dict | None = None) -> EnvelopeRun:
+def unbranched_envelope(gain: GainField, grid) -> EnvelopeRun:
     """Pointwise minimum over the feasible patch dictionary.
 
-    The dictionary always contains the constant at the max gain (feasible for
-    every gain, so the envelope is defined even when everything else fails),
-    boundary-tangent caps, and for radial gains the annulus-to-boundary family
-    with inner radii on the grid.
+    The dictionary contains the constant at the max gain (feasible for every
+    gain, so the envelope is defined even when everything else fails),
+    boundary-tangent caps (rotated through each radial query direction, or
+    ``CAP_DIRECTIONS`` fixed directions on a Cartesian grid), and for radial
+    gains the annulus-to-boundary family with inner radii on the grid.
     """
-    cfg = {"constants": True, "caps": True, "annuli": gain.radial}
-    if dictionary:
-        cfg.update(dictionary)
     if isinstance(grid, (int, np.integer)):
-        return _envelope_cartesian(gain, int(grid), cfg)
-    return _envelope_radial(gain, np.asarray(grid, dtype=float), cfg)
+        return _envelope_cartesian(gain, int(grid))
+    return _envelope_radial(gain, np.asarray(grid, dtype=float))
 
 
 def _cap_zstar_radial(gain: GainField, radii: np.ndarray) -> float:
@@ -313,7 +303,7 @@ def _cap_zstar_radial(gain: GainField, radii: np.ndarray) -> float:
     return float(np.min(lever[pos] / big[pos]))
 
 
-def _envelope_radial(gain: GainField, radii: np.ndarray, cfg: dict) -> EnvelopeRun:
+def _envelope_radial(gain: GainField, radii: np.ndarray) -> EnvelopeRun:
     d = gain.dim
     K = len(radii)
     gvals = gain.profile(radii)
@@ -326,17 +316,16 @@ def _envelope_radial(gain: GainField, radii: np.ndarray, cfg: dict) -> EnvelopeR
     index = np.zeros(K, dtype=int)
     class_lip = 0.0
 
-    zstar = _cap_zstar_radial(gain, radii) if cfg.get("caps", True) else None
-    if zstar is not None:
-        cap_vals = (1.0 - radii) / zstar
-        cap_vals = np.where(cap_vals <= gstar, cap_vals, np.inf)
-        better = cap_vals < values
-        values = np.where(better, cap_vals, values)
-        family = np.where(better, FAMILY_CAP, family)
-        class_lip = max(class_lip, 1.0 / zstar)
+    zstar = _cap_zstar_radial(gain, radii)
+    cap_vals = (1.0 - radii) / zstar
+    cap_vals = np.where(cap_vals <= gstar, cap_vals, np.inf)
+    better = cap_vals < values
+    values = np.where(better, cap_vals, values)
+    family = np.where(better, FAMILY_CAP, family)
+    class_lip = max(class_lip, 1.0 / zstar)
 
     ann_inner = None
-    if cfg.get("annuli", False):
+    if gain.radial:
         # Conservative over inter-node gaps: the patch decreases outward, so on
         # [r_i, r_{i+1}] its value is at least the value at r_{i+1}, while the
         # gain is bounded by the larger endpoint.
@@ -367,12 +356,11 @@ def _envelope_radial(gain: GainField, radii: np.ndarray, cfg: dict) -> EnvelopeR
     values = np.maximum(values, gvals)  # dictionary patches clear the gain; kill rounding slack
     fld = radial_field(radii, values, tag="unbranched-envelope", dim=d)
     return EnvelopeRun(field=fld, gain=gain, family=family, index=index,
-                       zstar=float(zstar) if zstar is not None else np.inf,
-                       zstar_by_dir=None, directions=None,
+                       zstar=float(zstar), zstar_by_dir=None, directions=None,
                        annulus_inner=ann_inner, class_lipschitz=float(class_lip))
 
 
-def _envelope_cartesian(gain: GainField, n: int, cfg: dict) -> EnvelopeRun:
+def _envelope_cartesian(gain: GainField, n: int) -> EnvelopeRun:
     coords, spacing = cartesian_grid(n)
     inside = np.linalg.norm(coords, axis=-1) < 1.0
     pts = coords.reshape(-1, 2)
@@ -385,30 +373,25 @@ def _envelope_cartesian(gain: GainField, n: int, cfg: dict) -> EnvelopeRun:
     index = np.zeros((n, n), dtype=int)
     class_lip = 0.0
 
-    n_dirs = int(cfg.get("cap_directions", 256))
-    zstar_by_dir = None
-    dirs = None
-    if cfg.get("caps", True):
-        angles = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        support = inside & (gvals > 1e-14)
-        sp_pts = coords[support]
-        sp_g = gvals[support]
-        zstar_by_dir = np.empty(n_dirs)
-        flat = pts
-        for k in range(n_dirs):
-            p = sp_pts @ dirs[k]
-            zstar_by_dir[k] = np.min((1.0 - p) / sp_g)
-            cap_vals = (1.0 - flat @ dirs[k]) / zstar_by_dir[k]
-            cap_vals = np.where(cap_vals <= gstar, cap_vals, np.inf).reshape(n, n)
-            better = cap_vals < values
-            values = np.where(better, cap_vals, values)
-            family = np.where(better, FAMILY_CAP, family)
-            index = np.where(better, k, index)
-        class_lip = max(class_lip, float(np.max(1.0 / zstar_by_dir)))
+    angles = 2.0 * np.pi * np.arange(CAP_DIRECTIONS) / CAP_DIRECTIONS
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    support = inside & (gvals > 1e-14)
+    sp_pts = coords[support]
+    sp_g = gvals[support]
+    zstar_by_dir = np.empty(CAP_DIRECTIONS)
+    for k in range(CAP_DIRECTIONS):
+        p = sp_pts @ dirs[k]
+        zstar_by_dir[k] = np.min((1.0 - p) / sp_g)
+        cap_vals = (1.0 - pts @ dirs[k]) / zstar_by_dir[k]
+        cap_vals = np.where(cap_vals <= gstar, cap_vals, np.inf).reshape(n, n)
+        better = cap_vals < values
+        values = np.where(better, cap_vals, values)
+        family = np.where(better, FAMILY_CAP, family)
+        index = np.where(better, k, index)
+    class_lip = max(class_lip, float(np.max(1.0 / zstar_by_dir)))
 
     ann_inner = None
-    if cfg.get("annuli", False) and gain.radial:
+    if gain.radial:
         fine = np.exp(np.linspace(np.log(1e-3), 0.0, 2048))
         fine[-1] = 1.0
         gf = gain.profile(fine)
@@ -436,8 +419,8 @@ def _envelope_cartesian(gain: GainField, n: int, cfg: dict) -> EnvelopeRun:
     values[~inside] = 0.0
     fld = cartesian_field(n, values, tag="unbranched-envelope")
     return EnvelopeRun(field=fld, gain=gain, family=family, index=index,
-                       zstar=float(np.min(zstar_by_dir)) if zstar_by_dir is not None else np.inf,
-                       zstar_by_dir=zstar_by_dir, directions=dirs,
+                       zstar=float(np.min(zstar_by_dir)), zstar_by_dir=zstar_by_dir,
+                       directions=dirs,
                        annulus_inner=ann_inner, class_lipschitz=float(class_lip))
 
 

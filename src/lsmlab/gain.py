@@ -1,9 +1,9 @@
 """Gain fields on the unit ball: nonnegative, compactly supported payoffs.
 
 Includes the spiked radial family (a high plateau of small radius on top of a
-hemispherical dome), smooth bump gains for presets, mollification, and the
-derived constants (max gain, truncation level, support gap, Lipschitz bound)
-that the majorant machinery needs.
+hemispherical dome), smooth bump gains for presets and mollification.  Each
+``GainField`` carries the constants the majorant machinery needs (max gain,
+truncation level, support gap, Lipschitz bound).
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+
+from .grids import bilinear
 
 
 class GainError(ValueError):
@@ -75,14 +77,6 @@ class GainField:
     def lipschitz_bound(self) -> float:
         """Patch Lipschitz level M = max(L_g, g* / support gap)."""
         return max(self.lipschitz, self.gstar / self.support_gap)
-
-
-@dataclass(frozen=True)
-class GainConstants:
-    gbar: float
-    gstar: float
-    support_gap: float
-    lipschitz_bound: float
 
 
 def _radial_field(radial_eval: Callable[[np.ndarray], np.ndarray], support_radius: float,
@@ -289,12 +283,7 @@ def _mollify_grid(g: GainField, width: float) -> GainField:
     smooth = np.clip(smooth, 0.0, None)
 
     def evaluator(pts: np.ndarray) -> np.ndarray:
-        fx = np.clip((pts[:, 0] - xs[0]) / spacing, 0.0, n - 1.000001)
-        fy = np.clip((pts[:, 1] - xs[0]) / spacing, 0.0, n - 1.000001)
-        ix, iy = fx.astype(int), fy.astype(int)
-        tx, ty = fx - ix, fy - iy
-        out = (smooth[ix, iy] * (1 - tx) * (1 - ty) + smooth[ix + 1, iy] * tx * (1 - ty)
-               + smooth[ix, iy + 1] * (1 - tx) * ty + smooth[ix + 1, iy + 1] * tx * ty)
+        out = bilinear(smooth, (xs[0], xs[0]), (spacing, spacing), pts)
         far = np.linalg.norm(pts, axis=1) >= g.support_radius + width
         out[far] = 0.0
         return out
@@ -316,42 +305,8 @@ def _mollify_grid(g: GainField, width: float) -> GainField:
 
 
 # ---------------------------------------------------------------------------
-# Derived constants and slice maxima
+# Slice maxima and config
 # ---------------------------------------------------------------------------
-
-def derive_constants(g: GainField, gstar_margin: float = 0.25) -> GainConstants:
-    """Probe the max gain and assemble (gbar, g*, support gap, M)."""
-    if gstar_margin <= 0.0:
-        raise GainError("gstar margin must be positive")
-    if g.radial:
-        probe = np.linspace(0.0, min(g.support_radius * 1.02, 1.0), PROBE_POINTS)
-        vals = g.profile(probe)
-        gbar = float(np.asarray(vals).max())
-    else:
-        gbar = _probe_max_2d(g)
-    if gbar <= 0.0:
-        raise DegenerateGainError("gain is identically zero: no valid truncation level")
-    gstar = gbar * (1.0 + gstar_margin)
-    gap = 1.0 - g.support_radius
-    lip = g.lipschitz if np.isfinite(g.lipschitz) else gstar / gap
-    return GainConstants(gbar=gbar, gstar=gstar, support_gap=gap,
-                         lipschitz_bound=max(lip, gstar / gap))
-
-
-def _probe_max_2d(g: GainField) -> float:
-    """Coarse 4096-point box scan refined around the best cell."""
-    n = int(np.sqrt(PROBE_POINTS))
-    xs = np.linspace(-g.support_radius, g.support_radius, n)
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    vals = g(pts)
-    best = pts[int(np.argmax(vals))]
-    h = xs[1] - xs[0]
-    fine = np.linspace(-h, h, 65)
-    fx, fy = np.meshgrid(best[0] + fine, best[1] + fine, indexing="ij")
-    fvals = g(np.stack([fx.ravel(), fy.ravel()], axis=1))
-    return float(max(vals.max(), fvals.max()))
-
 
 def outer_running_max(g: GainField, radii: np.ndarray) -> np.ndarray:
     """G(p) = max of the gain over radii >= p, on the given radius grid.
@@ -363,9 +318,23 @@ def outer_running_max(g: GainField, radii: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(vals[::-1])[::-1]
 
 
+# Keys of the config gain block that each kind reads, beyond the common ones.
+GAIN_KEYS = {
+    "spiked": {"epsilon", "dim"},
+    "radial-bump": {"center_radius", "width", "height", "dim"},
+    "offset-bump": {"center", "radius", "height"},
+}
+COMMON_GAIN_KEYS = {"kind", "gstar_margin", "mollify"}
+
+
 def gain_from_config(block: dict) -> GainField:
-    """Build a gain from the run-config gain block."""
+    """Build a gain from the run-config gain block; a key its kind does not read is an error."""
     kind = block.get("kind")
+    if not isinstance(kind, str) or kind not in GAIN_KEYS:
+        raise GainError(f"unknown gain kind {kind!r}")
+    for key in block:
+        if key not in COMMON_GAIN_KEYS and key not in GAIN_KEYS[kind]:
+            raise GainError(f"unknown key {key!r} in the gain block (kind {kind!r})")
 
     def number(key: str, default=None, cast=float):
         """block[key] converted by cast; required when there is no default."""
@@ -384,12 +353,10 @@ def gain_from_config(block: dict) -> GainField:
         g = radial_bump_gain(number("center_radius"), number("width"),
                              height=number("height", 1.0), dim=number("dim", 2, int),
                              gstar_margin=margin)
-    elif kind == "offset-bump":
+    else:
         g = offset_bump_gain(number("center", cast=lambda v: np.asarray(v, float).reshape(2)),
                              number("radius"),
                              height=number("height", 1.0), gstar_margin=margin)
-    else:
-        raise GainError(f"unknown gain kind {kind!r}")
     width = number("mollify", 0.0)
     if width > 0.0:
         g = mollify(g, width)

@@ -1,8 +1,17 @@
 """Domains inside the unit ball and the geometric queries the solvers need.
 
-Descriptors are lightweight frozen dataclasses; every query (signed distance,
-boundary sampling, ray exits, nearest-boundary projection) is a pure function
-dispatching on the descriptor type, so concurrent use is safe.
+Descriptors are lightweight frozen dataclasses; every query is a pure function
+dispatching on the descriptor type, so concurrent use is safe:
+
+- ``signed_distance``, the one signed-distance dispatch (the walks, patches
+  and stopping rules all call it);
+- ``project_to_boundary_batch``, the nearest-boundary landing of walk exits;
+- ``boundary_samples``, ``ray_exit``, ``rasterize`` and the Hausdorff
+  distance between sampled boundaries.
+
+``Intersection`` composes continuation domains (a path stops at the first exit
+from any part): its signed distance is the max over the parts, and a point
+projects onto the part whose signed distance is largest there.
 
 Sign convention: signed distance is negative inside the described open set,
 positive outside, in unit-ball length units.
@@ -13,11 +22,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
+
+from .grids import bilinear
 
 
 class GeometryError(ValueError):
@@ -131,7 +142,21 @@ class GridRegion:
         return np.where(mask, -(d_in - 0.5), d_out - 0.5) * self.spacing
 
 
-Domain = Union[Ball, Annulus, Cap, FullBall, GridRegion]
+@dataclass(frozen=True)
+class Intersection:
+    """Intersection of domains of one dimension (an earlier-of stopping rule)."""
+
+    parts: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+        if not self.parts:
+            raise GeometryError("an intersection needs at least one part")
+        if len({domain_dim(p) for p in self.parts}) != 1:
+            raise GeometryError("intersection parts must share one dimension")
+
+
+Domain = Union[Ball, Annulus, Cap, FullBall, GridRegion, Intersection]
 
 
 def domain_dim(dom: Domain) -> int:
@@ -143,6 +168,8 @@ def domain_dim(dom: Domain) -> int:
         return dom.dim
     if isinstance(dom, GridRegion):
         return 2
+    if isinstance(dom, Intersection):
+        return domain_dim(dom.parts[0])
     raise GeometryError(f"unknown domain descriptor {dom!r}")
 
 
@@ -161,23 +188,6 @@ def _points(x, d: int) -> tuple[np.ndarray, bool]:
 # Signed distance
 # ---------------------------------------------------------------------------
 
-def _bilinear(table: np.ndarray, xs: np.ndarray, ys: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    sp_x = xs[1] - xs[0]
-    sp_y = ys[1] - ys[0]
-    fx = np.clip((pts[:, 0] - xs[0]) / sp_x, 0.0, len(xs) - 1.000001)
-    fy = np.clip((pts[:, 1] - ys[0]) / sp_y, 0.0, len(ys) - 1.000001)
-    ix = fx.astype(int)
-    iy = fy.astype(int)
-    tx = fx - ix
-    ty = fy - iy
-    v00 = table[ix, iy]
-    v10 = table[ix + 1, iy]
-    v01 = table[ix, iy + 1]
-    v11 = table[ix + 1, iy + 1]
-    return (v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty)
-            + v01 * (1 - tx) * ty + v11 * tx * ty)
-
-
 def signed_distance(dom: Domain, x) -> float | np.ndarray:
     """Signed distance from x to the boundary of dom (negative inside)."""
     d = domain_dim(dom)
@@ -194,30 +204,13 @@ def signed_distance(dom: Domain, x) -> float | np.ndarray:
     elif isinstance(dom, FullBall):
         out = np.linalg.norm(pts, axis=1) - 1.0
     elif isinstance(dom, GridRegion):
-        out = _bilinear(dom.sdf_table, *dom.axes(), pts)
+        xs, ys = dom.axes()
+        out = bilinear(dom.sdf_table, (xs[0], ys[0]), (xs[1] - xs[0], ys[1] - ys[0]), pts)
+    elif isinstance(dom, Intersection):
+        out = np.max(np.stack([signed_distance(p, pts) for p in dom.parts]), axis=0)
     else:
         raise GeometryError(f"unknown domain descriptor {dom!r}")
     return float(out[0]) if single else out
-
-
-@dataclass(frozen=True)
-class SignedDistanceField:
-    """A signed-distance evaluator bundled with its source descriptor."""
-
-    source: Domain
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x):
-        return self.evaluator(x)
-
-
-def sdf(dom: Domain) -> SignedDistanceField:
-    return SignedDistanceField(source=dom, evaluator=lambda x: signed_distance(dom, x))
-
-
-def contains(dom: Domain, x, tol: float = 0.0) -> bool | np.ndarray:
-    out = signed_distance(dom, x) < tol
-    return bool(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -513,65 +506,8 @@ def _ray_exit_grid(region: GridRegion, x: np.ndarray, u: np.ndarray) -> float:
     return np.inf
 
 
-def project_to_boundary(dom: Domain, x) -> np.ndarray:
-    """Nearest boundary point of dom (used to land walk-on-spheres exits)."""
-    d = domain_dim(dom)
-    x = np.asarray(x, dtype=float)
-    if isinstance(dom, Ball) or isinstance(dom, FullBall):
-        c = np.asarray(dom.center) if isinstance(dom, Ball) else np.zeros(d)
-        r = dom.radius if isinstance(dom, Ball) else 1.0
-        p = x - c
-        n = np.linalg.norm(p)
-        if n == 0.0:
-            p = np.eye(d)[0]
-            n = 1.0
-        return c + r * p / n
-    if isinstance(dom, Annulus):
-        c = np.asarray(dom.center)
-        p = x - c
-        n = np.linalg.norm(p)
-        if n == 0.0:
-            p, n = np.eye(d)[0], 1.0
-        target = dom.inner if (n - dom.inner) < (dom.outer - n) else dom.outer
-        return c + target * p / n
-    if isinstance(dom, Cap):
-        v = np.asarray(dom.direction)
-        t = dom.threshold
-        candidates = []
-        n = np.linalg.norm(x)
-        sphere = x / n if n > 0 else np.eye(d)[0]
-        if float(sphere @ v) >= t:
-            candidates.append(sphere)
-        foot = x + (t - float(x @ v)) * v
-        if np.linalg.norm(foot) <= 1.0:
-            candidates.append(foot)
-        w = x - float(x @ v) * v
-        nw = np.linalg.norm(w)
-        w = w / nw if nw > 0 else _any_orthogonal(v)
-        candidates.append(t * v + np.sqrt(max(1.0 - t * t, 0.0)) * w)
-        dists = [np.linalg.norm(x - c) for c in candidates]
-        return candidates[int(np.argmin(dists))]
-    if isinstance(dom, GridRegion):
-        p = x.copy()
-        for _ in range(8):
-            phi = signed_distance(dom, p)
-            if abs(phi) < 1e-12:
-                break
-            h = 0.5 * dom.spacing
-            grad = np.array([
-                (signed_distance(dom, p + np.array([h, 0.0])) - signed_distance(dom, p - np.array([h, 0.0]))) / (2 * h),
-                (signed_distance(dom, p + np.array([0.0, h])) - signed_distance(dom, p - np.array([0.0, h]))) / (2 * h),
-            ])
-            g2 = float(grad @ grad)
-            if g2 < 1e-16:
-                break
-            p = p - phi * grad / g2
-        return p
-    raise GeometryError(f"unknown domain descriptor {dom!r}")
-
-
 def project_to_boundary_batch(dom: Domain, pts: np.ndarray) -> np.ndarray:
-    """Vectorised nearest-boundary projection for a batch of points."""
+    """Nearest boundary point of dom for each of a batch of points (lands walk exits)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     d = domain_dim(dom)
     if isinstance(dom, Ball) or isinstance(dom, FullBall):
@@ -626,6 +562,15 @@ def project_to_boundary_batch(dom: Domain, pts: np.ndarray) -> np.ndarray:
             p[:, 0] -= phi * gx / g2
             p[:, 1] -= phi * gy / g2
         return p
+    if isinstance(dom, Intersection):
+        vals = np.stack([signed_distance(p, pts) for p in dom.parts])
+        binding = np.argmax(vals, axis=0)
+        out = pts.copy()
+        for k, part in enumerate(dom.parts):
+            sel = binding == k
+            if sel.any():
+                out[sel] = project_to_boundary_batch(part, pts[sel])
+        return out
     raise GeometryError(f"unknown domain descriptor {dom!r}")
 
 

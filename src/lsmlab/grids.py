@@ -1,8 +1,9 @@
-"""Grid helpers and numerical kernels shared by the envelope and oracle modules.
+"""Grid helpers and numerical kernels shared across the package.
 
-Radial and Cartesian grids, the upper concave hull (the radial obstacle
-primitive in the scale coordinate) and the Shortley-Weller cut-cell stencil
-of the disc (the Cartesian one).
+Radial and Cartesian grids, bilinear interpolation of a table on a uniform
+grid (Cartesian fields, grid signed distances, grid-mollified gains), the
+upper concave hull (the radial obstacle primitive in the scale coordinate)
+and the Shortley-Weller cut-cell stencil of the disc (the Cartesian one).
 """
 
 from __future__ import annotations
@@ -50,6 +51,21 @@ def cartesian_grid(n: int = 257) -> tuple[np.ndarray, float]:
     spacing = axis[1] - axis[0]
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     return np.stack([xx, yy], axis=-1), spacing
+
+
+def bilinear(table: np.ndarray, origin, step, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a 2-d table at the points ``pts`` (shape (n, 2)).
+
+    ``table[i, j]`` is the value at ``origin + (i * step[0], j * step[1])``.
+    Points beyond the table are clamped to its edge cells.
+    """
+    nx, ny = table.shape
+    fx = np.clip((pts[:, 0] - origin[0]) / step[0], 0.0, nx - 1.000001)
+    fy = np.clip((pts[:, 1] - origin[1]) / step[1], 0.0, ny - 1.000001)
+    ix, iy = fx.astype(int), fy.astype(int)
+    tx, ty = fx - ix, fy - iy
+    return (table[ix, iy] * (1 - tx) * (1 - ty) + table[ix + 1, iy] * tx * (1 - ty)
+            + table[ix, iy + 1] * (1 - tx) * ty + table[ix + 1, iy + 1] * tx * ty)
 
 
 def upper_concave_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,22 +1,24 @@
 """Harmonic function evaluation on subdomains of the unit ball.
 
-Closed forms: Poisson quadrature on balls/discs, radial two-sphere
-interpolation in the scale coordinate, affine functions.  General domains use
-a walk-on-spheres Monte Carlo evaluator.  Off-domain evaluations return the
-+inf sentinel so envelope infima can consume them transparently.
+Closed forms: Poisson quadrature on balls/discs and radial two-sphere
+interpolation in the scale coordinate (the affine cap formula lives with its
+patch, ``majorant.cap_patch``).  General domains, intersections included, use
+a walk-on-spheres Monte Carlo evaluator that asks ``geometry.signed_distance``
+for its step radii and lands exits with ``geometry.project_to_boundary_batch``.
+Off-domain evaluations return the +inf sentinel so envelope infima can consume
+them transparently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from . import rng as rngmod
-from .geometry import (Domain, GeometryError, SignedDistanceField,
-                       project_to_boundary_batch, signed_distance)
+from .geometry import Domain, GeometryError, project_to_boundary_batch, signed_distance
 
 INF = math.inf
 
@@ -149,47 +151,11 @@ def radial_annulus_harmonic(a: float, b: float, va: float, vb: float, r, d: int 
     return float(out[0]) if single else out
 
 
-def affine_harmonic(v, z: float, c: float, u, gstar: float) -> float | np.ndarray:
-    """(c - u.v)/z truncated at gstar: returns +inf where the level exceeds gstar."""
-    if z <= 0.0:
-        raise HarmonicError("affine harmonic needs z > 0")
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise HarmonicError("direction must be a unit vector")
-    pts = np.atleast_2d(np.asarray(u, dtype=float))
-    single = np.asarray(u).ndim == 1
-    vals = (c - pts @ v) / z
-    out = np.where(vals <= gstar + 1e-15, vals, INF)
-    return float(out[0]) if single else out
-
-
 # ---------------------------------------------------------------------------
 # Walk on spheres
 # ---------------------------------------------------------------------------
 
-DomainLike = Union[Domain, SignedDistanceField]
-
-
-def _sd(dom: DomainLike, pts: np.ndarray) -> np.ndarray:
-    if isinstance(dom, SignedDistanceField):
-        return np.asarray(dom(pts), dtype=float)
-    return np.asarray(signed_distance(dom, pts), dtype=float)
-
-
-def _project_batch(dom: DomainLike, pts: np.ndarray) -> np.ndarray:
-    if isinstance(dom, SignedDistanceField):
-        dom = dom.source
-    if hasattr(dom, "project_batch"):
-        return dom.project_batch(pts)
-    try:
-        return project_to_boundary_batch(dom, pts)
-    except GeometryError:
-        # No descriptor projection available: the points are already within
-        # the absorption shell, so accept the O(shell) landing bias.
-        return pts
-
-
-def wos_exit_batch(dom: DomainLike, x, cfg: WosConfig, n: int | None = None,
+def wos_exit_batch(dom: Domain, x, cfg: WosConfig, n: int | None = None,
                    generator: np.random.Generator | None = None) -> np.ndarray:
     """Exit points on the domain boundary for n walks started at x.
 
@@ -207,7 +173,7 @@ def wos_exit_batch(dom: DomainLike, x, cfg: WosConfig, n: int | None = None,
     d = pos.shape[1]
     gen = generator if generator is not None else rngmod.stream(cfg.seed, 0)
 
-    dist = -_sd(dom, pos)
+    dist = -signed_distance(dom, pos)
     if np.any(dist < -cfg.shell):
         raise GeometryError("walk started outside the domain")
     active = dist > cfg.shell
@@ -219,20 +185,14 @@ def wos_exit_batch(dom: DomainLike, x, cfg: WosConfig, n: int | None = None,
         idx = np.nonzero(active)[0]
         dirs = rngmod.uniform_directions(gen, idx.size, d)
         pos[idx] += dist[idx, None] * dirs
-        dist[idx] = -_sd(dom, pos[idx])
+        dist[idx] = -signed_distance(dom, pos[idx])
         active[idx] = dist[idx] > cfg.shell
         steps += 1
 
-    return _project_batch(dom, pos)
+    return project_to_boundary_batch(dom, pos)
 
 
-def wos_exit_sample(dom: DomainLike, x, cfg: WosConfig,
-                    generator: np.random.Generator | None = None) -> np.ndarray:
-    """A single sampled exit location of Brownian motion from the domain."""
-    return wos_exit_batch(dom, x, cfg, n=1, generator=generator)[0]
-
-
-def wos_harmonic_eval(dom: DomainLike, f: BoundaryData | Callable, x, cfg: WosConfig,
+def wos_harmonic_eval(dom: Domain, f: BoundaryData | Callable, x, cfg: WosConfig,
                       generator: np.random.Generator | None = None) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the harmonic extension of f at x."""
     data = f if isinstance(f, BoundaryData) else BoundaryData(evaluator=f)

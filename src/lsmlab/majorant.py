@@ -278,11 +278,6 @@ def branched(patch: HarmonicPatch, query: Callable[[np.ndarray], BranchedMajoran
                             depth=depth, error_bound=error_bound)
 
 
-def patch_value(h: BranchedMajorant | HarmonicPatch, x) -> float | np.ndarray:
-    """Pointwise evaluation: base-patch value inside, +inf outside the closed domain."""
-    return h.value(x)
-
-
 def interior_boundary_samples(h: BranchedMajorant, count: int) -> np.ndarray:
     """Boundary samples off the unit sphere where the data sits below gstar."""
     if count < 1:
@@ -444,7 +439,7 @@ def continuous_regularisation(h: BranchedMajorant, gain: GainField | None = None
             return upward_translate(child0, max(lift, 0.0))
 
         out = BranchedMajorant(base=new_base, extension=ExtensionMap(query=query),
-                               depth=node.depth, error_bound=0.0 if node.depth == 1 else 0.0)
+                               depth=node.depth, error_bound=0.0)
         memo[key] = out
         return out
 

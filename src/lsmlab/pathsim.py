@@ -3,7 +3,10 @@ pathwise patch-extension procedure over branched majorants.
 
 Payoff estimation defaults to walk-on-spheres jumps (exact exit positions, no
 time-step bias); the Euler scheme is kept for trajectory records, fixed-time
-rules and trace files, with the documented O(sqrt(dt)) crossing bias.
+rules and trace files, with the documented O(sqrt(dt)) crossing bias.  A rule
+that stops at a first exit maps to a continuation domain, and an earlier-of
+rule to the ``geometry.Intersection`` of its rules' domains; both schemes ask
+``geometry.signed_distance`` of that domain whether a path has stopped.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import numpy as np
 from . import rng as rngmod
 from .envelope import ContactSet, GridField
 from .gain import GainField
-from .geometry import (Annulus, Ball, Domain, GeometryError, GridRegion,
-                       SignedDistanceField, signed_distance)
+from .geometry import Annulus, Ball, Domain, GridRegion, Intersection, signed_distance
 from .harmonic import WosConfig, wos_exit_batch
 from .majorant import BranchedMajorant
 
@@ -94,40 +96,7 @@ class EarlierOf:
 StoppingRule = Union[FirstExit, FixedTime, ContactHit, EarlierOf]
 
 
-class _Intersection:
-    """Intersection of continuation domains: signed distance is the max."""
-
-    def __init__(self, parts: list):
-        self.parts = parts
-
-    def sd(self, pts: np.ndarray) -> np.ndarray:
-        vals = [np.atleast_1d(_domain_sd(p, pts)) for p in self.parts]
-        return np.max(np.stack(vals, axis=0), axis=0)
-
-    def project_batch(self, pts: np.ndarray) -> np.ndarray:
-        from .geometry import project_to_boundary_batch
-        vals = np.stack([np.atleast_1d(_domain_sd(p, pts)) for p in self.parts], axis=0)
-        binding = np.argmax(vals, axis=0)
-        out = pts.copy()
-        for k, part in enumerate(self.parts):
-            sel = binding == k
-            if sel.any():
-                try:
-                    out[sel] = project_to_boundary_batch(part, pts[sel])
-                except GeometryError:
-                    pass
-        return out
-
-
-def _domain_sd(dom, pts: np.ndarray) -> np.ndarray:
-    if isinstance(dom, _Intersection):
-        return dom.sd(pts)
-    if isinstance(dom, SignedDistanceField):
-        return np.asarray(dom(pts), dtype=float)
-    return np.asarray(signed_distance(dom, pts), dtype=float)
-
-
-def continuation_domain(rule, x: np.ndarray) -> Optional[object]:
+def continuation_domain(rule, x: np.ndarray) -> Optional[Domain]:
     """Domain whose exit realises the rule from x, or None for time-based rules.
 
     Returns None when the rule cannot be expressed as a first-exit; a domain
@@ -142,7 +111,7 @@ def continuation_domain(rule, x: np.ndarray) -> Optional[object]:
         b = continuation_domain(rule.second, x)
         if a is None or b is None:
             return None
-        return _Intersection([a, b])
+        return Intersection((a, b))
     return None
 
 
@@ -201,7 +170,7 @@ def simulate_path(x, cfg: PathConfig, rule: StoppingRule,
         return PathRecord(times=np.array(times), points=np.array(points), absorbed=False,
                           patch_trace=[], termination="stopped")
     dom = continuation_domain(rule, x)
-    if dom is not None and float(_domain_sd(dom, x[None, :])[0]) >= 0.0:
+    if dom is not None and signed_distance(dom, x) >= 0.0:
         return PathRecord(times=np.array(times), points=np.array(points), absorbed=False,
                           patch_trace=[], termination="stopped")
 
@@ -221,12 +190,12 @@ def simulate_path(x, cfg: PathConfig, rule: StoppingRule,
             points.append(hit)
             return PathRecord(times=np.array(times), points=np.array(points), absorbed=True,
                               patch_trace=[], termination="hit_boundary")
-        sd_prev = float(_domain_sd(dom, pos[None, :])[0]) if dom is not None else -1.0
+        sd_prev = signed_distance(dom, pos) if dom is not None else -1.0
         pos = nxt
         times.append(t)
         points.append(pos.copy())
         if dom is not None:
-            sd_next = float(_domain_sd(dom, pos[None, :])[0])
+            sd_next = signed_distance(dom, pos)
             if sd_next >= 0.0:
                 # Resolve the crossing point along the last step segment.
                 frac = sd_prev / (sd_prev - sd_next) if sd_next > sd_prev else 1.0
@@ -371,10 +340,8 @@ def payoff_estimate(x, rule: StoppingRule, gain: GainField, n_paths: int,
     deadline = _fixed_deadline(rule)
     dom = continuation_domain(rule, x)
     if deadline is None and dom is not None:
-        if float(_domain_sd(dom, x[None, :])[0]) >= 0.0:
+        if signed_distance(dom, x) >= 0.0:
             return float(gain(x)), 0.0
-        if isinstance(dom, _Intersection):
-            dom = SignedDistanceField(source=dom, evaluator=dom.sd)
         gen = rngmod.stream(cfg.seed, 93, stream_key)
         wos = WosConfig(shell=cfg.shell, max_steps=1_000_000, walks=n_paths, seed=cfg.seed)
         exits = wos_exit_batch(dom, x, wos, generator=gen)
@@ -418,8 +385,8 @@ def _euler_payoff(x: np.ndarray, rule, gain: GainField, n_paths: int,
                 alive[idx[crossed]] = False
             keep = ~crossed
             if dom is not None and keep.any():
-                prev_sd = _domain_sd(dom, pos[idx[keep]])
-                next_sd = _domain_sd(dom, nxt[keep])
+                prev_sd = signed_distance(dom, pos[idx[keep]])
+                next_sd = signed_distance(dom, nxt[keep])
                 fired = next_sd >= 0.0
                 if fired.any():
                     sel = idx[keep][fired]
@@ -442,10 +409,10 @@ class OptimalityReport:
     contact_payoff: tuple[float, float]
     rows: list
 
-    def all_dominated(self, sigmas: float = 3.0) -> bool:
+    def all_dominated(self) -> bool:
         return all(row["dominated"] for row in self.rows)
 
-    def all_truncations_ok(self, sigmas: float = 3.0) -> bool:
+    def all_truncations_ok(self) -> bool:
         return all(row["truncation_ok"] for row in self.rows)
 
 

@@ -20,7 +20,7 @@ from lsmlab.geometry import (Annulus, Ball, FullBall, GridRegion, boundary_sampl
 from lsmlab.harmonic import BoundaryData, WosConfig, poisson_ball_eval, wos_harmonic_eval
 from lsmlab.majorant import (annulus_patch, annulus_to_boundary_patch, ball_patch, branched,
                              cap_patch, constant_patch, continuous_regularisation, leaf,
-                             majorises_gain, matching_error, patch_value)
+                             majorises_gain, matching_error)
 from lsmlab.harmonic import constant_data
 from lsmlab.oracle import cross_validate, psor_obstacle_solve, radial_value_oracle
 from lsmlab.pathsim import (ContactHit, FirstExit, FixedTime, PathConfig, optimality_test,
@@ -214,7 +214,7 @@ def _excessivity_corpus(gain):
     xs = [np.array([0.17, 0.0]), np.array([0.0, 0.33]), np.array([-0.42, 0.0])]
     for h in depth1 + depth2 + depth3:
         for x in xs:
-            if not np.isfinite(patch_value(h, x)):
+            if not np.isfinite(h.value(x)):
                 continue
             for rule in rules:
                 corpus.append((h, x, rule))
@@ -233,7 +233,7 @@ class TestAC6Excessivity:
             assert ok, f"fixture {k} fails majorisation: {worst}"
             _, norm = matching_error(h)
             mean, sem = payoff_estimate(x, rule, gain, 10_000, cfg, stream_key=k)
-            hx = float(patch_value(h, x))
+            hx = float(h.value(x))
             assert mean <= hx + norm + 3.0 * sem + 1e-12, (
                 f"fixture {k}: payoff {mean:.4f} vs bound {hx + norm:.4f} (sem {sem:.2g})")
             checked += 1

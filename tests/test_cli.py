@@ -10,7 +10,7 @@ import pytest
 from lsmlab import cli
 from lsmlab.cli import ConfigError, check_config, load_config, main
 from lsmlab.envelope import ConvergenceError, EnvelopeError, NoWitnessError
-from lsmlab.gain import GainError
+from lsmlab.gain import GainError, gain_from_config
 from lsmlab.harmonic import NonTerminationError
 from lsmlab.majorant import MajorantError
 from lsmlab.oracle import OracleConvergenceError
@@ -196,6 +196,36 @@ class TestConfigKeys:
         readme = (REPO / "README.md").read_text()
         example = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S).group(1)
         check_config(json.loads(example))
+
+    @pytest.mark.parametrize("gain, key", [
+        ({"kind": "spiked", "epsilon": 0.05, "molify": 0.01}, "molify"),
+        ({"kind": "radial-bump", "center_radius": 0.3, "width": 0.15, "center": [0.3, 0.0]},
+         "center"),
+        ({"kind": "offset-bump", "center": [0.4, 0.0], "radius": 0.15, "dim": 2}, "dim")])
+    def test_unknown_gain_key_exits_two_and_names_it(self, gain, key, tmp_path, capsys):
+        payload = dict(FAST_SPIKED, gain=gain)
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "envelope"]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (out / "w1.csv").exists()
+
+    def test_gain_blocks_of_presets_readme_and_benchmark_build(self):
+        readme = (REPO / "README.md").read_text()
+        example = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S).group(1)
+        blocks = [load_config(p)["gain"] for p in ("spiked-ball", "annulus-gain", "cap-gain")]
+        blocks.append(json.loads(example)["gain"])
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      REPO / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for case in workloads.cases(name, seed=1):
+                blocks.append(case["config"]["gain"])
+                if "cap_gain" in case:
+                    blocks.append(case["cap_gain"])
+        for block in blocks:
+            gain_from_config(block)
 
     def test_benchmark_configs_are_accepted(self):
         spec = importlib.util.spec_from_file_location("workloads",

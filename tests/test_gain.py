@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lsmlab.gain import (DegenerateGainError, GainError, derive_constants, gain_from_config,
+from lsmlab.gain import (DegenerateGainError, GainError, gain_from_config,
                          mollify, offset_bump_gain, outer_running_max, radial_bump_gain,
                          spiked_gain)
 
@@ -92,22 +92,22 @@ class TestMollify:
 
 
 class TestDeriveConstants:
+    """The constants the majorant machinery reads off a GainField."""
+
     def test_spiked_defaults(self):
         g = mollify(spiked_gain(0.05), 0.01)
-        c = derive_constants(g, 0.25)
-        assert c.gbar == pytest.approx(1.0, abs=1e-6)
-        assert c.gstar == pytest.approx(1.25, abs=1e-6)
-        assert c.support_gap == pytest.approx(0.49)
-        assert c.lipschitz_bound == pytest.approx(max(g.lipschitz, c.gstar / c.support_gap))
+        assert g.max_gain == pytest.approx(1.0, abs=1e-6)
+        assert g.gstar == pytest.approx(1.25, abs=1e-6)
+        assert g.support_gap == pytest.approx(0.49)
+        assert g.lipschitz_bound == pytest.approx(max(g.lipschitz, g.gstar / g.support_gap))
 
     def test_degenerate_gain_rejected(self):
         with pytest.raises((DegenerateGainError, GainError)):
             radial_bump_gain(0.3, 0.15, height=0.0)
 
     def test_margin_one(self):
-        g = mollify(spiked_gain(0.05), 0.01)
-        c = derive_constants(g, 1.0)
-        assert c.gstar == pytest.approx(2.0, abs=1e-6)
+        g = mollify(spiked_gain(0.05, gstar_margin=1.0), 0.01)
+        assert g.gstar == pytest.approx(2.0, abs=1e-6)
 
 
 class TestInvariants:

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsmlab.geometry import (Annulus, Ball, Cap, DegenerateApproximationError, FullBall,
-                             GeometryError, GridRegion, boundary_samples,
-                             connected_components, hausdorff_distance,
-                             load_mask_csv, project_to_boundary, project_to_boundary_batch,
-                             rasterize, ray_exit, save_mask_csv, sdf, signed_distance,
-                             smooth_inner_approximation)
+                             GeometryError, GridRegion, Intersection, boundary_samples,
+                             connected_components, hausdorff_distance, load_mask_csv,
+                             project_to_boundary_batch, rasterize, ray_exit, save_mask_csv,
+                             signed_distance, smooth_inner_approximation)
 from lsmlab.grids import cartesian_grid
 
 
@@ -79,6 +78,34 @@ class TestSignedDistance:
             dists = np.linalg.norm(pts[i] - pts[j], axis=1)
             tol = 2 * (dom.spacing if isinstance(dom, GridRegion) else 0.0) + 1e-12
             assert np.all(gaps <= dists + tol), f"lipschitz violated for {dom}"
+
+
+class TestIntersection:
+    PARTS = (Ball((0.1, 0.0), 0.6), Annulus((0.0, 0.0), 0.15, 0.8), Cap((0.0, 1.0), -0.3))
+
+    def test_signed_distance_is_max_over_parts(self):
+        pts = np.random.default_rng(3).uniform(-1, 1, size=(2000, 2))
+        parts = self.PARTS + (rasterize(Ball((0.0, 0.0), 0.5), n=128),)
+        want = np.max([signed_distance(p, pts) for p in parts], axis=0)
+        assert np.array_equal(signed_distance(Intersection(parts), pts), want)
+        assert signed_distance(Intersection(parts), pts[0]) == want[0]
+
+    def test_projection_lands_on_binding_part(self):
+        pts = np.random.default_rng(4).uniform(-1, 1, size=(4000, 2))
+        dom = Intersection(self.PARTS)
+        pts = pts[signed_distance(dom, pts) < 0.0]
+        binding = np.argmax([signed_distance(p, pts) for p in self.PARTS], axis=0)
+        assert set(binding) == {0, 1, 2}
+        out = project_to_boundary_batch(dom, pts)
+        for k, part in enumerate(self.PARTS):
+            sel = binding == k
+            assert np.max(np.abs(signed_distance(part, out[sel]))) <= 1e-12
+
+    def test_parts_must_share_a_dimension(self):
+        with pytest.raises(GeometryError):
+            Intersection((Ball((0.0, 0.0), 0.5), FullBall(3)))
+        with pytest.raises(GeometryError):
+            Intersection(())
 
 
 class TestHausdorff:
@@ -183,7 +210,7 @@ class TestRaysAndProjection:
             (Annulus((0.0, 0.0), 0.2, 0.8), np.array([0.3, 0.0]), [0.2, 0.0]),
         ]
         for dom, x, want in cases:
-            npt.assert_allclose(project_to_boundary(dom, x), want, atol=1e-12)
+            npt.assert_allclose(project_to_boundary_batch(dom, x[None, :])[0], want, atol=1e-12)
         batch = project_to_boundary_batch(Ball((0.0, 0.0), 0.5),
                                           np.array([[0.3, 0.0], [0.0, -0.1]]))
         npt.assert_allclose(batch, [[0.5, 0.0], [0.0, -0.5]], atol=1e-12)
@@ -199,7 +226,3 @@ class TestMaskSerialisation:
         assert np.array_equal(back.mask, region.mask)
         header = path.read_text().splitlines()[0]
         assert header.startswith("2,128,128,")
-
-    def test_sdf_wrapper(self):
-        field = sdf(Ball((0.0, 0.0), 0.5))
-        assert field(np.array([[0.3, 0.0]]))[0] == pytest.approx(-0.2)

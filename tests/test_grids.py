@@ -5,7 +5,7 @@ import pytest
 
 from lsmlab.envelope import balayage_step, cartesian_field, contact_set, gain_on_grid
 from lsmlab.gain import GainField
-from lsmlab.grids import cartesian_grid, disc_stencil, radial_grid, scale_coordinate
+from lsmlab.grids import bilinear, cartesian_grid, disc_stencil, radial_grid, scale_coordinate
 from lsmlab.oracle import neg_laplacian
 
 
@@ -75,3 +75,23 @@ def test_solver_stencil_matches_its_grid():
         values, g = balayage_of_fresh_field(n)
         assert values.shape == (n, n)
         assert np.max(np.abs(values - g)) <= 1e-9
+
+
+def test_bilinear_exact_on_bilinear_data_and_clamped_at_edges():
+    def f(x, y):
+        return 0.3 - 1.7 * x + 2.1 * y + 4.3 * x * y
+
+    origin, step = (-0.8, -0.5), (0.1, 0.07)
+    xs = origin[0] + step[0] * np.arange(17)
+    ys = origin[1] + step[1] * np.arange(13)
+    table = f(xs[:, None], ys[None, :])
+    rng = np.random.default_rng(2)
+    pts = np.stack([rng.uniform(xs[0], xs[-1], 500), rng.uniform(ys[0], ys[-1], 500)], axis=1)
+    np.testing.assert_allclose(bilinear(table, origin, step, pts), f(pts[:, 0], pts[:, 1]),
+                               rtol=0.0, atol=1e-13)
+    far = np.array([[-3.0, 0.1], [3.0, 0.1], [0.2, -3.0], [0.2, 3.0], [-3.0, 3.0]])
+    edge = np.stack([np.clip(far[:, 0], xs[0], xs[-1]), np.clip(far[:, 1], ys[0], ys[-1])],
+                    axis=1)
+    assert np.array_equal(bilinear(table, origin, step, far), bilinear(table, origin, step, edge))
+    np.testing.assert_allclose(bilinear(table, origin, step, far), f(edge[:, 0], edge[:, 1]),
+                               rtol=0.0, atol=1e-4)

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from lsmlab import rng as rngmod
 from lsmlab.geometry import Annulus, Ball, FullBall, rasterize
-from lsmlab.harmonic import (INF, BoundaryData, HarmonicError, NonTerminationError, WosConfig,
-                             affine_harmonic, constant_data, poisson_ball_eval,
-                             radial_annulus_harmonic, wos_exit_batch, wos_exit_sample,
-                             wos_harmonic_eval)
+from lsmlab.harmonic import (INF, BoundaryData, NonTerminationError, WosConfig,
+                             constant_data, poisson_ball_eval, radial_annulus_harmonic,
+                             wos_exit_batch, wos_harmonic_eval)
+from lsmlab.majorant import MajorantError, cap_patch
 
 
 class TestPoisson:
@@ -83,34 +83,35 @@ class TestRadialAnnulus:
 
 
 class TestAffine:
+    """The affine closed form (c - u.v)/z as the cap patch computes it."""
+
     def test_boundary_tangent_vanishes(self):
         gstar, delta = 1.25, 0.49
         x = np.array([1.0, 0.0])
-        v = affine_harmonic(x, delta / gstar, 1.0, x, gstar)
+        v = cap_patch(x, delta / gstar, gstar).value(x)
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_truncation_sentinel(self):
         gstar = 1.0
         u = np.array([-0.9, 0.0])
-        assert affine_harmonic(np.array([1.0, 0.0]), 0.5, 1.0, u, gstar) == INF
+        assert cap_patch(np.array([1.0, 0.0]), 0.5, gstar).value(u) == INF
 
     def test_gradient_magnitude(self):
         gstar, delta = 1.25, 0.49
         z = delta / gstar
-        v = np.array([0.0, 1.0])
+        patch = cap_patch(np.array([0.0, 1.0]), z, gstar)
         h = 1e-6
         u = np.array([0.1, 0.7])  # inside the cap: (1 - u.v)/z < gstar
         grad = np.array([
-            (affine_harmonic(v, z, 1.0, u + [h, 0.0], gstar)
-             - affine_harmonic(v, z, 1.0, u - [h, 0.0], gstar)) / (2 * h),
-            (affine_harmonic(v, z, 1.0, u + [0.0, h], gstar)
-             - affine_harmonic(v, z, 1.0, u - [0.0, h], gstar)) / (2 * h),
+            (patch.value(u + [h, 0.0]) - patch.value(u - [h, 0.0])) / (2 * h),
+            (patch.value(u + [0.0, h]) - patch.value(u - [0.0, h])) / (2 * h),
         ])
         assert np.linalg.norm(grad) == pytest.approx(gstar / delta, rel=1e-6)
 
     def test_bad_z(self):
-        with pytest.raises(HarmonicError):
-            affine_harmonic(np.array([1.0, 0.0]), -0.1, 1.0, np.zeros(2), 1.0)
+        # z < 0 puts the cap's level-g* plane outside the ball.
+        with pytest.raises(MajorantError):
+            cap_patch(np.array([1.0, 0.0]), -0.1, 1.0)
 
 
 class TestWos:
@@ -127,7 +128,7 @@ class TestWos:
     def test_shell_point_projects_immediately(self):
         cfg = WosConfig(shell=1e-4, walks=1, seed=0)
         x = np.array([0.5 - 5e-5, 0.0])
-        out = wos_exit_sample(Ball((0.0, 0.0), 0.5), x, cfg)
+        out = wos_exit_batch(Ball((0.0, 0.0), 0.5), x, cfg, n=1)[0]
         assert np.linalg.norm(out) == pytest.approx(0.5, abs=1e-12)
 
     def test_annulus_exit_matches_closed_form(self):

@@ -12,7 +12,7 @@ from lsmlab.majorant import (BranchedMajorant, ContiguityError, ExtensionInfeasi
                              ball_patch, branched, cap_patch, constant_patch,
                              continuous_regularisation, interior_boundary_samples, leaf,
                              lipschitz_extension, majorises_gain, matching_error,
-                             patch_value, tree_json, upward_translate)
+                             tree_json, upward_translate)
 
 GSTAR = 1.25
 
@@ -35,15 +35,15 @@ class TestPatchValue:
         delta = 0.49
         x = np.array([1.0, 0.0])
         patch = cap_patch(x, delta / GSTAR, GSTAR)
-        assert patch_value(leaf(patch), x) == pytest.approx(0.0, abs=1e-12)
+        assert leaf(patch).value(x) == pytest.approx(0.0, abs=1e-12)
 
     def test_off_domain_sentinel(self):
         patch = annulus_patch(0.3, 0.7, 1.0, 0.5, GSTAR)
-        assert patch_value(leaf(patch), np.array([0.1, 0.0])) == INF
+        assert leaf(patch).value(np.array([0.1, 0.0])) == INF
 
     def test_constant_patch_interior(self):
         patch = constant_patch(0.8, GSTAR)
-        assert patch_value(leaf(patch), np.array([0.4, -0.2])) == pytest.approx(0.8)
+        assert leaf(patch).value(np.array([0.4, -0.2])) == pytest.approx(0.8)
 
 
 class TestInteriorBoundary:
@@ -106,12 +106,12 @@ class TestUpwardTranslate:
         tree = two_level_tree()
         out = upward_translate(tree, 0.0)
         x = np.array([0.2, 0.1])
-        assert patch_value(out, x) == patch_value(tree, x)
+        assert out.value(x) == tree.value(x)
 
     def test_truncation_at_cap(self):
         patch = constant_patch(GSTAR - 0.1, GSTAR)
         out = upward_translate(leaf(patch), 0.3)
-        assert patch_value(out, np.array([0.1, 0.0])) == pytest.approx(GSTAR)
+        assert out.value(np.array([0.1, 0.0])) == pytest.approx(GSTAR)
 
     def test_norm_never_grows(self):
         tree = two_level_tree()
@@ -131,9 +131,9 @@ class TestRegularisation:
         reg = continuous_regularisation(tree)
         x = np.array([0.2, 0.0])
         # Base lifted by the measured mismatch, child lifted to match.
-        assert patch_value(reg, x) == pytest.approx(1.1, abs=1e-12)
+        assert reg.value(x) == pytest.approx(1.1, abs=1e-12)
         child = reg.extension(np.array([0.5, 0.0]))
-        assert patch_value(child, np.array([0.5, 0.0])) == pytest.approx(1.1, abs=1e-12)
+        assert child.value(np.array([0.5, 0.0])) == pytest.approx(1.1, abs=1e-12)
         d0, n0 = matching_error(reg)
         assert n0 <= 1e-12
 
@@ -143,7 +143,7 @@ class TestRegularisation:
         tree = branched(base, lambda u: child, depth=2, error_bound=0.0)
         reg = continuous_regularisation(tree)
         x = np.array([0.3, 0.1])
-        assert patch_value(reg, x) == pytest.approx(patch_value(tree, x), abs=1e-12)
+        assert reg.value(x) == pytest.approx(tree.value(x), abs=1e-12)
 
     def test_sandwich_on_probes(self):
         tree = two_level_tree(1.0, 0.85)
@@ -206,11 +206,11 @@ class TestLipschitzExtension:
         beyond = ext(np.array([0.605, 0.0]))
         assert beyond is kid
         # Value control at the queried point: within M*eps1 + eps of h(x).
-        hval = patch_value(tree, x)
+        hval = tree.value(x)
         for u in ([0.605, 0.0], [0.59, 0.02]):
             ku = ext(np.array(u))
             m = max(base.lipschitz_bound, kid.base.lipschitz_bound)
-            assert abs(patch_value(ku, np.array(u)) - hval) < m * 0.028 + 0.3
+            assert abs(ku.value(np.array(u)) - hval) < m * 0.028 + 0.3
 
     def test_infeasible_preconditions(self, gain):
         tree = leaf(annulus_to_boundary_patch(0.05, GSTAR))

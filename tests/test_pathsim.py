@@ -10,9 +10,11 @@ from lsmlab.envelope import build_branched_witness
 from lsmlab.geometry import Annulus, Ball, signed_distance
 from lsmlab.majorant import annulus_patch, annulus_to_boundary_patch, branched, leaf, \
     matching_error
+from lsmlab.harmonic import WosConfig, wos_exit_batch
 from lsmlab.pathsim import (ContactHit, EarlierOf, FirstExit, FixedTime, PathConfig,
-                            PathError, StructuralError, payoff_estimate, optimality_test,
-                            run_algorithm1, run_algorithm1_batch, simulate_path)
+                            PathError, StructuralError, continuation_domain, payoff_estimate,
+                            optimality_test, run_algorithm1, run_algorithm1_batch,
+                            simulate_path)
 
 GSTAR = 1.25
 
@@ -245,3 +247,21 @@ class TestOptimality:
         # Truncation at the contact hit reproduces the contact-hit payoff here,
         # because the contact set is inside the 0.9 ball.
         assert abs(mean - base) <= 3 * np.hypot(sem, bsem)
+
+    def test_nested_earlier_of_lands_on_a_part(self, spiked, contact_rule):
+        # The inner earlier-of is an intersection inside an intersection; its
+        # exits are projected onto its own binding part like any other.
+        x = np.array([0.3, 0.0])
+        ball = FirstExit(Ball((0.3, 0.0), 0.15))
+        ann = FirstExit(Annulus((0.0, 0.0), 0.22, 0.8))
+        rule = EarlierOf(EarlierOf(ball, ann), contact_rule)
+        dom = continuation_domain(rule, x)
+        leaves = [ball.domain, ann.domain, dom.parts[1]]
+        exits = wos_exit_batch(dom, x, WosConfig(walks=2000, seed=3))
+        gaps = np.abs([signed_distance(leaf, exits) for leaf in leaves])
+        assert set(np.argmin(gaps, axis=0)) == {0, 1, 2}
+        assert np.max(np.min(gaps, axis=0)) <= 1e-12
+        # Grouping the same three rules the other way gives the same exits.
+        other = EarlierOf(ball, EarlierOf(ann, contact_rule))
+        assert (payoff_estimate(x, rule, spiked, 2000, PathConfig(seed=3))
+                == payoff_estimate(x, other, spiked, 2000, PathConfig(seed=3)))
