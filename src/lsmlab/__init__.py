@@ -21,6 +21,6 @@ from .envelope import (ContactSet, EnvelopeSequence, GridField, balayage_step,
 from .oracle import (RadialProfile, cross_validate, psor_obstacle_solve,
                      radial_value_oracle)
 from .pathsim import (ContactHit, EarlierOf, FirstExit, FixedTime, PathConfig, PathRecord,
-                      optimality_test, payoff_estimate, run_algorithm1, simulate_path)
+                      euler_exits, optimality_test, payoff_estimate, run_algorithm1)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .envelope import (ConvergenceError, EnvelopeError, NoWitnessError, balayage
                        unbranched_envelope)
 from .gain import GainError, GainField, gain_from_config
 from .geometry import GridRegion, save_mask_csv
-from .grids import radial_grid
+from .grids import radial_grid, write_csv
 from .harmonic import NonTerminationError
 from .majorant import MajorantError, dump_tree_json, matching_error
 from .oracle import (OracleConvergenceError, cross_validate, psor_obstacle_solve,
@@ -141,11 +141,8 @@ def _write_json(path: Path, payload) -> None:
 
 def _contact_csv(contact, fld, path: Path) -> None:
     if fld.kind == "radial":
-        with open(path, "w", newline="") as fh:
-            fh.write("# units: r in unit-ball lengths, contact flag 0/1\n")
-            fh.write("r,contact\n")
-            for r, c in zip(fld.radii, contact.contact_mask.astype(int)):
-                fh.write(f"{r:.12g},{c}\n")
+        write_csv(path, "r in unit-ball lengths, contact flag 0/1", ["r", "contact"],
+                  fld.radii, contact.contact_mask.astype(int))
     else:
         save_mask_csv(GridRegion(mask=contact.contact_mask, spacing=fld.spacing), path)
 
@@ -253,11 +250,10 @@ def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> 
     oracle_prof = radial_value_oracle(gain, gain.dim, radii)
     gvals = gain_on_grid(gain, fld)
 
-    with open(out / "cross_section.csv", "w", newline="") as fh:
-        fh.write("# units: r in unit-ball lengths; gain, envelopes and value in payoff units\n")
-        fh.write("r,g,w1,wbar1,V\n")
-        for r, gv, w1v, bv, vv in zip(radii, gvals, fld.values, wbar1.values, oracle_prof.values):
-            fh.write(f"{r:.12g},{gv:.12g},{w1v:.12g},{bv:.12g},{vv:.12g}\n")
+    write_csv(out / "cross_section.csv",
+              "r in unit-ball lengths; gain, envelopes and value in payoff units",
+              ["r", "g", "w1", "wbar1", "V"],
+              radii, gvals, fld.values, wbar1.values, oracle_prof.values)
 
     # Gap between the unbranched envelope and its balayage on the spike's
     # annular component, and the Harnack-predicted non-contact annulus.
@@ -322,9 +318,12 @@ def cmd_paths(cfg: dict, out: Path, seed: int, threads: int) -> int:
     if probe is None or probe.shape != (gain.dim,) or not np.linalg.norm(probe) <= 1.0:
         raise ConfigError(f"paths.probe must be a point of the closed unit ball, "
                           f"got {raw_probe!r}")
+    scheme = pcfg_block.get("scheme", "wos-jump")
+    if scheme != "wos-jump":
+        raise ConfigError(f"paths.scheme must be 'wos-jump' (the only scheme of the paths "
+                          f"command), got {scheme!r}")
     try:
-        pcfg = PathConfig(dt=_number(cfg, "paths", "dt", 1e-4), seed=seed,
-                          scheme=str(pcfg_block.get("scheme", "wos-jump")))
+        pcfg = PathConfig(dt=_number(cfg, "paths", "dt", 1e-4), seed=seed)
     except PathError as exc:
         raise ConfigError(f"paths: {exc}") from None
     witness = build_branched_witness(seq, len(seq.levels) - 1, probe)

@@ -21,7 +21,6 @@ obstacle slices), so a sweep is only flat gathers, multiply-adds and scatters.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,12 +28,12 @@ import numpy as np
 from scipy import ndimage
 
 from .gain import GainField, outer_running_max
-from .geometry import Annulus, Ball, GridRegion
+from .geometry import Annulus, Ball, GridRegion, signed_distance
 from .grids import (ARMS, DiscStencil, bilinear, cartesian_grid, disc_stencil,
-                    scale_coordinate, upper_concave_hull)
-from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
-                       annulus_to_boundary_patch, branched, cap_patch, constant_patch,
-                       leaf, MajorantError)
+                    scale_coordinate, upper_concave_hull, write_csv)
+from .majorant import (BranchedMajorant, HarmonicPatch, annulus_patch,
+                       annulus_to_boundary_patch, branched, cap_patch, constant_patch, leaf,
+                       matching_error)
 
 CONTACT_TOL = 1e-9
 RELAX_TOL = 1e-11
@@ -104,22 +103,12 @@ class GridField:
         return float(out[0]) if single else out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.kind == "radial":
-                fh.write("# units: r in unit-ball lengths, value in payoff units\n")
-                writer.writerow(["r", "value"])
-                for r, v in zip(self.radii, self.values):
-                    writer.writerow([f"{r:.12g}", f"{v:.12g}"])
-            else:
-                fh.write("# units: x,y in unit-ball lengths, value in payoff units\n")
-                writer.writerow(["x", "y", "value"])
-                n = self.values.shape[0]
-                for i in range(n):
-                    for j in range(n):
-                        writer.writerow([f"{self.coords[i, j, 0]:.12g}",
-                                         f"{self.coords[i, j, 1]:.12g}",
-                                         f"{self.values[i, j]:.12g}"])
+        if self.kind == "radial":
+            write_csv(path, "r in unit-ball lengths, value in payoff units", ["r", "value"],
+                      self.radii, self.values)
+        else:
+            write_csv(path, "x,y in unit-ball lengths, value in payoff units",
+                      ["x", "y", "value"], *self.coords.reshape(-1, 2).T, self.values.ravel())
 
 
 def radial_field(radii: np.ndarray, values: np.ndarray, tag: str, dim: int = 2) -> GridField:
@@ -156,10 +145,6 @@ class ContactSet:
     labels: np.ndarray
     n_components: int
     tol: float
-
-    def component_of(self, index) -> int:
-        """Component label at a node index (0 means contact)."""
-        return int(self.labels[index])
 
 
 def contact_set(w: GridField, gain: GainField, tol: float = CONTACT_TOL) -> ContactSet:
@@ -584,7 +569,6 @@ def iterate_envelopes(gain: GainField, start, max_iter: int = 32, tol: float = 1
     converged = False
     for level in range(1, max_iter + 1):
         nxt = envelope_step(levels[-1], contacts[-1], gain, omega=omega)
-        nxt.values = np.minimum(nxt.values, levels[-1].values)
         nxt.values = np.maximum(nxt.values, np.minimum(gvals, levels[-1].values))
         nxt.tag = f"envelope-level-{level}"
         change = float(np.max(np.abs(nxt.values - levels[-1].values)))
@@ -666,7 +650,8 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
         base_profile = np.atleast_1d(base.value(
             np.stack([fld.radii[sel], np.zeros(sel.sum())], axis=1)))
         value_gap = float(np.max(np.abs(base_profile - nxt.values[sel]))) if sel.any() else 0.0
-        err = _interface_error(base, query) + value_gap + run.class_lipschitz * shrink
+        err = (matching_error(branched(base, query, depth=2, error_bound=0.0))[0] + value_gap
+               + run.class_lipschitz * shrink)
         return branched(base, query, depth=max(2, level + 2), error_bound=err)
 
     # Cartesian: smooth inner approximation of the component mask.
@@ -692,6 +677,8 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
     else:
         base = grid_patch(dom, data, gain.gstar, WosConfig(walks=4000, seed=11),
                           lipschitz_bound=run.class_lipschitz, label="witness-grid")
+    if float(signed_distance(base.domain, x)) >= 0.0:
+        raise NoWitnessError("point too close to the component boundary for the shrink width")
     probe_idx = np.argwhere(comp_mask)[:: max(1, comp_mask.sum() // 12)]
     gaps = []
     for pi, pj in probe_idx:
@@ -700,7 +687,8 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
         if np.isfinite(bv):
             gaps.append(abs(bv - float(nxt.values[pi, pj])))
     value_gap = max(gaps) if gaps else 0.0
-    err = _interface_error(base, query) + value_gap + run.class_lipschitz * shrink
+    err = (matching_error(branched(base, query, depth=2, error_bound=0.0))[0] + value_gap
+           + run.class_lipschitz * shrink)
     return branched(base, query, depth=max(2, level + 2), error_bound=err)
 
 
@@ -711,20 +699,3 @@ def _nearest_node(fld: GridField, x: np.ndarray) -> tuple[int, int]:
     i = int(np.clip(round((x[0] - lo[0]) / sp), 0, n - 1))
     j = int(np.clip(round((x[1] - lo[1]) / sp), 0, n - 1))
     return (i, j)
-
-
-def _interface_error(base: HarmonicPatch, query) -> float:
-    """Measured value mismatch between the base data and its children."""
-    from .majorant import interior_boundary_samples
-
-    tmp = BranchedMajorant(base=base, extension=ExtensionMap(query=query),
-                           depth=2, error_bound=float("inf"))
-    pts = interior_boundary_samples(tmp, 64)
-    delta = 0.0
-    for p in pts:
-        child = query(p)
-        cv = float(child.value(p))
-        if not np.isfinite(cv):
-            raise MajorantError("witness extension misses its query point")
-        delta = max(delta, abs(float(base.boundary_value(p)) - cv))
-    return delta

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .grids import bilinear
+from .grids import bilinear, write_csv
 
 
 class GeometryError(ValueError):
@@ -589,11 +589,7 @@ def _any_orthogonal(v: np.ndarray) -> np.ndarray:
 def save_mask_csv(region: GridRegion, path) -> None:
     """Row-major 0/1 CSV with a one-line header `d,nx,ny,spacing`."""
     nx, ny = region.mask.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([2, nx, ny, f"{region.spacing:.12g}"])
-        for row in region.mask.astype(int):
-            writer.writerow(row.tolist())
+    write_csv(path, None, [2, nx, ny, f"{region.spacing:.12g}"], *region.mask.astype(int).T)
 
 
 def load_mask_csv(path) -> GridRegion:

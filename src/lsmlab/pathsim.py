@@ -1,12 +1,14 @@
 """Brownian paths absorbed at the unit sphere, stopping rules, and the
 pathwise patch-extension procedure over branched majorants.
 
-Payoff estimation defaults to walk-on-spheres jumps (exact exit positions, no
-time-step bias); the Euler scheme is kept for trajectory records, fixed-time
-rules and trace files, with the documented O(sqrt(dt)) crossing bias.  A rule
-that stops at a first exit maps to a continuation domain, and an earlier-of
-rule to the ``geometry.Intersection`` of its rules' domains; both schemes ask
-``geometry.signed_distance`` of that domain whether a path has stopped.
+Payoff estimation uses walk-on-spheres jumps (exact exit positions, no
+time-step bias) unless the rule has a fixed-time deadline; those rules run
+``euler_exits``, the batched Euler scheme, with the documented O(sqrt(dt))
+crossing bias.  A rule that stops at a first exit maps to a continuation
+domain, and an earlier-of rule to the ``geometry.Intersection`` of its rules'
+domains; both schemes ask ``geometry.signed_distance`` of that domain whether
+a path has stopped.  Pathwise extension runs record their WoS hops as
+``PathRecord``s, which ``trace_to_csv`` writes out.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import rng as rngmod
 from .envelope import ContactSet, GridField
 from .gain import GainField
 from .geometry import Annulus, Ball, Domain, GridRegion, Intersection, signed_distance
+from .grids import write_csv
 from .harmonic import WosConfig, wos_exit_batch
 from .majorant import BranchedMajorant
 
@@ -40,14 +43,11 @@ class PathConfig:
     dt: float = 1e-4
     seed: int = 0
     max_time: float = 50.0
-    scheme: str = "wos-jump"
     shell: float = 1e-4
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise PathError("time step must be positive")
-        if self.scheme not in ("euler", "wos-jump"):
-            raise PathError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(eq=False)
@@ -134,80 +134,6 @@ def _contact_continuation(rule: ContactHit, x: np.ndarray):
     mask = contact.noncontact_mask
     region = GridRegion(mask=mask, spacing=fld.spacing)
     return region
-
-
-# ---------------------------------------------------------------------------
-# Single-path simulation (Euler)
-# ---------------------------------------------------------------------------
-
-def _absorb_crossing(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Linear interpolation of the segment to the unit sphere."""
-    d = nxt - prev
-    a = float(d @ d)
-    b = 2.0 * float(prev @ d)
-    c = float(prev @ prev) - 1.0
-    disc = max(b * b - 4 * a * c, 0.0)
-    t = (-b + math.sqrt(disc)) / (2 * a) if a > 0 else 0.0
-    t = min(max(t, 0.0), 1.0)
-    return prev + t * d
-
-
-def simulate_path(x, cfg: PathConfig, rule: StoppingRule,
-                  path_index: int = 0) -> PathRecord:
-    """One Euler trajectory, stopped by the rule or absorbed at the unit sphere."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    if float(np.linalg.norm(x)) > 1.0 + 1e-12:
-        raise PathError("start point must lie in the closed unit ball")
-    gen = rngmod.stream(cfg.seed, 90, path_index)
-
-    times = [0.0]
-    points = [x.copy()]
-    if float(np.linalg.norm(x)) >= 1.0 - 1e-12:
-        return PathRecord(times=np.array(times), points=np.array(points), absorbed=True,
-                          patch_trace=[], termination="hit_boundary")
-    if isinstance(rule, FixedTime) and rule.t == 0.0:
-        return PathRecord(times=np.array(times), points=np.array(points), absorbed=False,
-                          patch_trace=[], termination="stopped")
-    dom = continuation_domain(rule, x)
-    if dom is not None and signed_distance(dom, x) >= 0.0:
-        return PathRecord(times=np.array(times), points=np.array(points), absorbed=False,
-                          patch_trace=[], termination="stopped")
-
-    deadline = rule.t if isinstance(rule, FixedTime) else _fixed_deadline(rule)
-    sqdt = math.sqrt(cfg.dt)
-    pos = x.copy()
-    t = 0.0
-    n_steps = int(math.ceil(min(cfg.max_time, deadline if deadline is not None else cfg.max_time)
-                            / cfg.dt))
-    for _ in range(n_steps):
-        step = sqdt * gen.standard_normal(d)
-        nxt = pos + step
-        t += cfg.dt
-        if float(nxt @ nxt) >= 1.0:
-            hit = _absorb_crossing(pos, nxt)
-            times.append(t)
-            points.append(hit)
-            return PathRecord(times=np.array(times), points=np.array(points), absorbed=True,
-                              patch_trace=[], termination="hit_boundary")
-        sd_prev = signed_distance(dom, pos) if dom is not None else -1.0
-        pos = nxt
-        times.append(t)
-        points.append(pos.copy())
-        if dom is not None:
-            sd_next = signed_distance(dom, pos)
-            if sd_next >= 0.0:
-                # Resolve the crossing point along the last step segment.
-                frac = sd_prev / (sd_prev - sd_next) if sd_next > sd_prev else 1.0
-                frac = min(max(frac, 0.0), 1.0)
-                points[-1] = points[-2] + frac * (pos - points[-2])
-                return PathRecord(times=np.array(times), points=np.array(points),
-                                  absorbed=False, patch_trace=[], termination="stopped")
-        if deadline is not None and t >= deadline - 1e-15:
-            return PathRecord(times=np.array(times), points=np.array(points), absorbed=False,
-                              patch_trace=[], termination="stopped")
-    return PathRecord(times=np.array(times), points=np.array(points), absorbed=False,
-                      patch_trace=[], termination="exhausted")
 
 
 def _fixed_deadline(rule) -> Optional[float]:
@@ -344,33 +270,46 @@ def payoff_estimate(x, rule: StoppingRule, gain: GainField, n_paths: int,
             return float(gain(x)), 0.0
         gen = rngmod.stream(cfg.seed, 93, stream_key)
         wos = WosConfig(shell=cfg.shell, max_steps=1_000_000, walks=n_paths, seed=cfg.seed)
-        exits = wos_exit_batch(dom, x, wos, generator=gen)
-        vals = gain(exits)
-        mean = float(np.mean(vals))
-        sem = float(np.std(vals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-        return mean, sem
-
-    if isinstance(rule, FixedTime) and rule.t == 0.0:
+        stops = wos_exit_batch(dom, x, wos, generator=gen)
+    elif isinstance(rule, FixedTime) and rule.t == 0.0:
         return float(gain(x)), 0.0
-    return _euler_payoff(x, rule, gain, n_paths, cfg, stream_key)
+    else:
+        stops = euler_exits(x, rule, n_paths, cfg, stream_key)
+    vals = gain(stops)
+    mean = float(np.mean(vals))
+    sem = float(np.std(vals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    return mean, sem
 
 
-def _euler_payoff(x: np.ndarray, rule, gain: GainField, n_paths: int,
-                  cfg: PathConfig, stream_key: int) -> tuple[float, float]:
+def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
+                stream_key: int = 0) -> np.ndarray:
+    """Points where n_paths Euler paths from x stop, shape (n_paths, d).
+
+    A path stops when it leaves the unit ball, at the sphere crossing of its
+    last step; when the rule's domain stops it, at the crossing interpolated
+    along its last step; at the rule's deadline; or at ``cfg.max_time``.  A
+    start on the unit sphere is absorbed where it is.
+    """
+    x = np.asarray(x, dtype=float)
+    radius = float(np.linalg.norm(x))
+    if radius > 1.0 + 1e-12:
+        raise PathError("start point must lie in the closed unit ball")
+    out = np.tile(x, (n_paths, 1))
+    if radius >= 1.0 - 1e-12:
+        return out
     d = x.shape[0]
     deadline = _fixed_deadline(rule)
     horizon = min(cfg.max_time, deadline if deadline is not None else cfg.max_time)
     n_steps = int(math.ceil(horizon / cfg.dt))
     sqdt = math.sqrt(cfg.dt)
     dom = continuation_domain(rule, x)
-    payoffs = np.empty(n_paths)
     for b0 in range(0, n_paths, BATCH):
         b1 = min(b0 + BATCH, n_paths)
         m = b1 - b0
         gen = rngmod.stream(cfg.seed, 94, stream_key, b0 // BATCH)
         pos = np.tile(x, (m, 1))
         alive = np.ones(m, dtype=bool)
-        final = np.tile(x, (m, 1))
+        final = out[b0:b1]
         for _ in range(n_steps):
             if not alive.any():
                 break
@@ -397,10 +336,19 @@ def _euler_payoff(x: np.ndarray, rule, gain: GainField, n_paths: int,
                     alive[sel] = False
             pos[idx[keep]] = nxt[keep]
         final[alive] = pos[alive]
-        payoffs[b0:b1] = gain(final)
-    mean = float(np.mean(payoffs))
-    sem = float(np.std(payoffs, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return mean, sem
+    return out
+
+
+def _absorb_crossing(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Linear interpolation of the segment to the unit sphere."""
+    d = nxt - prev
+    a = float(d @ d)
+    b = 2.0 * float(prev @ d)
+    c = float(prev @ prev) - 1.0
+    disc = max(b * b - 4 * a * c, 0.0)
+    t = (-b + math.sqrt(disc)) / (2 * a) if a > 0 else 0.0
+    t = min(max(t, 0.0), 1.0)
+    return prev + t * d
 
 
 @dataclass(eq=False)
@@ -454,14 +402,14 @@ def _describe(rule) -> str:
 
 
 def trace_to_csv(record: PathRecord, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("# units: t in time units (wos traces count patch hops), x,y in unit-ball lengths\n")
-        fh.write("t,x,y,patch\n")
-        patch_at = {}
-        for label, t, _pt in record.patch_trace:
-            patch_at[float(t)] = label
-        current = record.patch_trace[0][0] if record.patch_trace else ""
-        for t, pt in zip(record.times, record.points):
-            current = patch_at.get(float(t), current)
-            coords = ",".join(f"{v:.12g}" for v in pt)
-            fh.write(f"{t:.12g},{coords},{current}\n")
+    """Write the record as ``t,x,y[,z],patch`` rows, each with the patch it is in."""
+    axes = ["x", "y", "z"][:record.points.shape[1]]
+    patch_at = {float(t): label for label, t, _pt in record.patch_trace}
+    current = record.patch_trace[0][0] if record.patch_trace else ""
+    labels = []
+    for t in record.times.tolist():
+        current = patch_at.get(t, current)
+        labels.append(current)
+    write_csv(path, f"t in time units (wos traces count patch hops), {','.join(axes)} "
+              "in unit-ball lengths", ["t", *axes, "patch"],
+              record.times, *record.points.T, labels)

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, reproducibility, file formats."""
 
+import csv
 import importlib.util
 import json
 import re
@@ -27,6 +28,21 @@ FAST_SPIKED = {
               "probe": [0.3, 0.0]},
     "oracle": {"radial": True, "psor": False},
 }
+
+
+# A radial bump on a coarse Cartesian grid: every Cartesian table in seconds.
+CART33 = {
+    "gain": {"kind": "radial-bump", "center_radius": 0.3, "width": 0.15, "gstar_margin": 0.25},
+    "grid": {"kind": "cartesian", "nodes": 33},
+    "oracle": {"radial": True, "psor": True},
+}
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def write_cfg(tmp_path: Path, payload: dict) -> str:
@@ -164,6 +180,13 @@ class TestExitCodeTable:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "paths"]) == 3
         assert "contact set" in capsys.readouterr().err
 
+    def test_cartesian_probe_outside_the_witness_domain_is_incomplete(self, tmp_path, capsys):
+        # The smoothed base domain of this benchmark config misses the probe (0.3, 0).
+        case = next(c for c in load_workloads().cartesian_disc(1) if c["id"] == "cap-97")
+        cfg = write_cfg(tmp_path, case["config"])
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "paths"]) == 3
+        assert "shrink width" in capsys.readouterr().err
+
 
 class TestConfigKeys:
     @pytest.mark.parametrize("block, key", [(None, "dims"), ("grid", "node"),
@@ -181,7 +204,7 @@ class TestConfigKeys:
     @pytest.mark.parametrize("command, block, key, value", [
         ("envelope", "gain", "epsilon", "wide"), ("envelope", "grid", "nodes", "many"),
         ("envelope", "envelope", "tol", None), ("paths", "paths", "probe", [0.3]),
-        ("oracle", "oracle", "psor_omega", 2.5)])
+        ("paths", "paths", "scheme", "euler"), ("oracle", "oracle", "psor_omega", 2.5)])
     def test_bad_value_exits_two(self, command, block, key, value, tmp_path, capsys):
         payload = json.loads(json.dumps(FAST_SPIKED))
         payload["oracle"]["psor"] = True
@@ -215,10 +238,7 @@ class TestConfigKeys:
         example = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S).group(1)
         blocks = [load_config(p)["gain"] for p in ("spiked-ball", "annulus-gain", "cap-gain")]
         blocks.append(json.loads(example)["gain"])
-        spec = importlib.util.spec_from_file_location("workloads",
-                                                      REPO / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_workloads()
         for name in workloads.WORKLOADS:
             for case in workloads.cases(name, seed=1):
                 blocks.append(case["config"]["gain"])
@@ -228,10 +248,7 @@ class TestConfigKeys:
             gain_from_config(block)
 
     def test_benchmark_configs_are_accepted(self):
-        spec = importlib.util.spec_from_file_location("workloads",
-                                                      REPO / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_workloads()
         for name in workloads.WORKLOADS:
             for case in workloads.cases(name, seed=1):
                 check_config(case["config"])
@@ -265,6 +282,28 @@ class TestPathsCommand:
         assert main(["--config", cfg, "--out", str(out), "paths"]) == 0
         report = json.loads((out / "excessivity.json").read_text())
         assert report["runs"] == 0
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("payload, commands", [
+        (FAST_SPIKED, ["envelope", "balayage", "oracle", "paths", "reproduce"]),
+        (CART33, ["envelope", "balayage", "oracle"])])
+    def test_rows_as_wide_as_header_and_lf_only(self, payload, commands, tmp_path):
+        cfg = write_cfg(tmp_path, payload)
+        for command in commands:
+            extra = ["spiked-ball"] if command == "reproduce" else []
+            assert main(["--config", cfg, "--out", str(tmp_path / command), command, *extra]) == 0
+        tables = sorted(tmp_path.rglob("*.csv"))
+        assert len(tables) >= 8
+        for path in tables:
+            text = path.read_bytes().decode()
+            assert "\r" not in text, path.name
+            rows = list(csv.reader(line for line in text.split("\n")[:-1]
+                                   if not line.startswith("#")))
+            header, body = rows[0], rows[1:]
+            # A contact mask's header is d,nx,ny,spacing over nx rows of ny flags.
+            width = int(header[2]) if header[0] == "2" else len(header)
+            assert body and all(len(row) == width for row in body), path.name
 
 
 class TestOracleCommand:

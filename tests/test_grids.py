@@ -5,7 +5,8 @@ import pytest
 
 from lsmlab.envelope import balayage_step, cartesian_field, contact_set, gain_on_grid
 from lsmlab.gain import GainField
-from lsmlab.grids import bilinear, cartesian_grid, disc_stencil, radial_grid, scale_coordinate
+from lsmlab.grids import (CSV_BLOCK, bilinear, cartesian_grid, disc_stencil, radial_grid,
+                          scale_coordinate, write_csv)
 from lsmlab.oracle import neg_laplacian
 
 
@@ -95,3 +96,26 @@ def test_bilinear_exact_on_bilinear_data_and_clamped_at_edges():
     assert np.array_equal(bilinear(table, origin, step, far), bilinear(table, origin, step, edge))
     np.testing.assert_allclose(bilinear(table, origin, step, far), f(edge[:, 0], edge[:, 1]),
                                rtol=0.0, atol=1e-4)
+
+
+def test_write_csv_layout_across_a_block_boundary(tmp_path):
+    n = CSV_BLOCK + 3
+    x = np.linspace(0.0, 1.0, n)
+    write_csv(tmp_path / "t.csv", "x in unit-ball lengths", ["i", "x", "patch"],
+              np.arange(n), x, ["annulus[0.1,1]*"] * n)
+    lines = (tmp_path / "t.csv").read_bytes().decode().split("\n")
+    assert lines[:2] == ["# units: x in unit-ball lengths", "i,x,patch"]
+    assert lines[-1] == "" and len(lines) == n + 3
+    rows = lines[2:-1]
+    assert rows[0] == '0,0,"annulus[0.1,1]*"'
+    assert rows[CSV_BLOCK] == f'{CSV_BLOCK},{x[CSV_BLOCK]:.12g},"annulus[0.1,1]*"'
+    assert rows[-1] == f'{n - 1},1,"annulus[0.1,1]*"'
+
+
+def test_cartesian_field_csv_matches_a_per_node_loop(tmp_path):
+    n = 7
+    fld = cartesian_field(n, np.random.default_rng(3).random((n, n)), "level")
+    fld.to_csv(tmp_path / "f.csv")
+    expected = [f"{fld.coords[i, j, 0]:.12g},{fld.coords[i, j, 1]:.12g},{fld.values[i, j]:.12g}"
+                for i in range(n) for j in range(n)]
+    assert (tmp_path / "f.csv").read_text().splitlines()[2:] == expected

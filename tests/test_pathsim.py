@@ -1,6 +1,8 @@
 """Path simulation: absorption, stopping rules, the patch-extension walk,
 payoff estimation and optimality reports."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,9 +14,9 @@ from lsmlab.majorant import annulus_patch, annulus_to_boundary_patch, branched, 
     matching_error
 from lsmlab.harmonic import WosConfig, wos_exit_batch
 from lsmlab.pathsim import (ContactHit, EarlierOf, FirstExit, FixedTime, PathConfig,
-                            PathError, StructuralError, continuation_domain, payoff_estimate,
-                            optimality_test, run_algorithm1, run_algorithm1_batch,
-                            simulate_path)
+                            PathError, PathRecord, StructuralError, continuation_domain,
+                            euler_exits, payoff_estimate, optimality_test, run_algorithm1,
+                            run_algorithm1_batch, trace_to_csv)
 
 GSTAR = 1.25
 
@@ -25,45 +27,34 @@ def contact_rule(spiked_seq):
 
 
 class TestSimulatePath:
+    """Euler paths (``euler_exits``): absorption, stopping and increments."""
+
     def test_boundary_start_absorbs_instantly(self):
-        rec = simulate_path(np.array([1.0, 0.0]), PathConfig(seed=0), FixedTime(1.0))
-        assert rec.absorbed
-        assert rec.termination == "hit_boundary"
-        assert rec.times[-1] == 0.0
+        x = np.array([1.0, 0.0])
+        stops = euler_exits(x, FixedTime(1.0), 8, PathConfig(seed=0))
+        assert np.array_equal(stops, np.tile(x, (8, 1)))
+        with pytest.raises(PathError):
+            euler_exits(np.array([1.1, 0.0]), FixedTime(1.0), 8, PathConfig(seed=0))
 
     def test_fixed_time_zero(self):
-        rec = simulate_path(np.array([0.2, 0.1]), PathConfig(seed=0), FixedTime(0.0))
-        assert rec.termination == "stopped"
-        assert np.allclose(rec.points[-1], [0.2, 0.1])
+        stops = euler_exits(np.array([0.2, 0.1]), FixedTime(0.0), 8, PathConfig(seed=0))
+        assert np.allclose(stops, [0.2, 0.1])
 
     def test_exit_radius_and_uniform_angle(self):
-        cfg = PathConfig(dt=2e-3, seed=3, scheme="euler")
+        cfg = PathConfig(dt=2e-3, seed=3)
         rule = FirstExit(Ball((0.0, 0.0), 0.5))
-        angles = []
-        radii = []
-        for k in range(2048):
-            rec = simulate_path(np.zeros(2), cfg, rule, path_index=k)
-            assert rec.termination == "stopped"
-            p = rec.points[-1]
-            radii.append(np.linalg.norm(p))
-            angles.append(np.arctan2(p[1], p[0]))
-        radii = np.asarray(radii)
+        stops = euler_exits(np.zeros(2), rule, 2048, cfg)
+        radii = np.linalg.norm(stops, axis=1)
+        angles = np.arctan2(stops[:, 1], stops[:, 0])
         # Crossing interpolation keeps the recorded exits within one step of the circle.
         assert abs(np.mean(radii) - 0.5) < 3 * np.sqrt(cfg.dt)
-        u = (np.asarray(angles) + np.pi) / (2 * np.pi)
+        u = (angles + np.pi) / (2 * np.pi)
         assert stats.kstest(u, "uniform").pvalue > 0.01
 
     def test_increment_statistics(self):
-        cfg = PathConfig(dt=1e-3, seed=9, scheme="euler")
-        incs = []
-        for k in range(64):
-            rec = simulate_path(np.zeros(2), cfg, FixedTime(0.25), path_index=k)
-            pts = rec.points
-            if rec.absorbed:
-                pts = pts[:-1]  # final segment is interpolation-truncated
-            if len(pts) > 2:
-                incs.append(np.diff(pts, axis=0))
-        pooled = np.concatenate(incs, axis=0).ravel()
+        # One-step paths from the origin: each stop is one Gaussian increment.
+        cfg = PathConfig(dt=1e-3, seed=9)
+        pooled = euler_exits(np.zeros(2), FixedTime(cfg.dt), 16384, cfg).ravel()
         n = pooled.size
         assert n > 20_000
         var = pooled.var()
@@ -74,10 +65,9 @@ class TestSimulatePath:
         assert abs(pooled.mean()) < 3 * np.sqrt(cfg.dt / n)
 
     def test_absorbed_endpoint_on_sphere(self):
-        cfg = PathConfig(dt=1e-3, seed=1, scheme="euler", max_time=100.0)
-        rec = simulate_path(np.array([0.8, 0.0]), cfg, FixedTime(50.0))
-        if rec.absorbed:
-            assert abs(np.linalg.norm(rec.points[-1]) - 1.0) <= max(1e-4, np.sqrt(cfg.dt))
+        cfg = PathConfig(dt=1e-3, seed=1, max_time=100.0)
+        stops = euler_exits(np.array([0.8, 0.0]), FixedTime(50.0), 16, cfg)
+        assert np.all(np.abs(np.linalg.norm(stops, axis=1) - 1.0) <= max(1e-4, np.sqrt(cfg.dt)))
 
 
 class TestAlgorithm1:
@@ -106,6 +96,18 @@ class TestAlgorithm1:
                 dom = kid.base.domain if label.startswith("annulus[0.05") else base.domain
                 assert signed_distance(dom, pt) <= cfg.shell
         assert seen_child
+
+    def test_trace_csv_of_a_3d_record(self, tmp_path):
+        pts = np.array([[0.1, 0.0, 0.0], [0.5, 0.0, 0.0], [0.9, 0.1, 0.0]])
+        rec = PathRecord(times=np.array([0.0, 1.0, 2.0]), points=pts, absorbed=False,
+                         patch_trace=[("annulus[0.05,1]*", 0.0, pts[0]), ("ball", 1.0, pts[1])],
+                         termination="exhausted")
+        trace_to_csv(rec, tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert lines[1] == "t,x,y,z,patch"
+        rows = list(csv.reader(lines[2:]))
+        assert rows[0] == ["0", "0.1", "0", "0", "annulus[0.05,1]*"]
+        assert [row[-1] for row in rows] == ["annulus[0.05,1]*", "ball", "ball"]
 
     def test_structural_error_on_bad_extension(self):
         base = annulus_patch(0.15, 0.6, 1.0, 0.35, GSTAR)
