@@ -104,6 +104,14 @@ def _number(cfg: dict, block: str, key: str, default, cast=float):
         raise ConfigError(f"{block}.{key} must be a number, got {value!r}") from None
 
 
+def _omega(cfg: dict, block: str, key: str, default: float) -> float:
+    """A relaxation factor cfg[block][key], which must lie in (0, 2)."""
+    omega = _number(cfg, block, key, default)
+    if not 0.0 < omega < 2.0:
+        raise ConfigError(f"{block}.{key} must lie in (0, 2), got {omega}")
+    return omega
+
+
 def _radial_grid(nodes: int, r_min: float) -> np.ndarray:
     try:
         return radial_grid(nodes, r_min)
@@ -147,30 +155,25 @@ def _contact_csv(contact, fld, path: Path) -> None:
         save_mask_csv(GridRegion(mask=contact.contact_mask, spacing=fld.spacing), path)
 
 
-def _run_envelope(cfg: dict):
-    gain = _gain_from_config(cfg)
+def _run_envelope(cfg: dict, gain: GainField):
     grid = _grid_from_config(cfg)
-    run = unbranched_envelope(gain, grid)
-    seq = iterate_envelopes(
-        gain, run,
-        max_iter=_number(cfg, "envelope", "max_iter", 32, int),
-        tol=_number(cfg, "envelope", "tol", 1e-9),
-        contact_tol=_number(cfg, "envelope", "contact_tol", 1e-9),
-        omega=_number(cfg, "envelope", "omega", 1.9),
-    )
-    return gain, run, seq
+    settings = dict(max_iter=_number(cfg, "envelope", "max_iter", 32, int),
+                    tol=_number(cfg, "envelope", "tol", 1e-9),
+                    contact_tol=_number(cfg, "envelope", "contact_tol", 1e-9),
+                    omega=_omega(cfg, "envelope", "omega", 1.9))
+    return iterate_envelopes(gain, unbranched_envelope(gain, grid), **settings)
 
 
 def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain, run, seq = _run_envelope(cfg)
-    run.field.to_csv(out / "w1.csv")
+    seq = _run_envelope(cfg, _gain_from_config(cfg))
+    seq.run.field.to_csv(out / "w1.csv")
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
         fld.to_csv(out / f"env_level_{k:03d}.csv")
         _contact_csv(contact, fld, out / f"contact_{k:03d}.csv")
     summary = {
         "converged": seq.converged,
         "levels": seq.summary,
-        "class_lipschitz": run.class_lipschitz,
+        "class_lipschitz": seq.run.class_lipschitz,
         "gain": cfg.get("gain", {}),
         "seed": seed,
     }
@@ -182,7 +185,8 @@ def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
 
 
 def cmd_balayage(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain, run, seq = _run_envelope(cfg)
+    gain = _gain_from_config(cfg)
+    seq = _run_envelope(cfg, gain)
     rows = []
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
         bal = balayage_step(fld, contact, gain)
@@ -197,10 +201,12 @@ def cmd_balayage(cfg: dict, out: Path, seed: int, threads: int) -> int:
 def cmd_oracle(cfg: dict, out: Path, seed: int, threads: int) -> int:
     gain = _gain_from_config(cfg)
     ocfg = cfg.get("oracle", {})
-    wrote = False
-    radial_prof = None
-    psor_fld = None
-    if ocfg.get("radial", False):
+    want_radial, want_psor = ocfg.get("radial", False), ocfg.get("psor", False)
+    if not (want_radial or want_psor):
+        print("no oracle enabled in config", file=sys.stderr)
+        return EXIT_INCOMPLETE
+    # Both oracles' settings are checked before either one runs.
+    if want_radial:
         if not gain.radial:
             print("radial oracle requested for a non-radial gain", file=sys.stderr)
             return EXIT_CONFIG
@@ -210,26 +216,20 @@ def cmd_oracle(cfg: dict, out: Path, seed: int, threads: int) -> int:
             radii = _grid_from_config(cfg)
         else:
             radii = _radial_grid(2048, _number(cfg, "grid", "r_min", 1e-3))
-        radial_prof = radial_value_oracle(gain, gain.dim, radii)
-        radial_prof.to_csv(out / "oracle_radial.csv")
-        wrote = True
-    if ocfg.get("psor", False):
+    if want_psor:
         if gain.dim != 2:
             raise ConfigError("the PSOR oracle needs gain.dim 2")
         n = _grid_from_config(cfg) if cfg.get("grid", {}).get("kind") == "cartesian" else 257
-        omega = _number(cfg, "oracle", "psor_omega", 1.7)
-        if not 0.0 < omega < 2.0:
-            raise ConfigError(f"oracle.psor_omega must lie in (0, 2), got {omega}")
-        psor_fld = psor_obstacle_solve(gain, n=n, omega=omega,
-                                       tol=_number(cfg, "oracle", "psor_tol", 1e-8))
+        omega = _omega(cfg, "oracle", "psor_omega", 1.7)
+        tol = _number(cfg, "oracle", "psor_tol", 1e-8)
+    if want_radial:
+        radial_prof = radial_value_oracle(gain, gain.dim, radii)
+        radial_prof.to_csv(out / "oracle_radial.csv")
+    if want_psor:
+        psor_fld = psor_obstacle_solve(gain, n=n, omega=omega, tol=tol)
         psor_fld.to_csv(out / "oracle_psor.csv")
-        wrote = True
-    if not wrote:
-        print("no oracle enabled in config", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    if radial_prof is not None and psor_fld is not None:
-        rep = cross_validate(psor_fld, radial=radial_prof)
-        _write_json(out / "oracle_crosscheck.json", rep)
+    if want_radial and want_psor:
+        _write_json(out / "oracle_crosscheck.json", cross_validate(psor_fld, radial=radial_prof))
     return EXIT_OK
 
 
@@ -242,8 +242,9 @@ def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> 
         _write_json(out / "verdict.json", {"verdict": "INCOMPLETE",
                                            "reason": "radial oracle disabled in config"})
         return EXIT_INCOMPLETE
-    gain, run, seq = _run_envelope(cfg)
-    fld = run.field
+    gain = _gain_from_config(cfg)
+    seq = _run_envelope(cfg, gain)
+    fld = seq.run.field
     radii = fld.radii
     contact1 = seq.contacts[0]
     wbar1 = balayage_step(fld, contact1, gain)
@@ -302,10 +303,7 @@ def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> 
 
 
 def cmd_paths(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain, run, seq = _run_envelope(cfg)
-    if not seq.converged:
-        print("envelope run did not converge; paths need converged artifacts", file=sys.stderr)
-        return EXIT_NONCONVERGED
+    gain = _gain_from_config(cfg)
     pcfg_block = cfg.get("paths", {})
     n_paths = _number(cfg, "paths", "n_paths", 10_000, int)
     if n_paths < 0:
@@ -326,12 +324,17 @@ def cmd_paths(cfg: dict, out: Path, seed: int, threads: int) -> int:
         pcfg = PathConfig(dt=_number(cfg, "paths", "dt", 1e-4), seed=seed)
     except PathError as exc:
         raise ConfigError(f"paths: {exc}") from None
+    n_traces = _number(cfg, "paths", "sample_traces", 2, int)
+
+    seq = _run_envelope(cfg, gain)
+    if not seq.converged:
+        print("envelope run did not converge; paths need converged artifacts", file=sys.stderr)
+        return EXIT_NONCONVERGED
     witness = build_branched_witness(seq, len(seq.levels) - 1, probe)
     dump_tree_json(witness, out / "witness_tree.json")
 
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
-    n_traces = _number(cfg, "paths", "sample_traces", 2, int)
     for k in range(n_traces):
         rec = run_algorithm1(witness, probe, pcfg, path_index=k)
         trace_to_csv(rec, traces_dir / f"trace_{k:03d}.csv")

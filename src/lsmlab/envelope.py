@@ -12,11 +12,8 @@ Radial fields are affine in the scale coordinate on a harmonic stretch, so the
 obstacle-respecting replacement of a non-contact run is the upper concave hull
 of the gain with the run's ends pinned, and the balayage is interpolation
 between contact nodes.  Cartesian fields use red-black (projected) SOR on the
-cut-cell disc stencil.  Both primitives live in ``lsmlab.grids`` and are
-shared with the oracles.  The SOR kernel builds its gather tables once per
-component (flat node and neighbour indices per colour and arm, with a zero
-sentinel slot for arms that leave the disc, plus the coefficient, diagonal and
-obstacle slices), so a sweep is only flat gathers, multiply-adds and scatters.
+cut-cell disc stencil, one ``grids.RedBlackSOR`` kernel per component.  Both
+primitives live in ``lsmlab.grids`` and are shared with the oracles.
 """
 
 from __future__ import annotations
@@ -28,8 +25,9 @@ import numpy as np
 from scipy import ndimage
 
 from .gain import GainField, outer_running_max
-from .geometry import Annulus, Ball, GridRegion, signed_distance
-from .grids import (ARMS, DiscStencil, bilinear, cartesian_grid, disc_stencil,
+from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
+                       signed_distance, smooth_inner_approximation)
+from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid, disc_stencil,
                     scale_coordinate, upper_concave_hull, write_csv)
 from .majorant import (BranchedMajorant, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, branched, cap_patch, constant_patch, leaf,
@@ -54,7 +52,7 @@ class ConvergenceError(EnvelopeError):
 
 
 class NoWitnessError(EnvelopeError):
-    """Witness requested at a contact point."""
+    """No witness at the point: it is in the contact set, or the shrink leaves no room."""
 
 
 # ---------------------------------------------------------------------------
@@ -488,51 +486,16 @@ def _pinned_concave_majorant(w: GridField, gvals: np.ndarray, i0: int, i1: int) 
 
 def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
                      obstacle: np.ndarray | None, omega: float) -> None:
-    """(Projected) SOR on one component; values is updated in place.
+    """(Projected) SOR on one component until the update is relatively tiny.
 
-    Nodes off the component act as Dirichlet data; neighbours outside the
-    disc contribute zero through shortened cut-cell arms.  Everything that is
-    the same on every sweep is gathered once: per colour, the flat node
-    indices, one flat neighbour index per arm (E, W, N, S) into a padded flat
-    copy of ``values`` whose last slot is a zero sentinel for arms that leave
-    the disc, and the coefficient, diagonal and obstacle slices.  A sweep is
-    then four flat gathers with multiply-adds and one scatter per colour.
+    ``values`` is updated in place; nodes off the component are Dirichlet data.
     """
-    ii, jj = np.nonzero(comp)
-    if ii.size == 0:
-        return
-    ncols = values.shape[1]
-    work = np.append(values.ravel(), 0.0)
-    sentinel = work.size - 1
-    red = ((ii + jj) % 2 == 0)
-    tables = []
-    for color in (red, ~red):
-        if not color.any():
-            continue
-        ci, cj = ii[color], jj[color]
-        arms = []
-        for name, (di, dj) in ARMS.items():
-            nbr = (ci + di) * ncols + (cj + dj)
-            arms.append((np.where(stencil.nbr_inside[name][ci, cj], nbr, sentinel),
-                         stencil.coeffs[name][ci, cj]))
-        phi = obstacle[ci, cj] if obstacle is not None else None
-        tables.append((ci * ncols + cj, arms, stencil.diag[ci, cj], phi))
+    sor = RedBlackSOR(values, comp, stencil, obstacle)
     scale = float(np.max(np.abs(values))) + 1.0
-
-    for sweep in range(MAX_SWEEPS):
-        biggest = 0.0
-        for idx, arms, diag, phi in tables:
-            s = np.zeros(idx.size)
-            for nbr, coeff in arms:
-                s += work[nbr] * coeff
-            old = work[idx]
-            new = (1.0 - omega) * old + omega * (s / diag)
-            if phi is not None:
-                new = np.maximum(phi, new)
-            biggest = max(biggest, float(np.max(np.abs(new - old))))
-            work[idx] = new
+    for _ in range(MAX_SWEEPS):
+        biggest = sor.sweep(omega)
         if biggest < RELAX_TOL * scale:
-            values[ii, jj] = work[ii * ncols + jj]
+            sor.store(values)
             return
     raise ConvergenceError("component relaxation hit the sweep limit", biggest)
 
@@ -661,12 +624,14 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
     label = contact.labels[i]
     comp_mask = contact.labels == label
     region = GridRegion(mask=comp_mask, spacing=fld.spacing)
-    from .geometry import smooth_inner_approximation
     from .harmonic import BoundaryData, WosConfig
     from .majorant import ball_patch, grid_patch
     if shrink is None:
         shrink = 6.0 * fld.spacing  # room for the grid mollifier at this resolution
-    dom = smooth_inner_approximation(region, shrink)
+    try:
+        dom = smooth_inner_approximation(region, shrink)
+    except DegenerateApproximationError as exc:
+        raise NoWitnessError(str(exc)) from None
     data = BoundaryData(evaluator=lambda pts: np.asarray(fld.interpolate(pts)))
     if isinstance(dom, Ball):
         base = ball_patch(dom.center, dom.radius, data, gain.gstar)

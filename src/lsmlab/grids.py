@@ -3,7 +3,9 @@
 Radial and Cartesian grids, bilinear interpolation of a table on a uniform
 grid (Cartesian fields, grid signed distances, grid-mollified gains), the
 upper concave hull (the radial obstacle primitive in the scale coordinate),
-the Shortley-Weller cut-cell stencil of the disc (the Cartesian one), and
+the Shortley-Weller cut-cell stencil of the disc and ``RedBlackSOR``, the one
+red-black (projected) SOR kernel on it (the Cartesian obstacle and Dirichlet
+solver of both the envelope refinement and the PSOR oracle), and
 ``write_csv``, the one writer of every CSV table the package emits.
 """
 
@@ -142,6 +144,57 @@ def disc_stencil(coords: np.ndarray, spacing: float) -> DiscStencil:
               "N": 2.0 / (tn * (tn + ts)), "S": 2.0 / (ts * (tn + ts))}
     diag = 2.0 / (te * tw) + 2.0 / (tn * ts)
     return DiscStencil(inside=inside, coeffs=coeffs, diag=diag, nbr_inside=nbr_inside)
+
+
+class RedBlackSOR:
+    """Red-black (projected) SOR sweeps of the disc stencil on the ``nodes`` mask.
+
+    Nodes off the mask hold their ``values`` as Dirichlet data, arms that leave
+    the disc contribute zero, and an ``obstacle`` clips each update from below.
+    The per-colour gather tables are built once: flat node indices, one flat
+    neighbour index per arm into a copy of ``values`` padded with a zero
+    sentinel slot (the target of arms that leave the disc), and the
+    coefficient, diagonal and obstacle slices.
+    """
+
+    def __init__(self, values: np.ndarray, nodes: np.ndarray, stencil: DiscStencil,
+                 obstacle: np.ndarray | None):
+        ii, jj = np.nonzero(nodes)
+        ncols = values.shape[1]
+        self._flat = ii * ncols + jj
+        self._work = np.append(values.ravel(), 0.0)
+        sentinel = self._work.size - 1
+        red = (ii + jj) % 2 == 0
+        self._tables = []
+        for color in (red, ~red):
+            ci, cj = ii[color], jj[color]
+            arms = []
+            for name, (di, dj) in ARMS.items():
+                nbr = (ci + di) * ncols + (cj + dj)
+                arms.append((np.where(stencil.nbr_inside[name][ci, cj], nbr, sentinel),
+                             stencil.coeffs[name][ci, cj]))
+            phi = obstacle[ci, cj] if obstacle is not None else None
+            self._tables.append((ci * ncols + cj, arms, stencil.diag[ci, cj], phi))
+
+    def sweep(self, omega: float) -> float:
+        """One red-black sweep; returns the largest absolute update."""
+        work = self._work
+        biggest = 0.0
+        for idx, arms, diag, phi in self._tables:
+            s = np.zeros(idx.size)
+            for nbr, coeff in arms:
+                s += work[nbr] * coeff
+            old = work[idx]
+            new = (1.0 - omega) * old + omega * (s / diag)
+            if phi is not None:
+                new = np.maximum(phi, new)
+            biggest = max(biggest, float(np.max(np.abs(new - old), initial=0.0)))
+            work[idx] = new
+        return biggest
+
+    def store(self, values: np.ndarray) -> None:
+        """Write the relaxed nodes back into ``values``."""
+        values.flat[self._flat] = self._work[self._flat]
 
 
 # Values become Python objects CSV_BLOCK at a time per column and are formatted

@@ -6,11 +6,13 @@ of the whole radial profile in the scale coordinate) and a projected-SOR
 solve of the discrete obstacle complementarity system on a disc-masked grid.
 
 They share the numerical primitives of ``lsmlab.grids`` with the envelope
-module: the upper concave hull and the cut-cell disc stencil.  What stays
-independent is the algorithm: one global hull with a far-left anchor here
-against one pinned hull per non-contact run at each refinement level there,
-and one projected-SOR solve of the whole disc here against relaxation per
-non-contact component at each level there.
+module: the upper concave hull, the cut-cell disc stencil and the red-black
+SOR kernel.  What stays independent is the algorithm: one global hull with a
+far-left anchor here against one pinned hull per non-contact run at each
+refinement level there, and one projected-SOR solve of the whole disc, stopped
+on the complementarity residual, here against relaxation per non-contact
+component at each level there.  A test-only primal-dual active-set solve
+guards the shared SOR kernel.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ import numpy as np
 
 from .envelope import GridField, cartesian_field
 from .gain import GainField
-from .grids import (ARMS, DiscStencil, cartesian_grid, disc_stencil, scale_coordinate,
-                    upper_concave_hull, write_csv)
+from .grids import (ARMS, DiscStencil, RedBlackSOR, cartesian_grid, disc_stencil,
+                    scale_coordinate, upper_concave_hull, write_csv)
+
+MAX_SWEEPS = 300_000   # PSOR sweep budget
+CHECK_EVERY = 50       # sweeps between complementarity residual checks
 
 
 class OracleError(ValueError):
@@ -124,13 +129,13 @@ def neg_laplacian(u: np.ndarray, stencil: DiscStencil, spacing: float) -> np.nda
 
 
 def psor_obstacle_solve(gain: GainField, n: int = 257, omega: float = 1.7,
-                        tol: float = 1e-8, max_iter: int = 300_000,
-                        check_every: int = 50) -> GridField:
+                        tol: float = 1e-8) -> GridField:
     """Solve min(-lap u, u - g) = 0 on the disc with u = 0 at the unit circle.
 
-    Red-black projected SOR on a Shortley-Weller cut-cell stencil; nodes
-    outside the disc are Dirichlet zero.  Stops when the complementarity
-    residual max |min(-lap u, u - g)| falls below tol.
+    Red-black projected SOR (``grids.RedBlackSOR``) on the whole disc from
+    max(g, 0); nodes outside the disc are Dirichlet zero.  Every CHECK_EVERY
+    sweeps, stops once the complementarity residual max |min(-lap u, u - g)|
+    falls below tol; raises with the final residual after MAX_SWEEPS sweeps.
     """
     if gain.dim != 2:
         raise OracleError("the obstacle solver works on d = 2 grids")
@@ -138,58 +143,29 @@ def psor_obstacle_solve(gain: GainField, n: int = 257, omega: float = 1.7,
         raise OracleError("relaxation factor must lie in (0, 2)")
     coords, spacing = cartesian_grid(n)
     stencil = disc_stencil(coords, spacing)
-    inside = stencil.inside
-    phi = gain(coords.reshape(-1, 2)).reshape(n, n)
-    phi = np.where(inside, phi, 0.0)
+    phi = np.where(stencil.inside, gain(coords.reshape(-1, 2)).reshape(n, n), 0.0)
     u = np.maximum(phi, 0.0)
-    u[~inside] = 0.0
-
-    ii, jj = np.nonzero(inside)
-    colors = [(ii[(ii + jj) % 2 == 0], jj[(ii + jj) % 2 == 0]),
-              (ii[(ii + jj) % 2 == 1], jj[(ii + jj) % 2 == 1])]
-    pre = []
-    for ci, cj in colors:
-        pre.append({
-            "ci": ci, "cj": cj,
-            "ae": stencil.coeffs["E"][ci, cj], "aw": stencil.coeffs["W"][ci, cj],
-            "an": stencil.coeffs["N"][ci, cj], "as": stencil.coeffs["S"][ci, cj],
-            "ne": stencil.nbr_inside["E"][ci, cj], "nw": stencil.nbr_inside["W"][ci, cj],
-            "nn": stencil.nbr_inside["N"][ci, cj], "ns": stencil.nbr_inside["S"][ci, cj],
-            "diag": stencil.diag[ci, cj], "phi": phi[ci, cj],
-            "ci_e": np.minimum(ci + 1, n - 1), "ci_w": np.maximum(ci - 1, 0),
-            "cj_n": np.minimum(cj + 1, n - 1), "cj_s": np.maximum(cj - 1, 0),
-        })
-
-    residual = np.inf
-    for sweep in range(max_iter):
-        for c in pre:
-            s = (np.where(c["ne"], u[c["ci_e"], c["cj"]], 0.0) * c["ae"]
-                 + np.where(c["nw"], u[c["ci_w"], c["cj"]], 0.0) * c["aw"]
-                 + np.where(c["nn"], u[c["ci"], c["cj_n"]], 0.0) * c["an"]
-                 + np.where(c["ns"], u[c["ci"], c["cj_s"]], 0.0) * c["as"])
-            gs = s / c["diag"]
-            new = np.maximum(c["phi"], (1.0 - omega) * u[c["ci"], c["cj"]] + omega * gs)
-            u[c["ci"], c["cj"]] = new
-        if (sweep + 1) % check_every == 0:
-            neg_lap = neg_laplacian(u, stencil, spacing)
-            comp = np.minimum(neg_lap, u - phi)
-            residual = float(np.max(np.abs(comp[inside])))
-            if residual < tol:
-                break
-    else:
-        raise OracleConvergenceError("projected SOR hit the iteration limit", residual)
-
-    fld = cartesian_field(n, u, tag="psor-oracle")
-    return fld
+    sor = RedBlackSOR(u, stencil.inside, stencil, phi)
+    for sweep in range(1, MAX_SWEEPS + 1):
+        sor.sweep(omega)
+        if sweep % CHECK_EVERY == 0:
+            sor.store(u)
+            if _residual(u, phi, stencil, spacing) < tol:
+                return cartesian_field(n, u, tag="psor-oracle")
+    sor.store(u)
+    raise OracleConvergenceError("projected SOR hit the iteration limit",
+                                 _residual(u, phi, stencil, spacing))
 
 
 def complementarity_residual(fld: GridField, gain: GainField) -> float:
     """Max over nodes of |min(-lap u, u - g)| for a solver-output field."""
     coords, spacing = fld.coords, fld.spacing
-    stencil = disc_stencil(coords, spacing)
     phi = gain(coords.reshape(-1, 2)).reshape(fld.values.shape)
-    neg_lap = neg_laplacian(fld.values, stencil, spacing)
-    comp = np.minimum(neg_lap, fld.values - phi)
+    return _residual(fld.values, phi, disc_stencil(coords, spacing), spacing)
+
+
+def _residual(u: np.ndarray, phi: np.ndarray, stencil: DiscStencil, spacing: float) -> float:
+    comp = np.minimum(neg_laplacian(u, stencil, spacing), u - phi)
     return float(np.max(np.abs(comp[stencil.inside])))
 
 

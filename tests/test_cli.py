@@ -187,6 +187,16 @@ class TestExitCodeTable:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "paths"]) == 3
         assert "shrink width" in capsys.readouterr().err
 
+    def test_component_too_thin_for_the_shrink_width_is_incomplete(self, tmp_path, capsys):
+        # At 33^2 the default shrink of 6 spacings is wider than half the
+        # component's inradius, so there is no smooth inner domain to build on.
+        payload = dict(CART33, paths={"probe": [0.05, 0.0], "n_paths": 0})
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "paths"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("incomplete:")
+        assert "shrink width" in err and "inradius" in err
+
 
 class TestConfigKeys:
     @pytest.mark.parametrize("block, key", [(None, "dims"), ("grid", "node"),
@@ -204,14 +214,28 @@ class TestConfigKeys:
     @pytest.mark.parametrize("command, block, key, value", [
         ("envelope", "gain", "epsilon", "wide"), ("envelope", "grid", "nodes", "many"),
         ("envelope", "envelope", "tol", None), ("paths", "paths", "probe", [0.3]),
-        ("paths", "paths", "scheme", "euler"), ("oracle", "oracle", "psor_omega", 2.5)])
+        ("paths", "paths", "scheme", "euler"), ("oracle", "oracle", "psor_omega", 2.5),
+        ("envelope", "envelope", "omega", 0.0), ("envelope", "envelope", "omega", 2.0)])
     def test_bad_value_exits_two(self, command, block, key, value, tmp_path, capsys):
         payload = json.loads(json.dumps(FAST_SPIKED))
         payload["oracle"]["psor"] = True
         payload[block][key] = value
         cfg = write_cfg(tmp_path, payload)
-        assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), command]) == 2
         assert key in capsys.readouterr().err
+        # Rejected before any solve: not even the radial oracle's table is written.
+        assert not any(out.iterdir())
+
+    def test_bad_paths_value_exits_two_before_the_refinement(self, monkeypatch, tmp_path,
+                                                              capsys):
+        def refine(*args, **kwargs):
+            raise AssertionError("the refinement ran before the paths block was checked")
+        monkeypatch.setattr(cli, "iterate_envelopes", refine)
+        payload = dict(FAST_SPIKED, paths=dict(FAST_SPIKED["paths"], n_paths=-1))
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "paths"]) == 2
+        assert "n_paths" in capsys.readouterr().err
 
     def test_presets_and_readme_example_are_accepted(self):
         for preset in ("spiked-ball", "annulus-gain", "cap-gain"):

@@ -1,15 +1,21 @@
 """Ground-truth solvers: concave majorant in the scale coordinate and PSOR."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import highest_chords
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 import lsmlab as L
+from lsmlab import oracle
+from lsmlab.cli import main
 from lsmlab.gain import spiked_gain, mollify
-from lsmlab.grids import disc_stencil, upper_concave_hull
-from lsmlab.oracle import (OracleError, complementarity_residual, cross_validate,
-                           radial_value_oracle)
+from lsmlab.grids import ARMS, cartesian_grid, disc_stencil, upper_concave_hull
+from lsmlab.oracle import (OracleConvergenceError, OracleError, complementarity_residual,
+                           cross_validate, psor_obstacle_solve, radial_value_oracle)
 
 
 class TestConcaveHull:
@@ -137,6 +143,72 @@ class TestPsor:
         inside = cap_psor.inside
         assert np.all(cap_psor.values[inside] >= 0.0)
         assert cap_psor.values[~inside].max() == 0.0
+
+
+def pdas_obstacle_solve(gain, n: int, max_steps: int = 50) -> np.ndarray:
+    """Primal-dual active-set solve of min(A u, u - g) = 0 on the disc's inside nodes.
+
+    A is the cut-cell -Laplacian (times spacing**2) assembled as a sparse
+    matrix; each step fixes u = g on the active set and solves the other rows
+    exactly (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002).  Shares only
+    the stencil coefficients with the red-black SOR kernel: a reference for it.
+    """
+    coords, spacing = cartesian_grid(n)
+    stencil = disc_stencil(coords, spacing)
+    ii, jj = np.nonzero(stencil.inside)
+    m = ii.size
+    index = np.full((n, n), -1)
+    index[ii, jj] = np.arange(m)
+    rows, cols, vals = [np.arange(m)], [np.arange(m)], [stencil.diag[ii, jj]]
+    for name, (di, dj) in ARMS.items():
+        arm = np.nonzero(stencil.nbr_inside[name][ii, jj])[0]
+        rows.append(arm)
+        cols.append(index[ii[arm] + di, jj[arm] + dj])
+        vals.append(-stencil.coeffs[name][ii[arm], jj[arm]])
+    a = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(m, m))
+    phi = gain(coords[ii, jj])
+    u, lam = np.zeros(m), np.zeros(m)
+    active = None
+    for _ in range(max_steps):
+        new_active = lam + (phi - u) > 0.0
+        if active is not None and np.array_equal(new_active, active):
+            break
+        active, free = new_active, ~new_active
+        u = np.where(active, phi, 0.0)
+        u[free] = spsolve(a[free][:, free].tocsc(), -(a[free][:, active] @ phi[active]))
+        lam = a @ u
+    else:
+        raise AssertionError("the active set did not settle")
+    out = np.zeros((n, n))
+    out[ii, jj] = u
+    return out
+
+
+class TestPdasReference:
+    """The red-black SOR kernel, shared by the refinement and the PSOR oracle,
+    against an independent sparse direct complementarity solve."""
+
+    @pytest.mark.parametrize("n", [33, 49, 65])
+    @pytest.mark.parametrize("gain", [
+        L.radial_bump_gain(0.3, 0.15), L.offset_bump_gain((0.4, 0.0), 0.15),
+        L.offset_bump_gain((0.3, 0.1), 0.3)], ids=["annulus", "cap", "offset-wide"])
+    def test_psor_matches_active_set_solve(self, gain, n):
+        expect = pdas_obstacle_solve(gain, n)
+        got = psor_obstacle_solve(gain, n=n, omega=1.9).values
+        assert np.max(np.abs(got - expect)) <= 1e-10
+
+    def test_sweep_budget_raises_with_residual(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
+        with pytest.raises(OracleConvergenceError) as err:
+            psor_obstacle_solve(L.radial_bump_gain(0.3, 0.15), n=33, omega=1.9)
+        assert np.isfinite(err.value.residual) and err.value.residual > 0.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "gain": {"kind": "radial-bump", "center_radius": 0.3, "width": 0.15},
+            "grid": {"kind": "cartesian", "nodes": 33},
+            "oracle": {"psor": True, "psor_omega": 1.9}}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "oracle"]) == 5
 
 
 class TestCrossValidate:
