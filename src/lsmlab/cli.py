@@ -4,6 +4,10 @@ Subcommands: envelope, balayage, paths, oracle, reproduce spiked-ball,
 selftest.  All outputs are CSV/JSON data files for external plotting; with a
 fixed config and seed the emitted files are byte-identical across runs.
 
+``parse_config`` reads a config once, into frozen specs whose fields are the
+accepted keys with their defaults; commands take the parsed ``Config``, so an
+unknown key or a bad value exits 2 before any solve.
+
 Exit codes: 0 ok, 2 config error, 3 incomplete, 4 structural error,
 5 non-convergence; ``EXIT_TABLE`` maps exception classes to them.
 """
@@ -14,6 +18,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -22,26 +27,21 @@ import numpy as np
 from .envelope import (ConvergenceError, EnvelopeError, NoWitnessError, balayage_step,
                        build_branched_witness, gain_on_grid, iterate_envelopes,
                        unbranched_envelope)
-from .gain import GainError, GainField, gain_from_config
+from .gain import ConfigError, GainError, GainField, config_number, config_point, gain_from_config
 from .geometry import GridRegion, save_mask_csv
 from .grids import radial_grid, write_csv
 from .harmonic import NonTerminationError
 from .majorant import MajorantError, dump_tree_json, matching_error
 from .oracle import (OracleConvergenceError, cross_validate, psor_obstacle_solve,
                      radial_value_oracle)
-from .pathsim import (PathConfig, PathError, StructuralError, run_algorithm1,
-                      run_algorithm1_batch, trace_to_csv)
+from .pathsim import (PathConfig, StructuralError, run_algorithm1, run_algorithm1_batch,
+                      trace_to_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INCOMPLETE = 3
 EXIT_STRUCTURAL = 4
 EXIT_NONCONVERGED = 5
-
-
-class ConfigError(ValueError):
-    pass
-
 
 # Exception classes to exit codes, most specific first: ConvergenceError and
 # NoWitnessError are EnvelopeErrors, which otherwise count as structural.
@@ -54,15 +54,69 @@ EXIT_TABLE = (
     ((ConfigError, GainError), EXIT_CONFIG, "config error"),
 )
 
-# Accepted keys of the top level and of each block; the gain block is checked
-# by ``gain_from_config``.
-CONFIG_KEYS = {
-    "grid": {"kind", "nodes", "r_min"},
-    "envelope": {"max_iter", "tol", "contact_tol", "omega"},
-    "paths": {"dt", "n_paths", "seed", "scheme", "sample_traces", "probe"},
-    "oracle": {"radial", "psor", "psor_omega", "psor_tol"},
-}
-TOP_LEVEL_KEYS = {"gain", "dim", *CONFIG_KEYS}
+# Nodes of a grid of each kind when grid.nodes is absent or set for the other kind.
+NODES = {"radial": 2048, "cartesian": 257}
+
+
+def _key(default, rng):
+    """A spec field: its default and range (an interval, the accepted values, or prose)."""
+    return field(default=default, metadata={"range": rng})
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    kind: str = _key("radial", ("radial", "cartesian"))
+    nodes: int | None = _key(None, "[3, inf)")
+    r_min: float = _key(1e-3, "(0, 1)")
+
+    def nodes_of(self, kind: str) -> int:
+        return self.nodes if kind == self.kind and self.nodes is not None else NODES[kind]
+
+    def radii(self) -> np.ndarray:
+        return radial_grid(self.nodes_of("radial"), self.r_min)
+
+
+@dataclass(frozen=True)
+class EnvelopeSpec:
+    """The keyword arguments of ``iterate_envelopes``."""
+    max_iter: int = _key(32, "[0, inf)")
+    tol: float = _key(1e-9, "(0, inf)")
+    contact_tol: float = _key(1e-9, "[0, inf)")
+    omega: float = _key(1.9, "(0, 2)")
+
+
+@dataclass(frozen=True)
+class PathsSpec:
+    n_paths: int = _key(10_000, "[0, inf)")
+    seed: int = _key(0, "[0, inf)")
+    sample_traces: int = _key(2, "[0, inf)")
+    probe: tuple | None = _key(None, "closed unit ball")  # None: 0.3 on the first axis
+    # Walk-on-spheres jumps are the only scheme and have no time step; the
+    # presets and benchmark configs carry both keys, so they are checked, not read.
+    scheme: str = _key("wos-jump", ("wos-jump",))
+    dt: float = _key(1e-4, "(0, inf)")
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    radial: bool = _key(False, (True, False))
+    psor: bool = _key(False, (True, False))
+    psor_omega: float = _key(1.7, "(0, 2)")
+    psor_tol: float = _key(1e-8, "(0, inf)")
+
+
+BLOCKS = {"grid": GridSpec, "envelope": EnvelopeSpec, "paths": PathsSpec, "oracle": OracleSpec}
+
+
+@dataclass(frozen=True)
+class Config:
+    gain: GainField
+    gain_kind: str
+    gain_block: dict  # as written, for summary.json
+    grid: GridSpec
+    envelope: EnvelopeSpec
+    paths: PathsSpec  # its seed is the --seed override, if given
+    oracle: OracleSpec
 
 
 def load_config(name_or_path: str) -> dict:
@@ -79,66 +133,48 @@ def load_config(name_or_path: str) -> dict:
     raise ConfigError(f"config {name_or_path!r} is neither a file nor a known preset")
 
 
-def check_config(cfg) -> None:
-    """Reject a config that is not an object, or that has an unknown key or block."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("a config must be a JSON object")
-    for key in cfg:
-        if key not in TOP_LEVEL_KEYS:
+def _read(spec, key: str, value, name: str):
+    """A value of a spec's key, checked against the key's type and range."""
+    f = next((f for f in fields(spec) if f.name == key), None)
+    if f is None:
+        raise ConfigError(f"unknown key {key!r} in the {name.partition('.')[0]} block")
+    rng = f.metadata["range"]
+    if f.type == "tuple | None":
+        return config_point(value, name)
+    if isinstance(rng, tuple):  # the accepted values of a bool or str key
+        if not (isinstance(value, type(f.default)) and value in rng):
+            raise ConfigError(f"{name} must be one of {', '.join(map(json.dumps, rng))}, "
+                              f"got {value!r}")
+        return value
+    return config_number(value, name, rng, integral=f.type in ("int", "int | None"))
+
+
+def parse_config(raw, seed: int | None = None) -> Config:
+    """The typed config: unknown keys rejected, each value read by its key's type and
+    range, then the gain built and ``dim`` and the probe checked against it.
+    ``seed``, if given, overrides ``paths.seed``."""
+    if not (isinstance(raw, dict)
+            and all(isinstance(raw.get(block, {}), dict) for block in ("gain", *BLOCKS))):
+        raise ConfigError("a config and each of its blocks must be a JSON object")
+    for key in raw:
+        if key not in {"gain", "dim", *BLOCKS}:
             raise ConfigError(f"unknown top-level key {key!r}")
-    for block in ("gain", *CONFIG_KEYS):
-        if not isinstance(cfg.get(block, {}), dict):
-            raise ConfigError(f"the {block} block must be a JSON object")
-    for block, keys in CONFIG_KEYS.items():
-        for key in cfg.get(block, {}):
-            if key not in keys:
-                raise ConfigError(f"unknown key {key!r} in the {block} block")
-
-
-def _number(cfg: dict, block: str, key: str, default, cast=float):
-    """cfg[block][key] converted by cast, or the default when absent."""
-    value = cfg.get(block, {}).get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{block}.{key} must be a number, got {value!r}") from None
-
-
-def _omega(cfg: dict, block: str, key: str, default: float) -> float:
-    """A relaxation factor cfg[block][key], which must lie in (0, 2)."""
-    omega = _number(cfg, block, key, default)
-    if not 0.0 < omega < 2.0:
-        raise ConfigError(f"{block}.{key} must lie in (0, 2), got {omega}")
-    return omega
-
-
-def _radial_grid(nodes: int, r_min: float) -> np.ndarray:
-    try:
-        return radial_grid(nodes, r_min)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
-
-
-def _grid_from_config(cfg: dict):
-    kind = cfg.get("grid", {}).get("kind", "radial")
-    if kind == "radial":
-        return _radial_grid(_number(cfg, "grid", "nodes", 2048, int),
-                            _number(cfg, "grid", "r_min", 1e-3))
-    if kind == "cartesian":
-        nodes = _number(cfg, "grid", "nodes", 257, int)
-        if nodes < 3:
-            raise ConfigError("grid: a cartesian grid needs at least 3 nodes per side")
-        return nodes
-    raise ConfigError(f"unknown grid kind {kind!r}")
-
-
-def _gain_from_config(cfg: dict) -> GainField:
-    """The config's gain; a top-level ``dim``, if given, must be the gain's."""
-    gain = gain_from_config(cfg.get("gain", {}))
-    if "dim" in cfg and cfg["dim"] != gain.dim:
-        raise ConfigError(f"top-level dim {cfg['dim']} disagrees with the gain's dim "
-                          f"{gain.dim}; set gain.dim instead")
-    return gain
+    specs = {block: spec(**{key: _read(spec, key, value, f"{block}.{key}")
+                            for key, value in raw.get(block, {}).items()})
+             for block, spec in BLOCKS.items()}
+    paths = specs.pop("paths")
+    if seed is not None:
+        paths = replace(paths, seed=_read(PathsSpec, "seed", seed, "--seed"))
+    gain_block = raw.get("gain", {})
+    gain = gain_from_config(gain_block)
+    if "dim" in raw and config_number(raw["dim"], "dim", integral=True) != gain.dim:
+        raise ConfigError(f"top-level dim {raw['dim']} disagrees with gain.dim {gain.dim}")
+    probe = (0.3,) + (0.0,) * (gain.dim - 1) if paths.probe is None else paths.probe
+    if len(probe) != gain.dim or not np.linalg.norm(probe) <= 1.0:
+        raise ConfigError(f"paths.probe must be a point of the closed unit ball of dimension "
+                          f"{gain.dim}, got {list(probe)!r}")
+    return Config(gain=gain, gain_kind=gain_block["kind"], gain_block=gain_block,
+                  paths=replace(paths, probe=probe), **specs)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -155,17 +191,14 @@ def _contact_csv(contact, fld, path: Path) -> None:
         save_mask_csv(GridRegion(mask=contact.contact_mask, spacing=fld.spacing), path)
 
 
-def _run_envelope(cfg: dict, gain: GainField):
-    grid = _grid_from_config(cfg)
-    settings = dict(max_iter=_number(cfg, "envelope", "max_iter", 32, int),
-                    tol=_number(cfg, "envelope", "tol", 1e-9),
-                    contact_tol=_number(cfg, "envelope", "contact_tol", 1e-9),
-                    omega=_omega(cfg, "envelope", "omega", 1.9))
-    return iterate_envelopes(gain, unbranched_envelope(gain, grid), **settings)
+def _run_envelope(cfg: Config):
+    grid = cfg.grid.radii() if cfg.grid.kind == "radial" else cfg.grid.nodes_of("cartesian")
+    return iterate_envelopes(cfg.gain, unbranched_envelope(cfg.gain, grid),
+                             **asdict(cfg.envelope))
 
 
-def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    seq = _run_envelope(cfg, _gain_from_config(cfg))
+def cmd_envelope(cfg: Config, out: Path, threads: int) -> int:
+    seq = _run_envelope(cfg)
     seq.run.field.to_csv(out / "w1.csv")
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
         fld.to_csv(out / f"env_level_{k:03d}.csv")
@@ -174,8 +207,8 @@ def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
         "converged": seq.converged,
         "levels": seq.summary,
         "class_lipschitz": seq.run.class_lipschitz,
-        "gain": cfg.get("gain", {}),
-        "seed": seed,
+        "gain": cfg.gain_block,
+        "seed": cfg.paths.seed,
     }
     _write_json(out / "summary.json", summary)
     if not seq.converged and len(seq.levels) > 1:
@@ -184,77 +217,62 @@ def cmd_envelope(cfg: dict, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_balayage(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain = _gain_from_config(cfg)
-    seq = _run_envelope(cfg, gain)
+def cmd_balayage(cfg: Config, out: Path, threads: int) -> int:
+    seq = _run_envelope(cfg)
     rows = []
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
-        bal = balayage_step(fld, contact, gain)
+        bal = balayage_step(fld, contact, cfg.gain)
         bal.to_csv(out / f"balayage_{k:03d}.csv")
         gap = fld.values - bal.values
         rows.append({"level": k, "max_gap": float(np.max(gap)),
                      "mean_gap": float(np.mean(gap))})
-    _write_json(out / "balayage_summary.json", {"levels": rows, "seed": seed})
+    _write_json(out / "balayage_summary.json", {"levels": rows, "seed": cfg.paths.seed})
     return EXIT_OK
 
 
-def cmd_oracle(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain = _gain_from_config(cfg)
-    ocfg = cfg.get("oracle", {})
-    want_radial, want_psor = ocfg.get("radial", False), ocfg.get("psor", False)
+def cmd_oracle(cfg: Config, out: Path, threads: int) -> int:
+    gain, want_radial, want_psor = cfg.gain, cfg.oracle.radial, cfg.oracle.psor
     if not (want_radial or want_psor):
         print("no oracle enabled in config", file=sys.stderr)
         return EXIT_INCOMPLETE
-    # Both oracles' settings are checked before either one runs.
+    # Both oracles' requirements are checked before either one runs.
+    if want_radial and not gain.radial:
+        print("radial oracle requested for a non-radial gain", file=sys.stderr)
+        return EXIT_CONFIG
+    if want_psor and gain.dim != 2:
+        raise ConfigError("the PSOR oracle needs gain.dim 2")
     if want_radial:
-        if not gain.radial:
-            print("radial oracle requested for a non-radial gain", file=sys.stderr)
-            return EXIT_CONFIG
-        if gain.dim not in (2, 3):
-            raise ConfigError("the radial oracle supports gain.dim 2 and 3")
-        if cfg.get("grid", {}).get("kind", "radial") == "radial":
-            radii = _grid_from_config(cfg)
-        else:
-            radii = _radial_grid(2048, _number(cfg, "grid", "r_min", 1e-3))
-    if want_psor:
-        if gain.dim != 2:
-            raise ConfigError("the PSOR oracle needs gain.dim 2")
-        n = _grid_from_config(cfg) if cfg.get("grid", {}).get("kind") == "cartesian" else 257
-        omega = _omega(cfg, "oracle", "psor_omega", 1.7)
-        tol = _number(cfg, "oracle", "psor_tol", 1e-8)
-    if want_radial:
-        radial_prof = radial_value_oracle(gain, gain.dim, radii)
+        radial_prof = radial_value_oracle(gain, gain.dim, cfg.grid.radii())
         radial_prof.to_csv(out / "oracle_radial.csv")
     if want_psor:
-        psor_fld = psor_obstacle_solve(gain, n=n, omega=omega, tol=tol)
+        psor_fld = psor_obstacle_solve(gain, n=cfg.grid.nodes_of("cartesian"),
+                                       omega=cfg.oracle.psor_omega, tol=cfg.oracle.psor_tol)
         psor_fld.to_csv(out / "oracle_psor.csv")
     if want_radial and want_psor:
         _write_json(out / "oracle_crosscheck.json", cross_validate(psor_fld, radial=radial_prof))
     return EXIT_OK
 
 
-def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain_cfg = cfg.get("gain", {})
-    if gain_cfg.get("kind") != "spiked":
+def cmd_reproduce_spiked_ball(cfg: Config, out: Path, threads: int) -> int:
+    if cfg.gain_kind != "spiked":
         print("the reproduce target needs the spiked radial preset", file=sys.stderr)
         return EXIT_CONFIG
-    if not cfg.get("oracle", {}).get("radial", False):
+    if not cfg.oracle.radial:
         _write_json(out / "verdict.json", {"verdict": "INCOMPLETE",
                                            "reason": "radial oracle disabled in config"})
         return EXIT_INCOMPLETE
-    gain = _gain_from_config(cfg)
-    seq = _run_envelope(cfg, gain)
+    gain = cfg.gain
+    seq = _run_envelope(cfg)
     fld = seq.run.field
     radii = fld.radii
     contact1 = seq.contacts[0]
     wbar1 = balayage_step(fld, contact1, gain)
     oracle_prof = radial_value_oracle(gain, gain.dim, radii)
-    gvals = gain_on_grid(gain, fld)
 
     write_csv(out / "cross_section.csv",
               "r in unit-ball lengths; gain, envelopes and value in payoff units",
               ["r", "g", "w1", "wbar1", "V"],
-              radii, gvals, fld.values, wbar1.values, oracle_prof.values)
+              radii, gain_on_grid(gain, fld), fld.values, wbar1.values, oracle_prof.values)
 
     # Gap between the unbranched envelope and its balayage on the spike's
     # annular component, and the Harnack-predicted non-contact annulus.
@@ -264,11 +282,8 @@ def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> 
     spike_edge = float(radii[spike_edge_idx[-1]]) if spike_edge_idx.size else float(radii[0])
     band = (radii > spike_edge) & (radii <= harnack_r)
     annulus_ok = bool(band.any() and np.all(contact1.noncontact_mask[band]))
-    comp_label = None
-    for i in np.nonzero(band)[0]:
-        if contact1.labels[i] > 0:
-            comp_label = int(contact1.labels[i])
-            break
+    band_labels = contact1.labels[band][contact1.labels[band] > 0]
+    comp_label = int(band_labels[0]) if band_labels.size else None
     margin = fld.values - wbar1.values
     if comp_label is not None:
         comp_nodes = contact1.labels == comp_label
@@ -276,8 +291,7 @@ def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> 
         max_margin = float(np.max(margin[comp_nodes]))
     else:
         frac, max_margin = 0.0, 0.0
-    limit = seq.levels[-1]
-    sup_err = float(np.max(np.abs(limit.values - oracle_prof.values)))
+    sup_err = float(np.max(np.abs(seq.levels[-1].values - oracle_prof.values)))
     gap_ok = frac >= 0.10
     oracle_ok = sup_err <= 1e-3 and seq.converged
     verdict = "PASS" if (annulus_ok and gap_ok and oracle_ok) else "FAIL"
@@ -293,7 +307,7 @@ def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> 
         "balayage_gap_max": max_margin,
         "limit_vs_oracle_sup": sup_err,
         "converged": seq.converged,
-        "seed": seed,
+        "seed": cfg.paths.seed,
     }
     _write_json(out / "verdict.json", payload)
     print(f"reproduce spiked-ball: {verdict} "
@@ -302,31 +316,10 @@ def cmd_reproduce_spiked_ball(cfg: dict, out: Path, seed: int, threads: int) -> 
                                               else EXIT_INCOMPLETE)
 
 
-def cmd_paths(cfg: dict, out: Path, seed: int, threads: int) -> int:
-    gain = _gain_from_config(cfg)
-    pcfg_block = cfg.get("paths", {})
-    n_paths = _number(cfg, "paths", "n_paths", 10_000, int)
-    if n_paths < 0:
-        raise ConfigError(f"paths.n_paths must be nonnegative, got {n_paths}")
-    raw_probe = pcfg_block.get("probe", [0.3, 0.0])
-    try:
-        probe = np.asarray(raw_probe, dtype=float)
-    except (TypeError, ValueError):
-        probe = None
-    if probe is None or probe.shape != (gain.dim,) or not np.linalg.norm(probe) <= 1.0:
-        raise ConfigError(f"paths.probe must be a point of the closed unit ball, "
-                          f"got {raw_probe!r}")
-    scheme = pcfg_block.get("scheme", "wos-jump")
-    if scheme != "wos-jump":
-        raise ConfigError(f"paths.scheme must be 'wos-jump' (the only scheme of the paths "
-                          f"command), got {scheme!r}")
-    try:
-        pcfg = PathConfig(dt=_number(cfg, "paths", "dt", 1e-4), seed=seed)
-    except PathError as exc:
-        raise ConfigError(f"paths: {exc}") from None
-    n_traces = _number(cfg, "paths", "sample_traces", 2, int)
-
-    seq = _run_envelope(cfg, gain)
+def cmd_paths(cfg: Config, out: Path, threads: int) -> int:
+    gain, n_paths, probe = cfg.gain, cfg.paths.n_paths, np.asarray(cfg.paths.probe)
+    pcfg = PathConfig(seed=cfg.paths.seed)
+    seq = _run_envelope(cfg)
     if not seq.converged:
         print("envelope run did not converge; paths need converged artifacts", file=sys.stderr)
         return EXIT_NONCONVERGED
@@ -335,7 +328,7 @@ def cmd_paths(cfg: dict, out: Path, seed: int, threads: int) -> int:
 
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
-    for k in range(n_traces):
+    for k in range(cfg.paths.sample_traces):
         rec = run_algorithm1(witness, probe, pcfg, path_index=k)
         trace_to_csv(rec, traces_dir / f"trace_{k:03d}.csv")
 
@@ -367,7 +360,7 @@ def cmd_paths(cfg: dict, out: Path, seed: int, threads: int) -> int:
         "bound": bound,
         "excessive": bool(mean <= bound + 3.0 * sem),
         "terminations": {t: terms.count(t) for t in sorted(set(terms))},
-        "seed": seed,
+        "seed": cfg.paths.seed,
     }
     _write_json(out / "excessivity.json", report)
     return EXIT_OK
@@ -437,12 +430,10 @@ def main(argv=None) -> int:
     commands = {"envelope": cmd_envelope, "balayage": cmd_balayage, "oracle": cmd_oracle,
                 "paths": cmd_paths, "reproduce": cmd_reproduce_spiked_ball}
     try:
-        cfg = load_config(args.config)
-        check_config(cfg)
-        seed = args.seed if args.seed is not None else _number(cfg, "paths", "seed", 0, int)
+        raw = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return commands[args.command](cfg, out, seed, args.threads)
+        return commands[args.command](parse_config(raw, args.seed), out, args.threads)
     except tuple(cls for classes, _, _ in EXIT_TABLE for cls in classes) as exc:
         code, label = next((code, label) for classes, code, label in EXIT_TABLE
                            if isinstance(exc, classes))

@@ -489,6 +489,7 @@ def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
     """(Projected) SOR on one component until the update is relatively tiny.
 
     ``values`` is updated in place; nodes off the component are Dirichlet data.
+    A non-finite update ends the loop at once with ``ConvergenceError``.
     """
     sor = RedBlackSOR(values, comp, stencil, obstacle)
     scale = float(np.max(np.abs(values))) + 1.0
@@ -497,6 +498,8 @@ def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
         if biggest < RELAX_TOL * scale:
             sor.store(values)
             return
+        if not np.isfinite(biggest):
+            raise ConvergenceError("component relaxation diverged", biggest)
     raise ConvergenceError("component relaxation hit the sweep limit", biggest)
 
 

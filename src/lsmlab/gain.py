@@ -8,6 +8,7 @@ truncation level, support gap, Lipschitz bound).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -18,6 +19,10 @@ from .grids import bilinear
 
 class GainError(ValueError):
     pass
+
+
+class ConfigError(ValueError):
+    """A config that is not a JSON object, has an unknown key or holds a bad value."""
 
 
 class DegenerateGainError(GainError):
@@ -327,6 +332,28 @@ GAIN_KEYS = {
 COMMON_GAIN_KEYS = {"kind", "gstar_margin", "mollify"}
 
 
+def config_number(value, name: str, rng: str = "(-inf, inf)", integral: bool = False):
+    """The one typed rule: a JSON number, not a bool, integral if asked, finite, in rng."""
+    lo, hi = (float(end) for end in rng[1:-1].split(","))
+    fits = (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value))
+            and (not integral or isinstance(value, int) or value.is_integer())
+            and (lo < value if rng[0] == "(" else lo <= value)
+            and (value < hi if rng[-1] == ")" else value <= hi))
+    if not fits:
+        raise ConfigError(f"{name} must be {'an integer' if integral else 'a number'} "
+                          f"in {rng}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def config_point(value, name: str, dim: int | None = None) -> tuple:
+    """A JSON list of numbers (``dim`` of them, if given), each read by ``config_number``."""
+    if not isinstance(value, (list, tuple)) or dim is not None and len(value) != dim:
+        count = "" if dim is None else f"{dim} "
+        raise ConfigError(f"{name} must be a list of {count}numbers, got {value!r}")
+    return tuple(config_number(v, name) for v in value)
+
+
 def gain_from_config(block: dict) -> GainField:
     """Build a gain from the run-config gain block; a key its kind does not read is an error."""
     kind = block.get("kind")
@@ -336,28 +363,24 @@ def gain_from_config(block: dict) -> GainField:
         if key not in COMMON_GAIN_KEYS and key not in GAIN_KEYS[kind]:
             raise GainError(f"unknown key {key!r} in the gain block (kind {kind!r})")
 
-    def number(key: str, default=None, cast=float):
-        """block[key] converted by cast; required when there is no default."""
+    def value(key: str, default=None, read=config_number, **rule):
+        """block[key] read by the typed rule; required when there is no default."""
         if default is None and key not in block:
             raise GainError(f"gain kind {kind!r} needs the key {key!r}")
-        value = block.get(key, default)
-        try:
-            return cast(value)
-        except (TypeError, ValueError):
-            raise GainError(f"gain.{key} has a bad value {value!r}") from None
+        return read(block.get(key, default), f"gain.{key}", **rule)
 
-    margin = number("gstar_margin", 0.25)
+    margin = value("gstar_margin", 0.25)
+    dim = dict(default=2, rng="[2, 3]", integral=True)
     if kind == "spiked":
-        g = spiked_gain(number("epsilon"), dim=number("dim", 2, int), gstar_margin=margin)
+        g = spiked_gain(value("epsilon"), dim=value("dim", **dim), gstar_margin=margin)
     elif kind == "radial-bump":
-        g = radial_bump_gain(number("center_radius"), number("width"),
-                             height=number("height", 1.0), dim=number("dim", 2, int),
+        g = radial_bump_gain(value("center_radius"), value("width"),
+                             height=value("height", 1.0), dim=value("dim", **dim),
                              gstar_margin=margin)
     else:
-        g = offset_bump_gain(number("center", cast=lambda v: np.asarray(v, float).reshape(2)),
-                             number("radius"),
-                             height=number("height", 1.0), gstar_margin=margin)
-    width = number("mollify", 0.0)
+        g = offset_bump_gain(value("center", read=config_point, dim=2), value("radius"),
+                             height=value("height", 1.0), gstar_margin=margin)
+    width = value("mollify", 0.0, rng="[0, inf)")
     if width > 0.0:
         g = mollify(g, width)
     return g

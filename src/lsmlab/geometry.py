@@ -19,7 +19,6 @@ positive outside, in unit-ball length units.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -413,12 +412,6 @@ def smooth_inner_approximation(region: GridRegion | Ball | Annulus, delta: float
     return shrunk
 
 
-def connected_components(region: GridRegion) -> tuple[np.ndarray, int]:
-    """4-neighbour flood-fill labels of the inside cells."""
-    labels, n = ndimage.label(region.mask, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
-    return labels, int(n)
-
-
 # ---------------------------------------------------------------------------
 # Rays and projections
 # ---------------------------------------------------------------------------
@@ -591,17 +584,3 @@ def save_mask_csv(region: GridRegion, path) -> None:
     nx, ny = region.mask.shape
     write_csv(path, None, [2, nx, ny, f"{region.spacing:.12g}"], *region.mask.astype(int).T)
 
-
-def load_mask_csv(path) -> GridRegion:
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d, nx, ny = int(header[0]), int(header[1]), int(header[2])
-        spacing = float(header[3])
-        if d != 2:
-            raise GeometryError("mask CSV supports d = 2 only")
-        rows = [list(map(int, row)) for row in reader if row]
-    mask = np.asarray(rows, dtype=bool)
-    if mask.shape != (nx, ny):
-        raise GeometryError(f"mask CSV shape {mask.shape} does not match header ({nx}, {ny})")
-    return GridRegion(mask=mask, spacing=spacing)

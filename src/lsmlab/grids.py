@@ -177,7 +177,7 @@ class RedBlackSOR:
             self._tables.append((ci * ncols + cj, arms, stencil.diag[ci, cj], phi))
 
     def sweep(self, omega: float) -> float:
-        """One red-black sweep; returns the largest absolute update."""
+        """One red-black sweep; returns the largest absolute update, NaN if any update is."""
         work = self._work
         biggest = 0.0
         for idx, arms, diag, phi in self._tables:
@@ -188,7 +188,7 @@ class RedBlackSOR:
             new = (1.0 - omega) * old + omega * (s / diag)
             if phi is not None:
                 new = np.maximum(phi, new)
-            biggest = max(biggest, float(np.max(np.abs(new - old), initial=0.0)))
+            biggest = float(np.max(np.abs(new - old), initial=biggest))
             work[idx] = new
         return biggest
 

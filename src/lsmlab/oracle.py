@@ -135,7 +135,8 @@ def psor_obstacle_solve(gain: GainField, n: int = 257, omega: float = 1.7,
     Red-black projected SOR (``grids.RedBlackSOR``) on the whole disc from
     max(g, 0); nodes outside the disc are Dirichlet zero.  Every CHECK_EVERY
     sweeps, stops once the complementarity residual max |min(-lap u, u - g)|
-    falls below tol; raises with the final residual after MAX_SWEEPS sweeps.
+    falls below tol; raises with the final residual after MAX_SWEEPS sweeps, or
+    at the first check whose residual is not finite.
     """
     if gain.dim != 2:
         raise OracleError("the obstacle solver works on d = 2 grids")
@@ -150,8 +151,11 @@ def psor_obstacle_solve(gain: GainField, n: int = 257, omega: float = 1.7,
         sor.sweep(omega)
         if sweep % CHECK_EVERY == 0:
             sor.store(u)
-            if _residual(u, phi, stencil, spacing) < tol:
+            residual = _residual(u, phi, stencil, spacing)
+            if residual < tol:
                 return cartesian_field(n, u, tag="psor-oracle")
+            if not np.isfinite(residual):
+                raise OracleConvergenceError("projected SOR diverged", residual)
     sor.store(u)
     raise OracleConvergenceError("projected SOR hit the iteration limit",
                                  _residual(u, phi, stencil, spacing))

@@ -8,6 +8,7 @@ import pytest
 
 import lsmlab as L
 from lsmlab.envelope import iterate_envelopes, unbranched_envelope
+from lsmlab.grids import RedBlackSOR
 from lsmlab.oracle import psor_obstacle_solve, radial_value_oracle
 
 
@@ -72,6 +73,20 @@ def cap_cart_seq(cap_gain):
 @pytest.fixture(scope="session")
 def cap_psor(cap_gain):
     return psor_obstacle_solve(cap_gain, n=257, omega=1.9)
+
+
+@pytest.fixture
+def nan_sweeps(monkeypatch):
+    """Make every red-black SOR sweep start from a NaN iterate; yields the sweep count."""
+    calls = []
+    sweep = RedBlackSOR.sweep
+
+    def poisoned(self, omega):
+        calls.append(omega)
+        self._work[:-1] = np.nan
+        return sweep(self, omega)
+    monkeypatch.setattr(RedBlackSOR, "sweep", poisoned)
+    return calls
 
 
 def highest_chords(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

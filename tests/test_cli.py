@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, reproducibility, file formats."""
 
 import csv
+import dataclasses
 import importlib.util
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from lsmlab import cli
-from lsmlab.cli import ConfigError, check_config, load_config, main
+from lsmlab.cli import ConfigError, load_config, main, parse_config
 from lsmlab.envelope import ConvergenceError, EnvelopeError, NoWitnessError
 from lsmlab.gain import GainError, gain_from_config
 from lsmlab.harmonic import NonTerminationError
@@ -215,16 +216,30 @@ class TestConfigKeys:
         ("envelope", "gain", "epsilon", "wide"), ("envelope", "grid", "nodes", "many"),
         ("envelope", "envelope", "tol", None), ("paths", "paths", "probe", [0.3]),
         ("paths", "paths", "scheme", "euler"), ("oracle", "oracle", "psor_omega", 2.5),
-        ("envelope", "envelope", "omega", 0.0), ("envelope", "envelope", "omega", 2.0)])
+        ("envelope", "envelope", "omega", 0.0), ("envelope", "envelope", "omega", 2.0),
+        # Values of the wrong JSON type, non-integral, non-finite or out of range.
+        ("oracle", "oracle", "radial", "false"), ("envelope", "grid", "nodes", 512.5),
+        ("envelope", "envelope", "max_iter", True), ("envelope", "envelope", "tol", float("nan")),
+        ("envelope", "envelope", "contact_tol", -1), ("paths", "paths", "seed", -1),
+        ("paths", "paths", "sample_traces", -1), ("envelope", "gain", "dim", True)])
     def test_bad_value_exits_two(self, command, block, key, value, tmp_path, capsys):
         payload = json.loads(json.dumps(FAST_SPIKED))
         payload["oracle"]["psor"] = True
+        # Without a top-level dim, a bad gain.dim must be caught by its own check.
+        del payload["dim"]
         payload[block][key] = value
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "o"
         assert main(["--config", cfg, "--out", str(out), command]) == 2
         assert key in capsys.readouterr().err
         # Rejected before any solve: not even the radial oracle's table is written.
+        assert not any(out.iterdir())
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FAST_SPIKED)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--seed", "-1", "paths"]) == 2
+        assert "--seed" in capsys.readouterr().err
         assert not any(out.iterdir())
 
     def test_bad_paths_value_exits_two_before_the_refinement(self, monkeypatch, tmp_path,
@@ -239,10 +254,10 @@ class TestConfigKeys:
 
     def test_presets_and_readme_example_are_accepted(self):
         for preset in ("spiked-ball", "annulus-gain", "cap-gain"):
-            check_config(load_config(preset))
+            parse_config(load_config(preset))
         readme = (REPO / "README.md").read_text()
         example = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S).group(1)
-        check_config(json.loads(example))
+        parse_config(json.loads(example))
 
     @pytest.mark.parametrize("gain, key", [
         ({"kind": "spiked", "epsilon": 0.05, "molify": 0.01}, "molify"),
@@ -275,7 +290,19 @@ class TestConfigKeys:
         workloads = load_workloads()
         for name in workloads.WORKLOADS:
             for case in workloads.cases(name, seed=1):
-                check_config(case["config"])
+                parse_config(case["config"])
+
+    def test_readme_table_lists_every_key_of_the_schema(self):
+        readme = (REPO / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|(.*)\|$", readme, re.M)
+        documented = {(block, key): rest for block, key, rest in rows}
+        schema = {(block, f.name): f.metadata["range"]
+                  for block, spec in cli.BLOCKS.items() for f in dataclasses.fields(spec)}
+        assert set(documented) == set(schema)
+        # Interval ranges are quoted as the schema writes them.
+        for block_key, rng in schema.items():
+            if isinstance(rng, str) and rng[0] in "([":
+                assert f"`{rng}`" in documented[block_key], block_key
 
 
 class TestThreads:

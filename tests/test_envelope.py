@@ -287,6 +287,14 @@ class TestCartesianKernel:
             "grid": {"kind": "cartesian", "nodes": 33}}))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "envelope"]) == 5
 
+    def test_non_finite_update_raises_at_once(self, nan_sweeps):
+        gain = L.radial_bump_gain(0.3, 0.15)
+        w = unbranched_envelope(gain, 33).field
+        with pytest.raises(ConvergenceError) as err:
+            envelope_step(w, contact_set(w, gain), gain)
+        assert np.isnan(err.value.residual)
+        assert len(nan_sweeps) == 1
+
 
 class TestWitness:
     def test_level0_shape_and_value(self, spiked_seq):

@@ -4,12 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from lsmlab.geometry import (Annulus, Ball, Cap, DegenerateApproximationError, FullBall,
                              GeometryError, GridRegion, Intersection, boundary_samples,
-                             connected_components, hausdorff_distance, load_mask_csv,
-                             project_to_boundary_batch, rasterize, ray_exit, save_mask_csv,
-                             signed_distance, smooth_inner_approximation)
+                             hausdorff_distance, project_to_boundary_batch, rasterize,
+                             ray_exit, save_mask_csv, signed_distance,
+                             smooth_inner_approximation)
 from lsmlab.grids import cartesian_grid
 
 
@@ -148,9 +149,8 @@ class TestSmoothInnerApproximation:
         if isinstance(out, GridRegion):
             # Complement flood fill: an annulus splits the rest of the square
             # into the hole and the outside, so two non-region components.
-            inv = GridRegion(mask=~out.mask & rasterize(FullBall(2), n=out.mask.shape[0]).mask,
-                             spacing=out.spacing)
-            _, n = connected_components(inv)
+            inv = ~out.mask & rasterize(FullBall(2), n=out.mask.shape[0]).mask
+            _, n = ndimage.label(inv, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
             assert n == 2
         else:
             assert isinstance(out, Annulus)
@@ -221,8 +221,8 @@ class TestMaskSerialisation:
         region = rasterize(Annulus((0.0, 0.0), 0.2, 0.6), n=128)
         path = tmp_path / "mask.csv"
         save_mask_csv(region, path)
-        back = load_mask_csv(path)
-        assert back.spacing == pytest.approx(region.spacing)
-        assert np.array_equal(back.mask, region.mask)
         header = path.read_text().splitlines()[0]
+        mask = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int).astype(bool)
+        assert float(header.split(",")[3]) == pytest.approx(region.spacing)
+        assert np.array_equal(mask, region.mask)
         assert header.startswith("2,128,128,")

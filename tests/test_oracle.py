@@ -210,6 +210,12 @@ class TestPdasReference:
             "oracle": {"psor": True, "psor_omega": 1.9}}))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "oracle"]) == 5
 
+    def test_non_finite_iterate_raises_within_one_check(self, nan_sweeps):
+        with pytest.raises(OracleConvergenceError) as err:
+            psor_obstacle_solve(L.radial_bump_gain(0.3, 0.15), n=33, omega=1.9)
+        assert np.isnan(err.value.residual)
+        assert len(nan_sweeps) == oracle.CHECK_EVERY
+
 
 class TestCrossValidate:
     def test_identical_inputs_zero(self, annulus_psor):
