@@ -347,7 +347,7 @@ def cmd_paths(cfg: Config, out: Path, threads: int) -> int:
     terms = [t for p in parts for t in p[1]]
     payoffs = gain(finals)
     mean = float(np.mean(payoffs))
-    sem = float(np.std(payoffs, ddof=1) / np.sqrt(n_paths))
+    sem = float(np.std(payoffs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     delta, norm = matching_error(witness)
     bound = float(witness.value(probe)) + max(norm, witness.error_bound)
     report = {

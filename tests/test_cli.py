@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
 
@@ -333,6 +334,16 @@ class TestPathsCommand:
         assert main(["--config", cfg, "--out", str(out), "paths"]) == 0
         report = json.loads((out / "excessivity.json").read_text())
         assert report["runs"] == 0
+
+    def test_one_path_reports_a_finite_std_error(self, tmp_path):
+        # The sample standard deviation of one payoff is NaN, which JSON cannot hold.
+        payload = dict(FAST_SPIKED, paths=dict(FAST_SPIKED["paths"], n_paths=1))
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "paths"]) == 0
+        report = json.loads((out / "excessivity.json").read_text())
+        assert report["runs"] == 1
+        assert math.isfinite(report["std_error"])
 
 
 class TestCsvFormat:

@@ -1,11 +1,13 @@
 """Gain fields: spiked family, mollification, derived constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lsmlab.gain import (DegenerateGainError, GainError, gain_from_config,
-                         mollify, offset_bump_gain, outer_running_max, radial_bump_gain,
-                         spiked_gain)
+from lsmlab.gain import (MOLLIFY_BLOCK, DegenerateGainError, GainError, _bump_kernel,
+                         gain_from_config, mollify, offset_bump_gain, outer_running_max,
+                         radial_bump_gain, spiked_gain)
 
 
 class TestSpiked:
@@ -46,7 +48,51 @@ def _mollify_oracle_at_origin(eps, width):
     return float((vals * weights).sum() / weights.sum())
 
 
+def _mollify_full_arrays(g, width, profile_points, r):
+    """The radial quadrature on whole (profile_points, 32, 64) arrays, evaluated at r."""
+    new_support = g.support_radius + width
+    r_nodes = np.linspace(0.0, min(new_support * 1.01, 1.0), profile_points)
+    s_x, s_w = np.polynomial.legendre.leggauss(32)
+    s = 0.5 * width * (s_x + 1.0)
+    s_w = 0.5 * width * s_w
+    t_x, t_w = np.polynomial.legendre.leggauss(64)
+    theta = 0.5 * np.pi * (t_x + 1.0)
+    t_w = 0.5 * np.pi * t_w
+    psi = _bump_kernel(s, width)
+    if g.dim == 2:
+        radial_weight, ang_weight = psi * s * s_w, 2.0 * t_w
+    else:
+        radial_weight, ang_weight = psi * s * s * s_w, np.sin(theta) * t_w
+    rr = r_nodes[:, None, None]
+    ss = s[None, :, None]
+    tt = theta[None, None, :]
+    dist = np.sqrt(np.maximum(rr * rr + ss * ss - 2.0 * rr * ss * np.cos(tt), 0.0))
+    gv = g.profile(dist.ravel()).reshape(dist.shape)
+    weights = radial_weight[None, :, None] * ang_weight[None, None, :]
+    values = np.clip((gv * weights).sum(axis=(1, 2)) / float(weights.sum()), 0.0, None)
+    return np.where(r >= new_support, 0.0, np.interp(r, r_nodes, values))
+
+
 class TestMollify:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("points", [2 * MOLLIFY_BLOCK, 1000, 3])
+    def test_blocks_match_the_full_array_quadrature(self, dim, points):
+        g = spiked_gain(0.05, dim=dim)
+        r = np.linspace(0.0, 0.6, 4001)
+        expected = _mollify_full_arrays(g, 0.01, points, r)
+        assert np.array_equal(mollify(g, 0.01, profile_points=points).profile(r), expected)
+
+    def test_quadrature_memory_does_not_grow_with_the_profile(self):
+        # Whole (4096, 32, 64) float arrays take 64 MiB each; the blocks stay far below one.
+        g = spiked_gain(0.05)
+        tracemalloc.start()
+        try:
+            mollify(g, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
     def test_zero_region_stays_zero(self):
         g = mollify(spiked_gain(0.05), 0.01)
         r = np.linspace(0.52, 0.95, 200)
