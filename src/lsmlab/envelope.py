@@ -29,9 +29,9 @@ from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
                        signed_distance, smooth_inner_approximation)
 from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid, disc_stencil,
                     scale_coordinate, upper_concave_hull, write_csv)
-from .majorant import (BranchedMajorant, HarmonicPatch, annulus_patch,
-                       annulus_to_boundary_patch, branched, cap_patch, constant_patch, leaf,
-                       matching_error)
+from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
+                       annulus_to_boundary_patch, branched, cap_patch, constant_patch,
+                       identity_frames, leaf, matching_error)
 
 CONTACT_TOL = 1e-9
 RELAX_TOL = 1e-11
@@ -210,49 +210,57 @@ class EnvelopeRun:
     annulus_inner: Optional[float]
     class_lipschitz: float
 
-    def best_patch(self, x) -> HarmonicPatch:
-        """Dictionary patch achieving the envelope at (the node nearest) x.
+    @property
+    def rotated_caps(self) -> bool:
+        """Whether caps turn to pass through each query direction (radial runs)."""
+        return self.zstar_by_dir is None
 
-        Memoised per node so repeated queries share patch objects (the path
-        machinery batches walks by patch identity).
+    def best_patches(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Family code and parameter key of the dictionary patch at each point.
+
+        The patch is the one achieving the envelope at the node nearest the
+        point; a radial distance halfway between two nodes takes the lower
+        one.  The parameter is the cap direction index on a Cartesian run and
+        0 otherwise, so ``(family, parameter)`` names one ``key_patch``.
         """
-        gain = self.gain
-        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.field.kind == "radial":
-            r = float(np.linalg.norm(x)) if x.ndim else float(x)
-            i = int(np.argmin(np.abs(self.field.radii - r)))
+            radii = self.field.radii
+            r = np.linalg.norm(pts, axis=1)
+            hi = np.clip(np.searchsorted(radii, r), 1, len(radii) - 1)
+            lower = np.abs(radii[hi - 1] - r) <= np.abs(radii[hi] - r)
+            node = (np.where(lower, hi - 1, hi),)
         else:
-            sp = self.field.spacing
+            n = self.field.values.shape[0]
             lo = self.field.coords[0, 0]
-            i = (int(round((x[0] - lo[0]) / sp)), int(round((x[1] - lo[1]) / sp)))
-        fam = int(self.family[i])
-        if fam == FAMILY_CAP and self.zstar_by_dir is None:
-            # Radial caps are rotated to pass through the query direction.
-            direction = x / np.linalg.norm(x)
-            key = (fam, round(float(np.arctan2(*direction[:2][::-1])), 9))
-        else:
-            key = (fam, int(self.index[i]) if np.ndim(self.index[i]) == 0 else i)
-        cache = self.__dict__.setdefault("_patch_cache", {})
-        if key in cache:
-            return cache[key]
-        if fam == FAMILY_CONSTANT:
-            patch = constant_patch(gain.max_gain, gain.gstar, dim=gain.dim)
-        elif fam == FAMILY_CAP:
-            direction = x / np.linalg.norm(x)
-            z = self.zstar
-            if self.zstar_by_dir is not None:
-                k = int(self.index[i])
-                direction = self.directions[k]
-                z = float(self.zstar_by_dir[k])
-            patch = cap_patch(direction, z, gain.gstar)
-        elif fam == FAMILY_ANNULUS:
-            patch = annulus_to_boundary_patch(self.annulus_inner, gain.gstar, dim=gain.dim)
-        else:
-            raise EnvelopeError(f"unknown family code {fam}")
-        cache[key] = patch
-        if len(cache) > 4096:
-            cache.pop(next(iter(cache)))
-        return patch
+            idx = np.clip(np.rint((pts - lo) / self.field.spacing), 0, n - 1).astype(int)
+            node = (idx[:, 0], idx[:, 1])
+        family = self.family[node]
+        param = np.where((family == FAMILY_CAP) & (not self.rotated_caps), self.index[node], 0)
+        return family, param
+
+    def key_patch(self, family: int, param: int) -> HarmonicPatch:
+        """The dictionary patch of one ``best_patches`` key; a radial cap is
+        the one through e1."""
+        gain = self.gain
+        if family == FAMILY_CONSTANT:
+            return constant_patch(gain.max_gain, gain.gstar, dim=gain.dim)
+        if family == FAMILY_CAP:
+            if self.rotated_caps:
+                return cap_patch(np.eye(gain.dim)[0], self.zstar, gain.gstar)
+            return cap_patch(self.directions[param], float(self.zstar_by_dir[param]), gain.gstar)
+        if family == FAMILY_ANNULUS:
+            return annulus_to_boundary_patch(self.annulus_inner, gain.gstar, dim=gain.dim)
+        raise EnvelopeError(f"unknown family code {family}")
+
+    def best_patch(self, x) -> HarmonicPatch:
+        """Dictionary patch achieving the envelope at (the node nearest) x; a
+        radial cap is turned to pass through the direction of x."""
+        x = np.asarray(x, dtype=float)
+        family, param = self.best_patches(x)
+        if family[0] == FAMILY_CAP and self.rotated_caps:
+            return cap_patch(x / np.linalg.norm(x), self.zstar, self.gain.gstar)
+        return self.key_patch(int(family[0]), int(param[0]))
 
 
 def unbranched_envelope(gain: GainField, grid) -> EnvelopeRun:
@@ -584,14 +592,29 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
         raise EnvelopeError("witness construction needs the dictionary run")
     x = np.asarray(x, dtype=float)
 
-    leaf_cache: dict[int, BranchedMajorant] = {}
+    leaves: dict[tuple[int, int], BranchedMajorant] = {}
+
+    def key_leaf(key: tuple[int, int]) -> BranchedMajorant:
+        if key not in leaves:
+            leaves[key] = leaf(run.key_patch(*key))
+        return leaves[key]
+
+    def batch(pts: np.ndarray):
+        family, param = run.best_patches(pts)
+        keys = list(zip(family.tolist(), param.tolist()))
+        frames = identity_frames(*pts.shape)
+        if run.rotated_caps:
+            cap = family == FAMILY_CAP
+            frames[cap] = pts[cap] / np.linalg.norm(pts[cap], axis=1, keepdims=True)
+        return keys, {key: key_leaf(key) for key in set(keys)}, frames
 
     def query(u: np.ndarray) -> BranchedMajorant:
-        patch = run.best_patch(u)
-        key = id(patch)
-        if key not in leaf_cache:
-            leaf_cache[key] = leaf(patch)
-        return leaf_cache[key]
+        family, param = run.best_patches(u)
+        if family[0] == FAMILY_CAP and run.rotated_caps:
+            return leaf(run.best_patch(u))
+        return key_leaf((int(family[0]), int(param[0])))
+
+    extension = ExtensionMap(query=query, batch=batch)
 
     if fld.kind == "radial":
         r = float(np.linalg.norm(x))
@@ -613,12 +636,11 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
         base = annulus_patch(inner, outer, va, vb, gain.gstar, dim=gain.dim,
                              label=f"witness-annulus[{inner:.4g},{outer:.4g}]")
         sel = (fld.radii > inner) & (fld.radii < outer)
-        base_profile = np.atleast_1d(base.value(
-            np.stack([fld.radii[sel], np.zeros(sel.sum())], axis=1)))
+        base_profile = np.atleast_1d(base.value(np.outer(fld.radii[sel], np.eye(gain.dim)[0])))
         value_gap = float(np.max(np.abs(base_profile - nxt.values[sel]))) if sel.any() else 0.0
-        err = (matching_error(branched(base, query, depth=2, error_bound=0.0))[0] + value_gap
+        err = (matching_error(branched(base, extension, depth=2, error_bound=0.0))[0] + value_gap
                + run.class_lipschitz * shrink)
-        return branched(base, query, depth=max(2, level + 2), error_bound=err)
+        return branched(base, extension, depth=max(2, level + 2), error_bound=err)
 
     # Cartesian: smooth inner approximation of the component mask.
     i = _nearest_node(fld, x)
@@ -655,9 +677,9 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
         if np.isfinite(bv):
             gaps.append(abs(bv - float(nxt.values[pi, pj])))
     value_gap = max(gaps) if gaps else 0.0
-    err = (matching_error(branched(base, query, depth=2, error_bound=0.0))[0] + value_gap
+    err = (matching_error(branched(base, extension, depth=2, error_bound=0.0))[0] + value_gap
            + run.class_lipschitz * shrink)
-    return branched(base, query, depth=max(2, level + 2), error_bound=err)
+    return branched(base, extension, depth=max(2, level + 2), error_bound=err)
 
 
 def _nearest_node(fld: GridField, x: np.ndarray) -> tuple[int, int]:

@@ -236,14 +236,55 @@ def grid_patch(region: GridRegion, data: BoundaryData, gstar: float,
 # Branched majorants
 # ---------------------------------------------------------------------------
 
+Successors = tuple[list, dict, np.ndarray]
+
+
 @dataclass(frozen=True)
 class ExtensionMap:
-    """Lazy map from interior-boundary points to successor majorants."""
+    """Lazy map from interior-boundary points to successor majorants.
+
+    ``successors(points)`` is the batch call: ``(keys, nodes, frames)`` with a
+    hashable key per point, the node of each key, and per point a unit vector
+    v.  The successor at point p is ``nodes[key]`` seen through the
+    Householder reflection H_v that swaps v and e1 (``reflect``): its value
+    at p is the node's value at H_v p.  v = e1 is the identity, and only
+    leaves may carry another frame.  Maps without a ``batch`` callable loop
+    over ``query``, keyed on the returned objects.
+    """
 
     query: Callable[[np.ndarray], "BranchedMajorant"]
+    batch: Optional[Callable[[np.ndarray], Successors]] = None
 
     def __call__(self, u: np.ndarray) -> "BranchedMajorant":
         return self.query(np.asarray(u, dtype=float))
+
+    def successors(self, points: np.ndarray) -> Successors:
+        points = np.asarray(points, dtype=float)
+        if self.batch is not None:
+            return self.batch(points)
+        keys = [self.query(p) for p in points]
+        return keys, {node: node for node in keys}, identity_frames(*points.shape)
+
+
+def identity_frames(n: int, d: int) -> np.ndarray:
+    """n copies of e1, the frame of an unreflected successor."""
+    return np.tile(np.eye(d)[0], (n, 1))
+
+
+def reflect(points: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """H_v p for each row: the reflection that swaps the unit vector v and e1.
+
+    Exactly the identity where v = e1.  The normal v - e1 takes its first
+    component as -|v_perp|^2 / (1 + v_1) when v_1 > 0, so directions near e1
+    keep full precision.
+    """
+    v = np.asarray(frames, dtype=float)
+    w = v.copy()
+    w[:, 0] = np.where(v[:, 0] > 0.0, -np.sum(v[:, 1:] ** 2, axis=1) / (1.0 + np.abs(v[:, 0])),
+                       v[:, 0] - 1.0)
+    norm = np.linalg.norm(w, axis=1, keepdims=True)
+    w = np.divide(w, norm, out=np.zeros_like(w), where=norm > 0.0)
+    return points - 2.0 * np.sum(points * w, axis=1, keepdims=True) * w
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +313,11 @@ def leaf(patch: HarmonicPatch) -> BranchedMajorant:
     return BranchedMajorant(base=patch, extension=None, depth=1, error_bound=0.0)
 
 
-def branched(patch: HarmonicPatch, query: Callable[[np.ndarray], BranchedMajorant],
+def branched(patch: HarmonicPatch,
+             query: ExtensionMap | Callable[[np.ndarray], BranchedMajorant],
              depth: int, error_bound: float) -> BranchedMajorant:
-    return BranchedMajorant(base=patch, extension=ExtensionMap(query=query),
-                            depth=depth, error_bound=error_bound)
+    ext = query if isinstance(query, ExtensionMap) else ExtensionMap(query=query)
+    return BranchedMajorant(base=patch, extension=ext, depth=depth, error_bound=error_bound)
 
 
 def interior_boundary_samples(h: BranchedMajorant, count: int) -> np.ndarray:
@@ -304,19 +346,20 @@ def matching_error(h: BranchedMajorant, samples_per_level: int = 64) -> tuple[fl
 
     Exactly (0, 0) for depth-1 majorants.
     """
-    memo: dict[int, tuple[float, float]] = {}
+    # Keyed on the nodes themselves: the memo keeps each one alive, so no
+    # later node can take over a freed node's entry.
+    memo: dict[BranchedMajorant, tuple[float, float]] = {}
 
     def rec(node: BranchedMajorant, count: int) -> tuple[float, float]:
-        key = id(node)
-        if key in memo:
-            return memo[key]
+        if node in memo:
+            return memo[node]
         if node.extension is None:
-            memo[key] = (0.0, 0.0)
-            return memo[key]
+            memo[node] = (0.0, 0.0)
+            return memo[node]
         pts = interior_boundary_samples(node, count)
         if pts.shape[0] == 0:
-            memo[key] = (0.0, 0.0)
-            return memo[key]
+            memo[node] = (0.0, 0.0)
+            return memo[node]
         delta = 0.0
         worst_child = 0.0
         for p in pts:
@@ -326,8 +369,8 @@ def matching_error(h: BranchedMajorant, samples_per_level: int = 64) -> tuple[fl
                 raise ContiguityError(f"extension at {p} does not contain its query point")
             delta = max(delta, abs(float(node.base.boundary_value(p)) - float(cv)))
             worst_child = max(worst_child, rec(child, max(count // 2, 8))[1])
-        memo[key] = (delta, delta + worst_child)
-        return memo[key]
+        memo[node] = (delta, delta + worst_child)
+        return memo[node]
 
     return rec(h, samples_per_level)
 
@@ -410,14 +453,13 @@ def continuous_regularisation(h: BranchedMajorant, gain: GainField | None = None
         ok, worst = majorises_gain(h, gain, probes=min(samples, 256))
         if not ok:
             raise MajorantError(f"regularisation requires h >= gain (worst gap {worst:.3g})")
-    memo: dict[int, BranchedMajorant] = {}
+    memo: dict[BranchedMajorant, BranchedMajorant] = {}   # keyed on nodes, as in matching_error
 
     def rec(node: BranchedMajorant) -> BranchedMajorant:
-        key = id(node)
-        if key in memo:
-            return memo[key]
+        if node in memo:
+            return memo[node]
         if node.extension is None:
-            memo[key] = node
+            memo[node] = node
             return node
         pts = interior_boundary_samples(node, samples)
         old_ext = node.extension
@@ -440,7 +482,7 @@ def continuous_regularisation(h: BranchedMajorant, gain: GainField | None = None
 
         out = BranchedMajorant(base=new_base, extension=ExtensionMap(query=query),
                                depth=node.depth, error_bound=0.0)
-        memo[key] = out
+        memo[node] = out
         return out
 
     return rec(h)

@@ -7,8 +7,21 @@ time-step bias) unless the rule has a fixed-time deadline; those rules run
 crossing bias.  A rule that stops at a first exit maps to a continuation
 domain, and an earlier-of rule to the ``geometry.Intersection`` of its rules'
 domains; both schemes ask ``geometry.signed_distance`` of that domain whether
-a path has stopped.  Pathwise extension runs record their WoS hops as
-``PathRecord``s, which ``trace_to_csv`` writes out.
+a path has stopped.
+
+Pathwise extension runs have one engine, ``_extend``, which works in rounds.
+Each round walks every group of paths that holds the same successor key in
+one ``wos_exit_batch`` call, and then hands the paths on in one
+``ExtensionMap.successors`` call per group.  Group g of round k draws from
+the stream ``(seed, 92, stream_key, k, g)`` (``run_algorithm1_batch``) or
+``(seed, 91, path_index, k, g)`` (``run_algorithm1``), with groups in order of
+their first path index, so the bytes do not depend on how batches are spread
+over threads.  A radial cap through direction v is the cap through e1 seen
+through the Householder reflection H_v, so all such caps form one group: the
+walks run from H_v p on the e1 cap, whose data at the exit is the turned
+cap's data at the reflected-back exit.  ``run_algorithm1`` is the engine at
+one path with its hops recorded as a ``PathRecord``, which ``trace_to_csv``
+writes out.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from .gain import GainField
 from .geometry import Annulus, Ball, Domain, GridRegion, Intersection, signed_distance
 from .grids import write_csv
 from .harmonic import WosConfig, wos_exit_batch
-from .majorant import BranchedMajorant
+from .majorant import BranchedMajorant, identity_frames, reflect
 
 BATCH = 4096
 
@@ -154,102 +167,111 @@ def _fixed_deadline(rule) -> Optional[float]:
 # Pathwise extension over branched majorants
 # ---------------------------------------------------------------------------
 
+TERMINATIONS = ("hit_boundary", "hit_gstar", "exhausted")
+HIT_BOUNDARY, HIT_GSTAR, EXHAUSTED = range(3)
+MAX_ROUNDS = 256
+
+
 def run_algorithm1(h: BranchedMajorant, x, cfg: PathConfig,
                    path_index: int = 0) -> PathRecord:
     """Cover one sample path with patches until a terminal boundary is hit.
 
-    Starting in the base domain, each exit through an interior boundary point
-    activates the successor supplied by the extension map; exits at the
-    truncation level or on the unit sphere terminate.
+    The batch engine at one path, drawing from the ``(seed, 91, path_index)``
+    streams, with each hop's exit point and patch recorded.
     """
     x = np.asarray(x, dtype=float)
-    gen = rngmod.stream(cfg.seed, 91, path_index)
-    gstar = h.base.gstar
-    current = h
-    pos = x.copy()
-    if float(signed_distance(current.base.domain, pos)) >= 0.0:
-        raise PathError("start point must lie in the base patch domain")
-    trace = [(current.base.label, 0.0, pos.copy())]
-    points = [pos.copy()]
-    times = [0.0]
-    wos = WosConfig(shell=cfg.shell, max_steps=100_000, walks=1, seed=cfg.seed)
-    hops = 0.0
-    for _ in range(256):
-        exit_pt = wos_exit_batch(current.base.domain, pos, wos, n=1, generator=gen)[0]
-        hops += 1.0
-        points.append(exit_pt.copy())
-        times.append(hops)
-        value = float(current.base.boundary_value(exit_pt))
-        on_sphere = float(np.linalg.norm(exit_pt)) >= 1.0 - max(cfg.shell, 1e-9)
-        if on_sphere:
-            trace.append((current.base.label, hops, exit_pt.copy()))
-            return PathRecord(times=np.array(times), points=np.array(points), absorbed=True,
-                              patch_trace=trace, termination="hit_boundary")
-        if value >= gstar * (1.0 - 1e-9):
-            trace.append((current.base.label, hops, exit_pt.copy()))
-            return PathRecord(times=np.array(times), points=np.array(points), absorbed=False,
-                              patch_trace=trace, termination="hit_gstar")
-        if current.extension is None:
-            trace.append((current.base.label, hops, exit_pt.copy()))
-            return PathRecord(times=np.array(times), points=np.array(points), absorbed=False,
-                              patch_trace=trace, termination="exhausted")
-        nxt = current.extension(exit_pt)
-        if float(signed_distance(nxt.base.domain, exit_pt)) >= 0.0:
-            raise StructuralError(
-                f"extension at {exit_pt} returned a patch not containing the point")
-        trace.append((nxt.base.label, hops, exit_pt.copy()))
-        current = nxt
-        pos = exit_pt
-    return PathRecord(times=np.array(times), points=np.array(points), absorbed=False,
-                      patch_trace=trace, termination="exhausted")
+    hops: list[tuple[str, np.ndarray]] = []
+    _, causes = _extend(h, x, 1, cfg, (91, path_index), hops)
+    termination = TERMINATIONS[causes[0]]
+    trace = [(h.base.label, 0.0, x.copy())]
+    trace += [(label, float(k), pt) for k, (label, pt) in enumerate(hops, start=1)]
+    return PathRecord(times=np.arange(len(hops) + 1, dtype=float),
+                      points=np.array([x] + [pt for _, pt in hops]),
+                      absorbed=termination == "hit_boundary", patch_trace=trace,
+                      termination=termination)
 
 
 def run_algorithm1_batch(h: BranchedMajorant, x, n_paths: int, cfg: PathConfig,
                          stream_key: int = 0) -> tuple[np.ndarray, list]:
     """Final points and termination causes for many pathwise extension runs."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
+    finals, causes = _extend(h, np.asarray(x, dtype=float), n_paths, cfg, (92, stream_key))
+    return finals, [TERMINATIONS[c] for c in causes.tolist()]
+
+
+def walk_exits(node: BranchedMajorant, pts: np.ndarray, frames: np.ndarray, wos: WosConfig,
+               generator: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Walk-on-spheres exits of node's patch, each seen through its frame.
+
+    Every walk runs in one ``wos_exit_batch`` call on the node's own domain,
+    from the reflected start H_v p; the exits are reflected back, and the
+    boundary values are the node's data at the reflected exits.
+    """
+    exits = wos_exit_batch(node.base.domain, reflect(pts, frames), wos, generator=generator)
+    values = np.atleast_1d(node.base.boundary_value(exits))
+    return reflect(exits, frames), values
+
+
+def _extend(h: BranchedMajorant, x: np.ndarray, n_paths: int, cfg: PathConfig,
+            stream: tuple[int, int], hops: Optional[list] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Final points and termination codes of n_paths extension runs from x.
+
+    Each round walks every group of paths that hold the same successor key,
+    groups ordered by their first path index; group g of round k draws from
+    ``(seed, *stream, k, g)``.  ``hops``, when given, receives one path's
+    ``(patch label, exit point)`` per hop.
+    """
+    if float(signed_distance(h.base.domain, x)) >= 0.0:
+        raise PathError("start point must lie in the base patch domain")
     gstar = h.base.gstar
-    finals = np.empty((n_paths, d))
-    terms: list[str] = ["exhausted"] * n_paths
-    pos = np.tile(x, (n_paths, 1))
-    holders: dict[int, tuple[BranchedMajorant, list[int]]] = {id(h): (h, list(range(n_paths)))}
+    sphere = 1.0 - max(cfg.shell, 1e-9)
     wos = WosConfig(shell=cfg.shell, max_steps=100_000, walks=1, seed=cfg.seed)
-    for round_idx in range(256):
-        if not holders:
+    pos = np.tile(x, (n_paths, 1))
+    frames = identity_frames(n_paths, x.shape[0])
+    causes = np.full(n_paths, EXHAUSTED)
+    groups = [(h, np.arange(n_paths))]
+    for round_idx in range(MAX_ROUNDS):
+        if not groups:
             break
-        next_holders: dict[int, tuple[BranchedMajorant, list[int]]] = {}
-        for group_idx, (node, idx) in enumerate(holders.values()):
-            gen = rngmod.stream(cfg.seed, 92, stream_key, round_idx, group_idx)
-            exits = wos_exit_batch(node.base.domain, pos[idx], wos, generator=gen)
-            vals = np.atleast_1d(node.base.boundary_value(exits))
-            on_sphere = np.linalg.norm(exits, axis=1) >= 1.0 - max(cfg.shell, 1e-9)
-            hit_cap = vals >= gstar * (1.0 - 1e-9)
-            for local, global_i in enumerate(idx):
-                p = exits[local]
-                if on_sphere[local]:
-                    finals[global_i] = p
-                    terms[global_i] = "hit_boundary"
-                elif hit_cap[local]:
-                    finals[global_i] = p
-                    terms[global_i] = "hit_gstar"
-                elif node.extension is None:
-                    finals[global_i] = p
-                    terms[global_i] = "exhausted"
-                else:
-                    nxt = node.extension(p)
-                    if float(signed_distance(nxt.base.domain, p)) >= 0.0:
-                        raise StructuralError(
-                            f"extension at {p} returned a patch not containing the point")
-                    pos[global_i] = p
-                    slot = next_holders.setdefault(id(nxt), (nxt, []))
-                    slot[1].append(global_i)
-        holders = next_holders
-    if holders:
-        for node, idx in holders.values():
-            for global_i in idx:
-                finals[global_i] = pos[global_i]
-    return finals, terms
+        handed: dict = {}
+        for group_idx, (node, idx) in enumerate(groups):
+            gen = rngmod.stream(cfg.seed, *stream, round_idx, group_idx)
+            exits, values = walk_exits(node, pos[idx], frames[idx], wos, gen)
+            pos[idx] = exits
+            on_sphere = np.linalg.norm(exits, axis=1) >= sphere
+            at_gstar = ~on_sphere & (values >= gstar * (1.0 - 1e-9))
+            causes[idx[on_sphere]] = HIT_BOUNDARY
+            causes[idx[at_gstar]] = HIT_GSTAR
+            going = ~(on_sphere | at_gstar)
+            if node.extension is None or not going.any():
+                if hops is not None:
+                    hops.append((node.base.label, exits[0].copy()))
+                continue
+            movers, starts = idx[going], exits[going]
+            if np.any(frames[movers, 1:] != 0.0):
+                raise StructuralError("a reflected successor cannot hand paths on")
+            keys, nodes, new_frames = node.extension.successors(starts)
+            frames[movers] = new_frames
+            for key, local in _by_key(keys):
+                nxt = nodes[key]
+                pts = starts[local]
+                outside = signed_distance(nxt.base.domain, reflect(pts, new_frames[local])) >= 0.0
+                if np.any(outside):
+                    raise StructuralError(f"extension at {pts[np.argmax(outside)]} returned a "
+                                          "patch not containing the point")
+                handed.setdefault(key, (nxt, []))[1].append(movers[local])
+                if hops is not None:
+                    hops.append((nxt.base.label, pts[0].copy()))
+        groups = sorted(((nxt, np.sort(np.concatenate(parts))) for nxt, parts in handed.values()),
+                        key=lambda group: group[1][0])
+    return pos, causes
+
+
+def _by_key(keys: list) -> list[tuple[object, np.ndarray]]:
+    """Positions of each distinct key, keys in order of first appearance."""
+    slots: dict = {}
+    for i, key in enumerate(keys):
+        slots.setdefault(key, []).append(i)
+    return [(key, np.array(where)) for key, where in slots.items()]
 
 
 # ---------------------------------------------------------------------------

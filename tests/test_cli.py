@@ -345,6 +345,19 @@ class TestPathsCommand:
         assert report["runs"] == 1
         assert math.isfinite(report["std_error"])
 
+    def test_three_dimensional_run(self, tmp_path):
+        # The witness's profile points and the turned caps take the gain's dimension.
+        payload = dict(FAST_SPIKED, dim=3, gain=dict(FAST_SPIKED["gain"], dim=3),
+                       paths=dict(FAST_SPIKED["paths"], probe=[0.5, 0.0, 0.0]))
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "paths"]) == 0
+        report = json.loads((out / "excessivity.json").read_text())
+        assert report["excessive"] is True
+        assert sum(report["terminations"].values()) == 400
+        trace = (out / "traces" / "trace_000.csv").read_text().splitlines()
+        assert trace[1] == "t,x,y,z,patch"
+
 
 class TestCsvFormat:
     @pytest.mark.parametrize("payload, commands", [

@@ -1,6 +1,7 @@
 """Envelope scan, contact sets, balayage, monotone refinement, witnesses."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lsmlab.envelope import (ContactSet, ConvergenceError, NoWitnessError, balay
                              unbranched_envelope)
 from lsmlab.gain import GainField
 from lsmlab.grids import disc_stencil
-from lsmlab.majorant import majorises_gain, matching_error
+from lsmlab.majorant import majorises_gain, matching_error, reflect
 from lsmlab.oracle import neg_laplacian
 
 
@@ -296,6 +297,65 @@ class TestCartesianKernel:
         assert len(nan_sweeps) == 1
 
 
+class TestBestPatches:
+    """``best_patches`` against a per-point nearest-node search and ``best_patch``."""
+
+    @staticmethod
+    def _agrees_with_best_patch(run, pts, family, param):
+        for p, fam, par in zip(pts, family.tolist(), param.tolist()):
+            patch, keyed = run.best_patch(p), run.key_patch(fam, par)
+            assert patch.label == keyed.label
+            if fam == envelope.FAMILY_CAP and run.rotated_caps:
+                assert np.allclose(patch.domain.direction, p / np.linalg.norm(p), atol=1e-15)
+                assert patch.domain.threshold == keyed.domain.threshold
+            else:
+                assert patch.domain == keyed.domain
+
+    def test_radial_nearest_node_ties_to_the_lower_one(self, spiked_run):
+        radii = spiked_run.field.radii
+        rng = np.random.default_rng(5)
+        mid = 0.5 * (radii[:-1] + radii[1:])
+        ties = np.abs(radii[:-1] - mid) == np.abs(radii[1:] - mid)
+        assert ties.sum() > 100
+        r = np.concatenate([mid, radii, rng.uniform(0.0, 1.0, 500), [0.0, 1.0]])
+        # Midpoints on the first axis keep their radius exact; the rest turn.
+        turn = rng.uniform(0.0, 2.0 * np.pi, r.size)
+        turn[:mid.size] = 0.0
+        pts = r[:, None] * np.stack([np.cos(turn), np.sin(turn)], axis=1)
+        nearest = np.array([np.argmin(np.abs(radii - q)) for q in np.linalg.norm(pts, axis=1)])
+        # Families that differ at every neighbour make the chosen node visible.
+        marked = replace(spiked_run, family=np.arange(radii.size) % 3)
+        family, param = marked.best_patches(pts)
+        assert np.array_equal(family, nearest % 3)
+        assert np.array_equal(family[:mid.size][ties], np.nonzero(ties)[0] % 3)
+        assert not param.any()
+        family, param = spiked_run.best_patches(pts)
+        assert np.array_equal(family, spiked_run.family[nearest])
+        assert set(family.tolist()) == {envelope.FAMILY_CONSTANT, envelope.FAMILY_CAP,
+                                        envelope.FAMILY_ANNULUS}
+        off_origin = r > 0.0
+        self._agrees_with_best_patch(spiked_run, pts[off_origin], family[off_origin],
+                                     param[off_origin])
+
+    def test_cartesian_nearest_node_and_direction(self, annulus_cart_seq):
+        run = annulus_cart_seq.run
+        fld = run.field
+        rng = np.random.default_rng(6)
+        nodes = fld.coords[fld.inside][::37]
+        halfway = nodes[:-1] + 0.5 * fld.spacing
+        pts = np.concatenate([nodes, halfway, rng.uniform(-0.7, 0.7, (400, 2))])
+        lo = fld.coords[0, 0]
+        ij = [(round((x - lo[0]) / fld.spacing), round((y - lo[1]) / fld.spacing))
+              for x, y in pts]
+        family, param = run.best_patches(pts)
+        assert family.tolist() == [int(run.family[i]) for i in ij]
+        caps = family == envelope.FAMILY_CAP
+        assert param[caps].tolist() == [int(run.index[i]) for i, cap in zip(ij, caps) if cap]
+        assert not param[~caps].any()
+        assert np.unique(param[caps]).size > 1
+        self._agrees_with_best_patch(run, pts, family, param)
+
+
 class TestWitness:
     def test_level0_shape_and_value(self, spiked_seq):
         x = np.array([0.3, 0.0])
@@ -306,6 +366,22 @@ class TestWitness:
         assert child.depth == 1
         target = spiked_seq.levels[1].interpolate(0.3)
         assert abs(float(w.value(x)) - target) <= w.error_bound
+
+    def test_batch_successors_match_the_scalar_query(self, spiked_seq):
+        w = build_branched_witness(spiked_seq, 0, np.array([0.3, 0.0]))
+        rng = np.random.default_rng(8)
+        turn = rng.uniform(0.0, 2.0 * np.pi, 64)
+        r = np.concatenate([rng.uniform(0.02, 0.1, 32), rng.uniform(0.6, 0.99, 32)])
+        pts = r[:, None] * np.stack([np.cos(turn), np.sin(turn)], axis=1)
+        keys, nodes, frames = w.extension.successors(pts)
+        assert len(nodes) == 3 and np.allclose(np.linalg.norm(frames, axis=1), 1.0)
+        for p, key, v in zip(pts, keys, frames):
+            child = w.extension(p)
+            assert child.base.label == nodes[key].base.label
+            assert nodes[key].base.value(reflect(p[None], v[None]))[0] == pytest.approx(
+                float(child.base.value(p)), abs=1e-12)
+        # One leaf per key: the map holds three successors, not one per query.
+        assert len({id(nodes[k]) for k in w.extension.successors(pts[::-1])[0]}) == 3
 
     def test_witness_majorises(self, spiked, spiked_seq):
         w = build_branched_witness(spiked_seq, 0, np.array([0.3, 0.0]))

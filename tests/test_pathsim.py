@@ -10,13 +10,13 @@ from scipy import stats
 import lsmlab as L
 from lsmlab.envelope import build_branched_witness
 from lsmlab.geometry import Annulus, Ball, signed_distance
-from lsmlab.majorant import annulus_patch, annulus_to_boundary_patch, branched, leaf, \
-    matching_error
+from lsmlab.majorant import annulus_patch, annulus_to_boundary_patch, branched, cap_patch, \
+    leaf, matching_error
 from lsmlab.harmonic import WosConfig, wos_exit_batch
 from lsmlab.pathsim import (ContactHit, EarlierOf, FirstExit, FixedTime, PathConfig,
                             PathError, PathRecord, StructuralError, continuation_domain,
                             euler_exits, payoff_estimate, optimality_test, run_algorithm1,
-                            run_algorithm1_batch, trace_to_csv)
+                            run_algorithm1_batch, trace_to_csv, walk_exits)
 
 GSTAR = 1.25
 
@@ -117,6 +117,37 @@ class TestAlgorithm1:
         with pytest.raises(StructuralError):
             for k in range(64):
                 run_algorithm1(tree, np.array([0.3, 0.0]), cfg, path_index=k)
+
+    def test_batch_start_outside_the_base_domain(self):
+        tree = leaf(annulus_patch(0.15, 0.6, 1.0, 0.35, GSTAR))
+        for x in ([0.1, 0.0], [0.7, 0.0]):
+            with pytest.raises(PathError):
+                run_algorithm1_batch(tree, np.array(x), 8, PathConfig(seed=1))
+            with pytest.raises(PathError):
+                run_algorithm1(tree, np.array(x), PathConfig(seed=1))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reflected_cap_exits_match_the_turned_cap(self, d):
+        # One walk on the cap through e1 serves caps through every direction v.
+        z, n = 0.5, 400
+        rng = np.random.default_rng(30 + d)
+        e1 = np.eye(d)[0]
+        canonical = leaf(cap_patch(e1, z, GSTAR))
+        v = rng.standard_normal((n, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v[0] = e1
+        threshold = canonical.base.domain.threshold
+        starts = rng.uniform(threshold + 0.01, 0.99, n)[:, None] * v
+        cfg = PathConfig(seed=2)
+        wos = WosConfig(shell=cfg.shell, max_steps=100_000, walks=1, seed=cfg.seed)
+        exits, values = walk_exits(canonical, starts, v, wos, np.random.default_rng(3))
+        for p, e, val, vi in zip(starts, exits, values, v):
+            turned = cap_patch(vi, z, GSTAR)
+            assert signed_distance(turned.domain, p) < 0.0
+            assert abs(signed_distance(turned.domain, e)) <= cfg.shell
+            assert abs(val - float(turned.boundary_value(e))) <= 1e-12
+        on_arc = np.abs(np.linalg.norm(exits, axis=1) - 1.0) <= 1e-12
+        assert 0 < on_arc.sum() < n
 
     def test_witness_excessivity(self, spiked, spiked_seq):
         x = np.array([0.3, 0.0])
