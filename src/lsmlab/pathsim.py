@@ -110,10 +110,11 @@ StoppingRule = Union[FirstExit, FixedTime, ContactHit, EarlierOf]
 
 
 def continuation_domain(rule, x: np.ndarray) -> Optional[Domain]:
-    """Domain whose exit realises the rule from x, or None for time-based rules.
+    """Domain whose exit stops the rule from x, or None for a time-only rule.
 
-    Returns None when the rule cannot be expressed as a first-exit; a domain
-    that does not contain x means the rule fires immediately.
+    An earlier-of with a time-only side keeps the other side's domain; its
+    deadline is ``_fixed_deadline``'s.  A domain that does not contain x
+    means the rule fires immediately.
     """
     if isinstance(rule, FirstExit):
         return rule.domain
@@ -122,8 +123,10 @@ def continuation_domain(rule, x: np.ndarray) -> Optional[Domain]:
     if isinstance(rule, EarlierOf):
         a = continuation_domain(rule.first, x)
         b = continuation_domain(rule.second, x)
-        if a is None or b is None:
-            return None
+        if a is None:
+            return b
+        if b is None:
+            return a
         return Intersection((a, b))
     return None
 
@@ -310,21 +313,21 @@ def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
     A path stops when it leaves the unit ball, at the sphere crossing of its
     last step; when the rule's domain stops it, at the crossing interpolated
     along its last step; at the rule's deadline; or at ``cfg.max_time``.  A
-    start on the unit sphere is absorbed where it is.
+    start on the unit sphere or outside the rule's domain stops where it is.
     """
     x = np.asarray(x, dtype=float)
     radius = float(np.linalg.norm(x))
     if radius > 1.0 + 1e-12:
         raise PathError("start point must lie in the closed unit ball")
     out = np.tile(x, (n_paths, 1))
-    if radius >= 1.0 - 1e-12:
+    dom = continuation_domain(rule, x)
+    if radius >= 1.0 - 1e-12 or dom is not None and signed_distance(dom, x) >= 0.0:
         return out
     d = x.shape[0]
     deadline = _fixed_deadline(rule)
     horizon = min(cfg.max_time, deadline if deadline is not None else cfg.max_time)
     n_steps = int(math.ceil(horizon / cfg.dt))
     sqdt = math.sqrt(cfg.dt)
-    dom = continuation_domain(rule, x)
     for b0 in range(0, n_paths, BATCH):
         b1 = min(b0 + BATCH, n_paths)
         m = b1 - b0
@@ -332,6 +335,8 @@ def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
         pos = np.tile(x, (m, 1))
         alive = np.ones(m, dtype=bool)
         final = out[b0:b1]
+        # Each live path's signed distance at pos, carried from its last step.
+        sd = signed_distance(dom, pos) if dom is not None else None
         for _ in range(n_steps):
             if not alive.any():
                 break
@@ -346,11 +351,13 @@ def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
                 alive[idx[crossed]] = False
             keep = ~crossed
             if dom is not None and keep.any():
-                prev_sd = signed_distance(dom, pos[idx[keep]])
+                kept = idx[keep]
+                prev_sd = sd[kept]
                 next_sd = signed_distance(dom, nxt[keep])
+                sd[kept] = next_sd
                 fired = next_sd >= 0.0
                 if fired.any():
-                    sel = idx[keep][fired]
+                    sel = kept[fired]
                     frac = np.where(next_sd[fired] > prev_sd[fired],
                                     prev_sd[fired] / (prev_sd[fired] - next_sd[fired]), 1.0)
                     frac = np.clip(frac, 0.0, 1.0)

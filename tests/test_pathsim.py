@@ -69,6 +69,16 @@ class TestSimulatePath:
         stops = euler_exits(np.array([0.8, 0.0]), FixedTime(50.0), 16, cfg)
         assert np.all(np.abs(np.linalg.norm(stops, axis=1) - 1.0) <= max(1e-4, np.sqrt(cfg.dt)))
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_earlier_of_a_deadline_keeps_the_domain(self, first):
+        ball, deadline = FirstExit(Ball((0.0, 0.0), 0.5)), FixedTime(1.0)
+        rule = EarlierOf(deadline, ball) if first else EarlierOf(ball, deadline)
+        stops = euler_exits(np.zeros(2), rule, 200, PathConfig(seed=0))
+        assert np.all(np.linalg.norm(stops, axis=1) <= 0.5 + 1e-9)
+        outside = np.array([0.7, 0.0])
+        assert np.array_equal(euler_exits(outside, rule, 8, PathConfig(seed=0)),
+                              np.tile(outside, (8, 1)))
+
 
 class TestAlgorithm1:
     def test_depth_one_terminates(self, spiked):
