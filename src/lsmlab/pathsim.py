@@ -3,11 +3,13 @@ pathwise patch-extension procedure over branched majorants.
 
 Payoff estimation uses walk-on-spheres jumps (exact exit positions, no
 time-step bias) unless the rule has a fixed-time deadline; those rules run
-``euler_exits``, the batched Euler scheme, with the documented O(sqrt(dt))
-crossing bias.  A rule that stops at a first exit maps to a continuation
-domain, and an earlier-of rule to the ``geometry.Intersection`` of its rules'
-domains; both schemes ask ``geometry.signed_distance`` of that domain whether
-a path has stopped.
+``euler_exits``, the batched Euler scheme.  After each step that stays inside
+the stopping set, it stops a path with the half-space Brownian-bridge
+probability of a crossing within the step, so its payoffs carry an O(dt)
+bias (weak order 1), not the O(sqrt(dt)) of checking step ends only.  A rule
+that stops at a first exit maps to a continuation domain, and an earlier-of
+rule to the ``geometry.Intersection`` of its rules' domains; both schemes ask
+``geometry.signed_distance`` of that domain whether a path has stopped.
 
 Pathwise extension runs have one engine, ``_extend``, which works in rounds.
 Each round walks every group of paths that holds the same successor key in
@@ -35,7 +37,8 @@ import numpy as np
 from . import rng as rngmod
 from .envelope import ContactSet, GridField
 from .gain import GainField
-from .geometry import Annulus, Ball, Domain, GridRegion, Intersection, signed_distance
+from .geometry import (Annulus, Ball, Domain, FullBall, GridRegion, Intersection,
+                       project_to_boundary_batch, signed_distance)
 from .grids import write_csv
 from .harmonic import WosConfig, wos_exit_batch
 from .majorant import BranchedMajorant, identity_frames, reflect
@@ -53,14 +56,18 @@ class StructuralError(PathError):
 
 @dataclass(frozen=True)
 class PathConfig:
-    dt: float = 1e-4
+    dt: float = 1e-3
     seed: int = 0
     max_time: float = 50.0
     shell: float = 1e-4
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise PathError("time step must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise PathError(f"time step must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.max_time) and self.max_time > 0.0):
+            raise PathError(f"max_time must be finite and positive, got {self.max_time}")
+        if not 0.0 < self.shell < 1.0:
+            raise PathError(f"shell must lie in (0, 1), got {self.shell}")
 
 
 @dataclass(eq=False)
@@ -310,10 +317,16 @@ def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
                 stream_key: int = 0) -> np.ndarray:
     """Points where n_paths Euler paths from x stop, shape (n_paths, d).
 
-    A path stops when it leaves the unit ball, at the sphere crossing of its
-    last step; when the rule's domain stops it, at the crossing interpolated
-    along its last step; at the rule's deadline; or at ``cfg.max_time``.  A
-    start on the unit sphere or outside the rule's domain stops where it is.
+    The stopping set is the rule's domain cut by the unit ball.  A step that
+    ends outside it stops the path at the crossing interpolated along the
+    step and projected onto the boundary.  A step that stays inside stops the
+    path with the Brownian-bridge probability exp(-2 d_n d_{n+1} / dt) of a
+    crossing in between, d being the distance to the boundary, at the step's
+    midpoint projected onto the boundary; this makes the scheme weak order 1
+    (Gobet 2000).  Paths also stop at the rule's deadline or at
+    ``cfg.max_time``.  A start on the unit sphere or outside the rule's
+    domain stops where it is.  Each step draws its normals, then one uniform
+    per live path, from the batch's ``(seed, 94, stream_key, batch)`` stream.
     """
     x = np.asarray(x, dtype=float)
     radius = float(np.linalg.norm(x))
@@ -324,6 +337,7 @@ def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
     if radius >= 1.0 - 1e-12 or dom is not None and signed_distance(dom, x) >= 0.0:
         return out
     d = x.shape[0]
+    region = FullBall(d) if dom is None else Intersection((FullBall(d), dom))
     deadline = _fixed_deadline(rule)
     horizon = min(cfg.max_time, deadline if deadline is not None else cfg.max_time)
     n_steps = int(math.ceil(horizon / cfg.dt))
@@ -335,49 +349,31 @@ def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
         pos = np.tile(x, (m, 1))
         alive = np.ones(m, dtype=bool)
         final = out[b0:b1]
-        # Each live path's signed distance at pos, carried from its last step.
-        sd = signed_distance(dom, pos) if dom is not None else None
+        # Each live path's distance to the stopping set, carried from its last step.
+        dist = np.full(m, -signed_distance(region, x))
         for _ in range(n_steps):
             if not alive.any():
                 break
             idx = np.nonzero(alive)[0]
             step = sqdt * gen.standard_normal((idx.size, d))
-            nxt = pos[idx] + step
-            r2 = np.sum(nxt * nxt, axis=1)
-            crossed = r2 >= 1.0
-            if crossed.any():
-                for k in np.nonzero(crossed)[0]:
-                    final[idx[k]] = _absorb_crossing(pos[idx[k]], nxt[k])
-                alive[idx[crossed]] = False
-            keep = ~crossed
-            if dom is not None and keep.any():
-                kept = idx[keep]
-                prev_sd = sd[kept]
-                next_sd = signed_distance(dom, nxt[keep])
-                sd[kept] = next_sd
-                fired = next_sd >= 0.0
-                if fired.any():
-                    sel = kept[fired]
-                    frac = np.where(next_sd[fired] > prev_sd[fired],
-                                    prev_sd[fired] / (prev_sd[fired] - next_sd[fired]), 1.0)
-                    frac = np.clip(frac, 0.0, 1.0)
-                    final[sel] = pos[sel] + frac[:, None] * (nxt[keep][fired] - pos[sel])
-                    alive[sel] = False
-            pos[idx[keep]] = nxt[keep]
+            u = gen.random(idx.size)
+            prev_dist = dist[idx]
+            next_dist = -signed_distance(region, pos[idx] + step)
+            crossed = next_dist <= 0.0
+            # A crossed step has bridge probability 1, so it always stops.
+            stopped = u < np.exp(-2.0 / cfg.dt * prev_dist * np.maximum(next_dist, 0.0))
+            if stopped.any():
+                frac = np.full(idx.size, 0.5)
+                frac[crossed] = prev_dist[crossed] / (prev_dist[crossed] - next_dist[crossed])
+                sel = idx[stopped]
+                final[sel] = pos[sel] + frac[stopped, None] * step[stopped]
+                alive[sel] = False
+            pos[idx] += step
+            dist[idx] = next_dist
+        # Every stopped path lands on the boundary in one projection per batch.
+        final[~alive] = project_to_boundary_batch(region, final[~alive])
         final[alive] = pos[alive]
     return out
-
-
-def _absorb_crossing(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Linear interpolation of the segment to the unit sphere."""
-    d = nxt - prev
-    a = float(d @ d)
-    b = 2.0 * float(prev @ d)
-    c = float(prev @ prev) - 1.0
-    disc = max(b * b - 4 * a * c, 0.0)
-    t = (-b + math.sqrt(disc)) / (2 * a) if a > 0 else 0.0
-    t = min(max(t, 0.0), 1.0)
-    return prev + t * d
 
 
 @dataclass(eq=False)

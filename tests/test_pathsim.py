@@ -80,6 +80,46 @@ class TestSimulatePath:
                               np.tile(outside, (8, 1)))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"dt": float("nan")}, {"dt": float("inf")}, {"dt": 0.0}, {"dt": -1e-3},
+    {"max_time": float("nan")}, {"max_time": float("inf")}, {"max_time": -1.0},
+    {"max_time": 0.0}, {"shell": -1.0}, {"shell": 0.0}, {"shell": 1.0},
+    {"shell": float("nan")},
+])
+def test_path_config_rejects_bad_values(kwargs):
+    with pytest.raises(PathError):
+        PathConfig(**kwargs)
+
+
+def _euler_payoff(x, rule, gain, n_paths, cfg, stream_key):
+    vals = gain(euler_exits(x, rule, n_paths, cfg, stream_key))
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_paths))
+
+
+class TestBridgeEuler:
+    """Euler stops at the default step agree with walk on spheres, which has
+    no time step: a scheme that checks only step ends misses crossings inside
+    a step and pays several sigma too little here."""
+
+    @pytest.mark.parametrize("r", [0.1, 0.3])
+    def test_contact_hit_matches_wos_on_the_spiked_ball(self, spiked, contact_rule, r):
+        x = np.array([r, 0.0])
+        cfg = PathConfig(seed=41)
+        mean, sem = _euler_payoff(x, contact_rule, spiked, 20_000, cfg, stream_key=1)
+        ref, ref_sem = payoff_estimate(x, contact_rule, spiked, 100_000, cfg, stream_key=2)
+        assert abs(mean - ref) <= 3 * np.hypot(sem, ref_sem)
+
+    @pytest.mark.parametrize("x", [(0.2, 0.0), (0.0, 0.0), (-0.3, 0.1)])
+    def test_contact_hit_matches_wos_on_a_grid_contact_set(self, cap_gain, cap_cart_seq, x):
+        # The contact set of the Cartesian w1 is a GridRegion table.
+        rule = ContactHit(contact=cap_cart_seq.contacts[0], grid=cap_cart_seq.levels[0])
+        x = np.array(x)
+        cfg = PathConfig(seed=43)
+        mean, sem = _euler_payoff(x, rule, cap_gain, 10_000, cfg, stream_key=1)
+        ref, ref_sem = payoff_estimate(x, rule, cap_gain, 100_000, cfg, stream_key=2)
+        assert abs(mean - ref) <= 3 * np.hypot(sem, ref_sem)
+
+
 class TestAlgorithm1:
     def test_depth_one_terminates(self, spiked):
         tree = leaf(annulus_to_boundary_patch(0.05, GSTAR))
