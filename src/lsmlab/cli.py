@@ -6,7 +6,8 @@ fixed config and seed the emitted files are byte-identical across runs.
 
 ``parse_config`` reads a config once, into frozen specs whose fields are the
 accepted keys with their defaults; commands take the parsed ``Config``, so an
-unknown key or a bad value exits 2 before any solve.
+unknown key or a bad value exits 2 before any solve.  ``RETIRED`` keys change
+no result and are accepted only at their one value.
 
 Exit codes: 0 ok, 2 config error, 3 incomplete, 4 structural error,
 5 non-convergence; ``EXIT_TABLE`` maps exception classes to them.
@@ -29,7 +30,7 @@ from .envelope import (ConvergenceError, EnvelopeError, NoWitnessError, balayage
                        unbranched_envelope)
 from .gain import ConfigError, GainError, GainField, config_number, config_point, gain_from_config
 from .geometry import GridRegion, save_mask_csv
-from .grids import radial_grid, write_csv
+from .grids import SOR_OMEGA, radial_grid, write_csv
 from .harmonic import NonTerminationError
 from .majorant import MajorantError, dump_tree_json, matching_error
 from .oracle import (OracleConvergenceError, cross_validate, psor_obstacle_solve,
@@ -78,11 +79,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class EnvelopeSpec:
-    """The keyword arguments of ``iterate_envelopes``."""
+    """The keyword arguments of ``iterate_envelopes``.  Its SOR solves relax at
+    ``grids.SOR_OMEGA``, which sets only how fast they converge."""
     max_iter: int = _key(32, "[0, inf)")
     tol: float = _key(1e-9, "(0, inf)")
     contact_tol: float = _key(1e-9, "[0, inf)")
-    omega: float = _key(1.9, "(0, 2)")
 
 
 @dataclass(frozen=True)
@@ -91,21 +92,22 @@ class PathsSpec:
     seed: int = _key(0, "[0, inf)")
     sample_traces: int = _key(2, "[0, inf)")
     probe: tuple | None = _key(None, "closed unit ball")  # None: 0.3 on the first axis
-    # Walk-on-spheres jumps are the only scheme and have no time step; the
-    # presets and benchmark configs carry both keys, so they are checked, not read.
-    scheme: str = _key("wos-jump", ("wos-jump",))
-    dt: float = _key(1e-4, "(0, inf)")
 
 
 @dataclass(frozen=True)
 class OracleSpec:
     radial: bool = _key(False, (True, False))
     psor: bool = _key(False, (True, False))
-    psor_omega: float = _key(1.7, "(0, 2)")
     psor_tol: float = _key(1e-8, "(0, inf)")
 
 
 BLOCKS = {"grid": GridSpec, "envelope": EnvelopeSpec, "paths": PathsSpec, "oracle": OracleSpec}
+
+# Keys that change no result, with the one value each accepts, so that configs
+# written while they were settable (the benchmark's among them) still parse.
+# The paths command runs walk-on-spheres jumps, which have no time step.
+RETIRED = {"envelope.omega": SOR_OMEGA, "oracle.psor_omega": SOR_OMEGA,
+           "paths.scheme": "wos-jump", "paths.dt": 1e-4}
 
 
 @dataclass(frozen=True)
@@ -149,9 +151,21 @@ def _read(spec, key: str, value, name: str):
     return config_number(value, name, rng, integral=f.type in ("int", "int | None"))
 
 
+def _retired(name: str, value) -> bool:
+    """Whether ``name`` is a retired key at its accepted value; raises at any other."""
+    if name not in RETIRED:
+        return False
+    accepted = RETIRED[name]
+    if not (type(value) is type(accepted) and value == accepted):
+        raise ConfigError(f"{name} has no effect and accepts only {json.dumps(accepted)}, "
+                          f"got {value!r}")
+    return True
+
+
 def parse_config(raw, seed: int | None = None) -> Config:
-    """The typed config: unknown keys rejected, each value read by its key's type and
-    range, then the gain built and ``dim`` and the probe checked against it.
+    """The typed config: unknown keys rejected, retired keys checked and dropped,
+    each value read by its key's type and range, then the gain built and ``dim``
+    and the probe checked against it.
     ``seed``, if given, overrides ``paths.seed``."""
     if not (isinstance(raw, dict)
             and all(isinstance(raw.get(block, {}), dict) for block in ("gain", *BLOCKS))):
@@ -160,7 +174,8 @@ def parse_config(raw, seed: int | None = None) -> Config:
         if key not in {"gain", "dim", *BLOCKS}:
             raise ConfigError(f"unknown top-level key {key!r}")
     specs = {block: spec(**{key: _read(spec, key, value, f"{block}.{key}")
-                            for key, value in raw.get(block, {}).items()})
+                            for key, value in raw.get(block, {}).items()
+                            if not _retired(f"{block}.{key}", value)})
              for block, spec in BLOCKS.items()}
     paths = specs.pop("paths")
     if seed is not None:
@@ -246,7 +261,7 @@ def cmd_oracle(cfg: Config, out: Path, threads: int) -> int:
         radial_prof.to_csv(out / "oracle_radial.csv")
     if want_psor:
         psor_fld = psor_obstacle_solve(gain, n=cfg.grid.nodes_of("cartesian"),
-                                       omega=cfg.oracle.psor_omega, tol=cfg.oracle.psor_tol)
+                                       tol=cfg.oracle.psor_tol)
         psor_fld.to_csv(out / "oracle_psor.csv")
     if want_radial and want_psor:
         _write_json(out / "oracle_crosscheck.json", cross_validate(psor_fld, radial=radial_prof))

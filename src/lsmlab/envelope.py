@@ -27,8 +27,8 @@ from scipy import ndimage
 from .gain import GainField, outer_running_max
 from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
                        signed_distance, smooth_inner_approximation)
-from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid, disc_stencil,
-                    scale_coordinate, upper_concave_hull, write_csv)
+from .grids import (SOR_OMEGA, DiscStencil, RedBlackSOR, bilinear, cartesian_grid,
+                    disc_stencil, scale_coordinate, upper_concave_hull, write_csv)
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, branched, cap_patch, constant_patch,
                        identity_frames, leaf, matching_error)
@@ -36,7 +36,6 @@ from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_pa
 CONTACT_TOL = 1e-9
 RELAX_TOL = 1e-11
 MAX_SWEEPS = 200_000   # per-component SOR sweep budget
-SOR_OMEGA = 1.9
 
 
 class EnvelopeError(ValueError):
@@ -100,6 +99,30 @@ class GridField:
         out = bilinear(self.values, self.coords[0, 0], (self.spacing, self.spacing), pts)
         return float(out[0]) if single else out
 
+    def nearest_node(self, points) -> tuple:
+        """Index of the node nearest each point, as a tuple that indexes ``values``.
+
+        ``points`` holds one point per row, or is one point, whose index is
+        then a tuple of ints.  A radial grid measures the distance in radius,
+        and a radius halfway between two nodes takes the lower one; on a
+        Cartesian grid a coordinate halfway between two nodes takes the even
+        index.
+        """
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim == 1
+        pts = np.atleast_2d(pts)
+        if self.kind == "radial":
+            radii = self.radii
+            r = np.linalg.norm(pts, axis=1)
+            hi = np.clip(np.searchsorted(radii, r), 1, len(radii) - 1)
+            lower = np.abs(radii[hi - 1] - r) <= np.abs(radii[hi] - r)
+            node = (np.where(lower, hi - 1, hi),)
+        else:
+            n = self.values.shape[0]
+            idx = np.clip(np.rint((pts - self.coords[0, 0]) / self.spacing), 0, n - 1).astype(int)
+            node = (idx[:, 0], idx[:, 1])
+        return tuple(int(k[0]) for k in node) if single else node
+
     def to_csv(self, path) -> None:
         if self.kind == "radial":
             write_csv(path, "r in unit-ball lengths, value in payoff units", ["r", "value"],
@@ -146,44 +169,18 @@ class ContactSet:
 
 
 def contact_set(w: GridField, gain: GainField, tol: float = CONTACT_TOL) -> ContactSet:
+    """Components are nearest-neighbour connected: runs of nodes on a radial
+    grid (whose inside is every node), the 4-neighbourhood on a Cartesian one."""
     gvals = gain_on_grid(gain, w)
     if np.any(w.values < gvals - 100 * tol):
         raise EnvelopeError("field drops below the gain; not an envelope")
     close = (w.values - gvals) <= tol
-    if w.kind == "radial":
-        contact = close
-        noncontact = ~contact
-        labels = np.zeros(len(w.values), dtype=int)
-        label = 0
-        for i0, i1 in _runs(noncontact):
-            label += 1
-            labels[i0:i1 + 1] = label
-        return ContactSet(contact_mask=contact, noncontact_mask=noncontact,
-                          labels=labels, n_components=label, tol=tol)
-    inside = w.inside
+    inside = w.inside if w.kind == "cartesian" else np.ones_like(close)
     contact = close & inside
     noncontact = inside & ~contact
-    struct = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    labels, n = ndimage.label(noncontact, structure=struct)
+    labels, n = ndimage.label(noncontact)
     return ContactSet(contact_mask=contact, noncontact_mask=noncontact,
                       labels=labels, n_components=int(n), tol=tol)
-
-
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True as inclusive (start, stop) index pairs."""
-    out = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            out.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +220,7 @@ class EnvelopeRun:
         one.  The parameter is the cap direction index on a Cartesian run and
         0 otherwise, so ``(family, parameter)`` names one ``key_patch``.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.field.kind == "radial":
-            radii = self.field.radii
-            r = np.linalg.norm(pts, axis=1)
-            hi = np.clip(np.searchsorted(radii, r), 1, len(radii) - 1)
-            lower = np.abs(radii[hi - 1] - r) <= np.abs(radii[hi] - r)
-            node = (np.where(lower, hi - 1, hi),)
-        else:
-            n = self.field.values.shape[0]
-            lo = self.field.coords[0, 0]
-            idx = np.clip(np.rint((pts - lo) / self.field.spacing), 0, n - 1).astype(int)
-            node = (idx[:, 0], idx[:, 1])
+        node = self.field.nearest_node(np.atleast_2d(points))
         family = self.family[node]
         param = np.where((family == FAMILY_CAP) & (not self.rotated_caps), self.index[node], 0)
         return family, param
@@ -438,14 +424,12 @@ def balayage_step(w: GridField, contact: ContactSet, gain: GainField) -> GridFie
         out = w.values.copy()
         stencil = disc_stencil(w.coords, w.spacing)
         for label in range(1, contact.n_components + 1):
-            _relax_component(out, contact.labels == label, stencil, obstacle=None,
-                             omega=SOR_OMEGA)
+            _relax_component(out, contact.labels == label, stencil, obstacle=None)
     out = np.minimum(out, w.values)
     return w.copy_with(out, tag="balayage")
 
 
-def envelope_step(w: GridField, contact: ContactSet, gain: GainField,
-                  omega: float = SOR_OMEGA) -> GridField:
+def envelope_step(w: GridField, contact: ContactSet, gain: GainField) -> GridField:
     """Obstacle-respecting replacement on each non-contact component, min with w.
 
     Where the plain interpolant stays above the gain this is exactly the
@@ -455,13 +439,12 @@ def envelope_step(w: GridField, contact: ContactSet, gain: GainField,
     gvals = gain_on_grid(gain, w)
     out = w.values.copy()
     if w.kind == "radial":
-        for i0, i1 in _runs(contact.noncontact_mask):
-            out[i0:i1 + 1] = _pinned_concave_majorant(w, gvals, i0, i1)
+        for (run,) in ndimage.find_objects(contact.labels):
+            out[run] = _pinned_concave_majorant(w, gvals, run.start, run.stop - 1)
     else:
         stencil = disc_stencil(w.coords, w.spacing)
         for label in range(1, contact.n_components + 1):
-            _relax_component(out, contact.labels == label, stencil, obstacle=gvals,
-                             omega=omega)
+            _relax_component(out, contact.labels == label, stencil, obstacle=gvals)
     out = np.minimum(out, w.values)
     return w.copy_with(out, tag="envelope")
 
@@ -493,7 +476,7 @@ def _pinned_concave_majorant(w: GridField, gvals: np.ndarray, i0: int, i1: int) 
 # Cartesian red-black SOR on the cut-cell disc stencil ---------------------
 
 def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
-                     obstacle: np.ndarray | None, omega: float) -> None:
+                     obstacle: np.ndarray | None) -> None:
     """(Projected) SOR on one component until the update is relatively tiny.
 
     ``values`` is updated in place; nodes off the component are Dirichlet data.
@@ -502,7 +485,7 @@ def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
     sor = RedBlackSOR(values, comp, stencil, obstacle)
     scale = float(np.max(np.abs(values))) + 1.0
     for _ in range(MAX_SWEEPS):
-        biggest = sor.sweep(omega)
+        biggest = sor.sweep(SOR_OMEGA)
         if biggest < RELAX_TOL * scale:
             sor.store(values)
             return
@@ -526,8 +509,7 @@ class EnvelopeSequence:
 
 
 def iterate_envelopes(gain: GainField, start, max_iter: int = 32, tol: float = 1e-9,
-                      contact_tol: float = CONTACT_TOL,
-                      omega: float = SOR_OMEGA) -> EnvelopeSequence:
+                      contact_tol: float = CONTACT_TOL) -> EnvelopeSequence:
     """Monotone refinement along decreasing non-contact sets.
 
     Each level replaces the previous one on its non-contact components and is
@@ -542,7 +524,7 @@ def iterate_envelopes(gain: GainField, start, max_iter: int = 32, tol: float = 1
     summary = [_level_summary(0, np.inf, contacts[0])]
     converged = False
     for level in range(1, max_iter + 1):
-        nxt = envelope_step(levels[-1], contacts[-1], gain, omega=omega)
+        nxt = envelope_step(levels[-1], contacts[-1], gain)
         nxt.values = np.maximum(nxt.values, np.minimum(gvals, levels[-1].values))
         nxt.tag = f"envelope-level-{level}"
         change = float(np.max(np.abs(nxt.values - levels[-1].values)))
@@ -618,7 +600,7 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
 
     if fld.kind == "radial":
         r = float(np.linalg.norm(x))
-        i = int(np.argmin(np.abs(fld.radii - r)))
+        i = fld.nearest_node(x)
         if contact.labels[i] == 0:
             raise NoWitnessError(f"point at radius {r:.4g} lies in the contact set")
         label = contact.labels[i]
@@ -643,7 +625,7 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
         return branched(base, extension, depth=max(2, level + 2), error_bound=err)
 
     # Cartesian: smooth inner approximation of the component mask.
-    i = _nearest_node(fld, x)
+    i = fld.nearest_node(x)
     if contact.labels[i] == 0:
         raise NoWitnessError(f"point {x} lies in the contact set")
     label = contact.labels[i]
@@ -680,12 +662,3 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
     err = (matching_error(branched(base, extension, depth=2, error_bound=0.0))[0] + value_gap
            + run.class_lipschitz * shrink)
     return branched(base, extension, depth=max(2, level + 2), error_bound=err)
-
-
-def _nearest_node(fld: GridField, x: np.ndarray) -> tuple[int, int]:
-    sp = fld.spacing
-    lo = fld.coords[0, 0]
-    n = fld.values.shape[0]
-    i = int(np.clip(round((x[0] - lo[0]) / sp), 0, n - 1))
-    j = int(np.clip(round((x[1] - lo[1]) / sp), 0, n - 1))
-    return (i, j)

@@ -116,13 +116,12 @@ class GridRegion:
             raise GeometryError("grid region cells must lie strictly inside the unit ball")
 
     def cell_centers(self) -> np.ndarray:
-        nx, ny = self.mask.shape
-        xs = (np.arange(nx) - (nx - 1) / 2.0) * self.spacing
-        ys = (np.arange(ny) - (ny - 1) / 2.0) * self.spacing
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
+        xx, yy = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([xx, yy], axis=-1)
 
+    @cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell-centre coordinates along each grid axis, computed once per region."""
         nx, ny = self.mask.shape
         xs = (np.arange(nx) - (nx - 1) / 2.0) * self.spacing
         ys = (np.arange(ny) - (ny - 1) / 2.0) * self.spacing
@@ -203,7 +202,7 @@ def signed_distance(dom: Domain, x) -> float | np.ndarray:
     elif isinstance(dom, FullBall):
         out = np.linalg.norm(pts, axis=1) - 1.0
     elif isinstance(dom, GridRegion):
-        xs, ys = dom.axes()
+        xs, ys = dom.axes
         out = bilinear(dom.sdf_table, (xs[0], ys[0]), (xs[1] - xs[0], ys[1] - ys[0]), pts)
     elif isinstance(dom, Intersection):
         out = np.max(np.stack([signed_distance(p, pts) for p in dom.parts]), axis=0)

@@ -146,6 +146,11 @@ def disc_stencil(coords: np.ndarray, spacing: float) -> DiscStencil:
     return DiscStencil(inside=inside, coeffs=coeffs, diag=diag, nbr_inside=nbr_inside)
 
 
+# The relaxation factor of every SOR solve.  It sets how fast a solve reaches
+# its fixed point, not the fixed point itself.
+SOR_OMEGA = 1.9
+
+
 class RedBlackSOR:
     """Red-black (projected) SOR sweeps of the disc stencil on the ``nodes`` mask.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .envelope import GridField, cartesian_field
 from .gain import GainField
-from .grids import (ARMS, DiscStencil, RedBlackSOR, cartesian_grid, disc_stencil,
+from .grids import (ARMS, SOR_OMEGA, DiscStencil, RedBlackSOR, cartesian_grid, disc_stencil,
                     scale_coordinate, upper_concave_hull, write_csv)
 
 MAX_SWEEPS = 300_000   # PSOR sweep budget
@@ -128,27 +128,25 @@ def neg_laplacian(u: np.ndarray, stencil: DiscStencil, spacing: float) -> np.nda
     return out
 
 
-def psor_obstacle_solve(gain: GainField, n: int = 257, omega: float = 1.7,
-                        tol: float = 1e-8) -> GridField:
+def psor_obstacle_solve(gain: GainField, n: int = 257, tol: float = 1e-8) -> GridField:
     """Solve min(-lap u, u - g) = 0 on the disc with u = 0 at the unit circle.
 
-    Red-black projected SOR (``grids.RedBlackSOR``) on the whole disc from
-    max(g, 0); nodes outside the disc are Dirichlet zero.  Every CHECK_EVERY
-    sweeps, stops once the complementarity residual max |min(-lap u, u - g)|
-    falls below tol; raises with the final residual after MAX_SWEEPS sweeps, or
-    at the first check whose residual is not finite.
+    Red-black projected SOR (``grids.RedBlackSOR``, relaxation factor
+    ``grids.SOR_OMEGA``) on the whole disc from max(g, 0); nodes outside the
+    disc are Dirichlet zero.  Every CHECK_EVERY sweeps, stops once the
+    complementarity residual max |min(-lap u, u - g)| falls below tol; raises
+    with the final residual after MAX_SWEEPS sweeps, or at the first check
+    whose residual is not finite.
     """
     if gain.dim != 2:
         raise OracleError("the obstacle solver works on d = 2 grids")
-    if not 0.0 < omega < 2.0:
-        raise OracleError("relaxation factor must lie in (0, 2)")
     coords, spacing = cartesian_grid(n)
     stencil = disc_stencil(coords, spacing)
     phi = np.where(stencil.inside, gain(coords.reshape(-1, 2)).reshape(n, n), 0.0)
     u = np.maximum(phi, 0.0)
     sor = RedBlackSOR(u, stencil.inside, stencil, phi)
     for sweep in range(1, MAX_SWEEPS + 1):
-        sor.sweep(omega)
+        sor.sweep(SOR_OMEGA)
         if sweep % CHECK_EVERY == 0:
             sor.store(u)
             residual = _residual(u, phi, stencil, spacing)
@@ -179,16 +177,19 @@ def _residual(u: np.ndarray, phi: np.ndarray, stencil: DiscStencil, spacing: flo
 
 def cross_validate(limit: GridField, radial: RadialProfile | None = None,
                    psor: GridField | None = None) -> dict:
-    """Sup and L2 distances between the refinement limit and each oracle."""
+    """Sup and L2 distances between the refinement limit and each oracle.
+
+    A radial limit is compared with a radial oracle on the same radii, and a
+    Cartesian limit with either oracle; any other pairing raises.
+    """
     report: dict = {}
     if radial is not None:
         if limit.kind == "radial":
-            if len(limit.radii) == len(radial.radii) and np.allclose(limit.radii, radial.radii):
-                diff = limit.values - radial.values
-                interp_err = 0.0
-            else:
-                diff = limit.values - radial.interpolate(limit.radii)
-                interp_err = _interp_error(radial.values)
+            if not (len(limit.radii) == len(radial.radii)
+                    and np.allclose(limit.radii, radial.radii)):
+                raise OracleError("mismatched grids: resample one side first")
+            diff = limit.values - radial.values
+            interp_err = 0.0
         else:
             node_r = np.linalg.norm(limit.coords, axis=-1)
             ref = radial.interpolate(np.clip(node_r, radial.radii[0], 1.0))
@@ -197,18 +198,9 @@ def cross_validate(limit: GridField, radial: RadialProfile | None = None,
             interp_err = _interp_error(radial.values)
         report["radial"] = _distances(diff, interp_err)
     if psor is not None:
-        if limit.kind == "cartesian" and limit.values.shape == psor.values.shape:
-            diff = (limit.values - psor.values)[limit.inside]
-            interp_err = 0.0
-        elif limit.kind == "radial":
-            node_r = np.linalg.norm(psor.coords, axis=-1)
-            mine = np.interp(scale_coordinate(np.clip(node_r, limit.radii[0], 1.0), limit.dim),
-                             scale_coordinate(limit.radii, limit.dim), limit.values)
-            diff = (mine - psor.values)[psor.inside]
-            interp_err = _interp_error(limit.values)
-        else:
+        if not (limit.kind == "cartesian" and limit.values.shape == psor.values.shape):
             raise OracleError("mismatched grids: resample one side first")
-        report["psor"] = _distances(diff, interp_err)
+        report["psor"] = _distances((limit.values - psor.values)[limit.inside], 0.0)
     return report
 
 

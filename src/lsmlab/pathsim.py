@@ -144,7 +144,7 @@ def _contact_continuation(rule: ContactHit, x: np.ndarray):
     if fld.kind == "radial":
         r = float(np.linalg.norm(x))
         radii = fld.radii
-        i = int(np.argmin(np.abs(radii - r)))
+        i = fld.nearest_node(x)
         if contact.labels[i] == 0:
             return Ball(center=(0.0,) * fld.dim, radius=max(r, radii[0]) * 1e-9 + 1e-12)
         label = contact.labels[i]

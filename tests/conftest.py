@@ -54,7 +54,7 @@ def annulus_cart_seq(annulus_gain):
 
 @pytest.fixture(scope="session")
 def annulus_psor(annulus_gain):
-    return psor_obstacle_solve(annulus_gain, n=257, omega=1.9)
+    return psor_obstacle_solve(annulus_gain, n=257)
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +72,7 @@ def cap_cart_seq(cap_gain):
 
 @pytest.fixture(scope="session")
 def cap_psor(cap_gain):
-    return psor_obstacle_solve(cap_gain, n=257, omega=1.9)
+    return psor_obstacle_solve(cap_gain, n=257)
 
 
 @pytest.fixture

@@ -140,7 +140,7 @@ class TestAC4OracleAgreement:
                         ("cap-gain", L.offset_bump_gain((0.4, 0.0), 0.15))):
             cart = iterate_envelopes(g, unbranched_envelope(g, 257), max_iter=16)
             assert cart.converged
-            psor = psor_obstacle_solve(g, n=257, omega=1.9)
+            psor = psor_obstacle_solve(g, n=257)
             rep = cross_validate(cart.levels[-1], psor=psor)
             sups[name] = rep["psor"]["sup"]
             assert sups[name] <= 5e-3, f"{name}: {sups[name]}"

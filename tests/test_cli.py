@@ -218,6 +218,7 @@ class TestConfigKeys:
         ("envelope", "envelope", "tol", None), ("paths", "paths", "probe", [0.3]),
         ("paths", "paths", "scheme", "euler"), ("oracle", "oracle", "psor_omega", 2.5),
         ("envelope", "envelope", "omega", 0.0), ("envelope", "envelope", "omega", 2.0),
+        ("paths", "paths", "dt", 1e-3), ("envelope", "envelope", "omega", 1.95),
         # Values of the wrong JSON type, non-integral, non-finite or out of range.
         ("oracle", "oracle", "radial", "false"), ("envelope", "grid", "nodes", 512.5),
         ("envelope", "envelope", "max_iter", True), ("envelope", "envelope", "tol", float("nan")),
@@ -252,6 +253,42 @@ class TestConfigKeys:
         cfg = write_cfg(tmp_path, payload)
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "paths"]) == 2
         assert "n_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value, accepted", [
+        ("envelope", "omega", "1.9", "1.9"), ("oracle", "psor_omega", 1.7, "1.9"),
+        ("paths", "dt", 1e-3, "0.0001"), ("paths", "scheme", "euler", '"wos-jump"')])
+    def test_retired_key_names_the_one_value_it_accepts(self, block, key, value, accepted):
+        payload = json.loads(json.dumps(FAST_SPIKED))
+        payload[block][key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(payload)
+        assert f"{block}.{key} has no effect and accepts only {accepted}" in str(err.value)
+
+    @pytest.mark.parametrize("command, base, retired", [
+        ("envelope", FAST_SPIKED,
+         {"envelope": {"omega": 1.9}, "paths": {"scheme": "wos-jump", "dt": 1e-4}}),
+        ("oracle", CART33, {"oracle": {"psor_omega": 1.9}})])
+    def test_retired_key_at_its_value_changes_no_byte(self, command, base, retired, tmp_path):
+        bare = json.loads(json.dumps(base))
+        carrying = json.loads(json.dumps(base))
+        for block, keys in retired.items():
+            for key, value in keys.items():
+                bare.get(block, {}).pop(key, None)
+                carrying.setdefault(block, {})[key] = value
+        outs = []
+        for name, payload in (("bare", bare), ("carrying", carrying)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(payload))
+            outs.append(tmp_path / name)
+            assert main(["--config", str(cfg), "--out", str(outs[-1]), command]) == 0
+        assert read_all(outs[0]) == read_all(outs[1])
+        assert read_all(outs[0])
+
+    def test_no_preset_carries_a_retired_key(self):
+        for preset in ("spiked-ball", "annulus-gain", "cap-gain"):
+            raw = load_config(preset)
+            assert not [name for name in cli.RETIRED
+                        if name.partition(".")[2] in raw.get(name.partition(".")[0], {})]
 
     def test_presets_and_readme_example_are_accepted(self):
         for preset in ("spiked-ball", "annulus-gain", "cap-gain"):

@@ -77,6 +77,16 @@ class TestContactSet:
         nodes = fld.radii[c.labels == label]
         assert nodes.min() < 0.06 and nodes.max() > 0.9
 
+    def test_radial_components_are_runs(self, spiked, radii):
+        gv = spiked.profile(radii)
+        rng = np.random.default_rng(3)
+        for share in rng.uniform(0.05, 0.95, 20):
+            gap = rng.random(radii.size) < share
+            c = contact_set(radial_field(radii, gv + 1e-6 * gap, tag="t"), spiked)
+            starts = gap & ~np.concatenate([[False], gap[:-1]])
+            assert np.array_equal(c.labels, np.where(gap, np.cumsum(starts), 0))
+            assert c.n_components == starts.sum()
+
     def test_contact_mask_meaning(self, spiked, spiked_run):
         c = contact_set(spiked_run.field, spiked)
         gv = gain_on_grid(spiked, spiked_run.field)
@@ -295,6 +305,36 @@ class TestCartesianKernel:
             envelope_step(w, contact_set(w, gain), gain)
         assert np.isnan(err.value.residual)
         assert len(nan_sweeps) == 1
+
+
+class TestNearestNode:
+    """``GridField.nearest_node`` against a brute-force search over every node."""
+
+    def test_radial_matches_argmin_and_ties_to_the_lower_node(self):
+        radii = L.radial_grid(2048)
+        fld = radial_field(radii, np.zeros(radii.size), tag="t")
+        mid = 0.5 * (radii[:-1] + radii[1:])
+        r = np.concatenate([radii, mid, np.random.default_rng(8).uniform(0.0, 1.2, 4000)])
+        node, = fld.nearest_node(np.stack([r, np.zeros_like(r)], axis=1))
+        expect = np.concatenate([np.argmin(np.abs(radii[None, :] - r[k:k + 512, None]), axis=1)
+                                 for k in range(0, r.size, 512)])
+        assert np.array_equal(node, expect)
+        assert fld.nearest_node(np.array([0.0, mid[7]])) == (int(expect[radii.size + 7]),)
+
+    def test_cartesian_node_is_a_nearest_one(self):
+        fld = cartesian_field(65, np.zeros((65, 65)), tag="t")
+        axis = fld.coords[:, 0, 0]
+        mid = 0.5 * (axis[:-1] + axis[1:])
+        cells = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1).reshape(-1, 2)
+        pts = np.concatenate([cells, np.random.default_rng(9).uniform(-1.1, 1.1, (1000, 2))])
+        i, j = fld.nearest_node(pts)
+        assert not (i[:len(cells)] % 2).any() and not (j[:len(cells)] % 2).any()
+        nodes = fld.coords.reshape(-1, 2)
+        for k in range(0, len(pts), 128):
+            d2 = np.sum((pts[k:k + 128, None, :] - nodes[None, :, :]) ** 2, axis=-1)
+            got = d2[np.arange(len(d2)), i[k:k + 128] * 65 + j[k:k + 128]]
+            assert np.array_equal(got, d2.min(axis=1))
+        assert fld.nearest_node(pts[5]) == (int(i[5]), int(j[5]))
 
 
 class TestBestPatches:

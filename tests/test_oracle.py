@@ -195,13 +195,13 @@ class TestPdasReference:
         L.offset_bump_gain((0.3, 0.1), 0.3)], ids=["annulus", "cap", "offset-wide"])
     def test_psor_matches_active_set_solve(self, gain, n):
         expect = pdas_obstacle_solve(gain, n)
-        got = psor_obstacle_solve(gain, n=n, omega=1.9).values
+        got = psor_obstacle_solve(gain, n=n).values
         assert np.max(np.abs(got - expect)) <= 1e-10
 
     def test_sweep_budget_raises_with_residual(self, monkeypatch, tmp_path):
         monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
         with pytest.raises(OracleConvergenceError) as err:
-            psor_obstacle_solve(L.radial_bump_gain(0.3, 0.15), n=33, omega=1.9)
+            psor_obstacle_solve(L.radial_bump_gain(0.3, 0.15), n=33)
         assert np.isfinite(err.value.residual) and err.value.residual > 0.0
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -212,7 +212,7 @@ class TestPdasReference:
 
     def test_non_finite_iterate_raises_within_one_check(self, nan_sweeps):
         with pytest.raises(OracleConvergenceError) as err:
-            psor_obstacle_solve(L.radial_bump_gain(0.3, 0.15), n=33, omega=1.9)
+            psor_obstacle_solve(L.radial_bump_gain(0.3, 0.15), n=33)
         assert np.isnan(err.value.residual)
         assert len(nan_sweeps) == oracle.CHECK_EVERY
 
@@ -226,3 +226,11 @@ class TestCrossValidate:
     def test_radial_limit_against_both(self, spiked_seq, spiked_oracle):
         rep = cross_validate(spiked_seq.levels[-1], radial=spiked_oracle)
         assert rep["radial"]["sup"] <= 1e-3
+
+    def test_mismatched_grids_raise(self, spiked, spiked_seq, annulus_psor):
+        limit = spiked_seq.levels[-1]
+        coarse = radial_value_oracle(spiked, 2, L.radial_grid(512))
+        with pytest.raises(OracleError, match="mismatched grids"):
+            cross_validate(limit, radial=coarse)
+        with pytest.raises(OracleError, match="mismatched grids"):
+            cross_validate(limit, psor=annulus_psor)
