@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -216,7 +217,11 @@ def cmd_envelope(cfg: Config, out: Path, threads: int) -> int:
     seq = _run_envelope(cfg)
     seq.run.field.to_csv(out / "w1.csv")
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
-        fld.to_csv(out / f"env_level_{k:03d}.csv")
+        if fld is seq.run.field:
+            # Level 0 is w1 itself: copy its bytes rather than format them again.
+            shutil.copyfile(out / "w1.csv", out / f"env_level_{k:03d}.csv")
+        else:
+            fld.to_csv(out / f"env_level_{k:03d}.csv")
         _contact_csv(contact, fld, out / f"contact_{k:03d}.csv")
     summary = {
         "converged": seq.converged,

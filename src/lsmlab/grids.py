@@ -202,11 +202,16 @@ class RedBlackSOR:
         values.flat[self._flat] = self._work[self._flat]
 
 
-# Values become Python objects CSV_BLOCK at a time per column and are formatted
-# one row at a time.  Formatting whole columns raised the peak RSS of writing a
-# 129^2 field by 3.6 MiB; formatted blocks of 1024 rows raised that of a 129^2
-# envelope, balayage and oracle run by 0.8 MiB.
+# Values become Python objects and text CSV_BLOCK rows at a time: a numeric
+# table's block by one ``%`` of its row template, any other table's through
+# ``_text`` and csv.writer.  Blocks keep the peak memory flat.  Formatting whole
+# columns raised the peak RSS of writing a 129^2 field by 3.6 MiB; blocks of
+# 1024 rows raised that of a 129^2 envelope, balayage and oracle run by 0.8 MiB.
 CSV_BLOCK = 256
+
+# Numpy kinds a row template formats: floats as ``%.12g`` and integers as
+# ``%d``, which give the bytes of ``format(v, ".12g")`` and ``str(v)``.
+_TEMPLATE = {"f": "%.12g", "i": "%d", "u": "%d"}
 
 
 def _text(column: np.ndarray):
@@ -222,12 +227,28 @@ def write_csv(path, units: str | None, header, *columns) -> None:
     """Write the columns as a CSV table, one row per index.
 
     An optional ``# units: ...`` comment line precedes the header, whose
-    fields are written as given.  Column fields are formatted by ``_text``;
-    a field holding a comma is quoted (RFC 4180) and every line ends in LF.
+    fields are written as given; every line ends in LF.  Floats are written
+    as ``.12g`` and anything else as ``str``.  A table whose columns are all
+    float or integer arrays (fields, oracles, contact flags and masks, the
+    cross-section) takes one C-level ``%`` of a repeated row template per
+    CSV_BLOCK rows, as no such field needs quoting.  A table with a ``str``,
+    ``bool`` or ``object`` column goes row by row through ``csv.writer``,
+    which quotes a field holding a comma (RFC 4180).  Columns of unequal
+    length raise ValueError.
     """
+    columns = [np.asarray(c) for c in columns]
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
     with open(path, "w", newline="") as fh:
         if units is not None:
             fh.write(f"# units: {units}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(zip(*(_text(np.asarray(c)) for c in columns)))
+        if not all(c.dtype.kind in _TEMPLATE for c in columns):
+            writer.writerows(zip(*(_text(c) for c in columns)))
+            return
+        row = ",".join(_TEMPLATE[c.dtype.kind] for c in columns) + "\n"
+        for lo in range(0, max(lengths, default=0), CSV_BLOCK):
+            block = [c[lo:lo + CSV_BLOCK].tolist() for c in columns]
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))

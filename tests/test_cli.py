@@ -416,6 +416,9 @@ class TestCsvFormat:
             # A contact mask's header is d,nx,ny,spacing over nx rows of ny flags.
             width = int(header[2]) if header[0] == "2" else len(header)
             assert body and all(len(row) == width for row in body), path.name
+        # Level 0 is w1: its table is a copy of w1.csv.
+        env = tmp_path / "envelope"
+        assert (env / "env_level_000.csv").read_bytes() == (env / "w1.csv").read_bytes()
 
 
 class TestOracleCommand:

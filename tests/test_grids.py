@@ -1,5 +1,8 @@
 """Grid helpers."""
 
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +113,79 @@ def test_write_csv_layout_across_a_block_boundary(tmp_path):
     assert rows[0] == '0,0,"annulus[0.1,1]*"'
     assert rows[CSV_BLOCK] == f'{CSV_BLOCK},{x[CSV_BLOCK]:.12g},"annulus[0.1,1]*"'
     assert rows[-1] == f'{n - 1},1,"annulus[0.1,1]*"'
+
+
+def reference_csv(path, units, header, *columns):
+    """The writer before row templates: ``.12g`` or ``str`` per field, through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        if units is not None:
+            fh.write(f"# units: {units}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        texts = []
+        for column in map(np.asarray, columns):
+            text = (lambda v: format(v, ".12g")) if column.dtype.kind == "f" else str
+            texts.append([text(v) for v in column.tolist()])
+        writer.writerows(zip(*texts))
+
+
+def wide_floats(rng, n, exponent=300.0):
+    """Signed floats of exponent up to +-``exponent``, led by zeros, subnormals, inf and nan."""
+    special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e16, 0.1, 123456789012.5]
+    wide = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-exponent, exponent, n)
+    return np.concatenate([special, wide])[:n]
+
+
+def int_extremes(dtype, n):
+    info = np.iinfo(dtype)
+    edge = np.array([info.min, info.max, 0, 1, info.max - 1, info.min + 1], dtype=dtype)
+    return np.resize(edge, n)
+
+
+PARITY_TABLES = {
+    "wide-floats": lambda rng: [wide_floats(rng, 600), rng.permutation(wide_floats(rng, 600)),
+                                rng.random(600)],
+    "float32": lambda rng: [wide_floats(rng, 300, 38.0).astype(np.float32), rng.random(300)],
+    "int-extremes": lambda rng: [int_extremes(np.int64, 300), int_extremes(np.uint64, 300),
+                                 np.full(300, 2**63 + 7, dtype=np.uint64)],
+    "radial-contact": lambda rng: [np.sort(rng.random(500)), (rng.random(500) < 0.4).astype(int)],
+    "no-rows": lambda rng: [np.zeros(0), np.zeros(0, dtype=int)],
+    "block-minus-one": lambda rng: [rng.random(CSV_BLOCK - 1), np.arange(CSV_BLOCK - 1)],
+    "one-block": lambda rng: [rng.random(CSV_BLOCK), np.arange(CSV_BLOCK)],
+    "block-plus-one": lambda rng: [rng.random(CSV_BLOCK + 1), np.arange(CSV_BLOCK + 1)],
+    "bool": lambda rng: [rng.random(300), rng.random(300) < 0.5],
+    "labels": lambda rng: [rng.random(300), np.arange(300),
+                           ["annulus[0.1,1]*", "disc", "cap, inner"] * 100],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_TABLES))
+def test_write_csv_bytes_match_the_reference_writer(name, tmp_path):
+    columns = PARITY_TABLES[name](np.random.default_rng(11))
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(tmp_path / "new.csv", "payoff units", header, *columns)
+    reference_csv(tmp_path / "ref.csv", "payoff units", header, *columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("labels", [False, True])
+def test_write_csv_rejects_columns_of_unequal_length(labels, tmp_path):
+    short = ["a", "b"] if labels else np.arange(2)
+    with pytest.raises(ValueError, match=r"\[3, 2\]"):
+        write_csv(tmp_path / "t.csv", None, ["x", "y"], np.arange(3.0), short)
+
+
+def test_field_csv_memory_stays_blocked(tmp_path):
+    # Formatting whole columns at once would hold every row as text.
+    n = 257
+    fld = cartesian_field(n, np.random.default_rng(5).random((n, n)), "level")
+    tracemalloc.start()
+    try:
+        fld.to_csv(tmp_path / "f.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_cartesian_field_csv_matches_a_per_node_loop(tmp_path):
