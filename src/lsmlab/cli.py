@@ -31,7 +31,7 @@ from .envelope import (ConvergenceError, EnvelopeError, NoWitnessError, balayage
                        unbranched_envelope)
 from .gain import ConfigError, GainError, GainField, config_number, config_point, gain_from_config
 from .geometry import GridRegion, save_mask_csv
-from .grids import SOR_OMEGA, radial_grid, write_csv
+from .grids import radial_grid, write_csv
 from .harmonic import NonTerminationError
 from .majorant import MajorantError, dump_tree_json, matching_error
 from .oracle import (OracleConvergenceError, cross_validate, psor_obstacle_solve,
@@ -80,8 +80,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class EnvelopeSpec:
-    """The keyword arguments of ``iterate_envelopes``.  Its SOR solves relax at
-    ``grids.SOR_OMEGA``, which sets only how fast they converge."""
+    """The keyword arguments of ``iterate_envelopes``.  Its SOR solves choose
+    their own relaxation factor, which sets only how fast they converge."""
     max_iter: int = _key(32, "[0, inf)")
     tol: float = _key(1e-9, "(0, inf)")
     contact_tol: float = _key(1e-9, "[0, inf)")
@@ -106,8 +106,9 @@ BLOCKS = {"grid": GridSpec, "envelope": EnvelopeSpec, "paths": PathsSpec, "oracl
 
 # Keys that change no result, with the one value each accepts, so that configs
 # written while they were settable (the benchmark's among them) still parse.
-# The paths command runs walk-on-spheres jumps, which have no time step.
-RETIRED = {"envelope.omega": SOR_OMEGA, "oracle.psor_omega": SOR_OMEGA,
+# Each is the old default: SOR solves now choose their own relaxation factor,
+# and the paths command runs walk-on-spheres jumps, which have no time step.
+RETIRED = {"envelope.omega": 1.9, "oracle.psor_omega": 1.9,
            "paths.scheme": "wos-jump", "paths.dt": 1e-4}
 
 

@@ -27,7 +27,7 @@ from scipy import ndimage
 from .gain import GainField, outer_running_max
 from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
                        signed_distance, smooth_inner_approximation)
-from .grids import (SOR_OMEGA, DiscStencil, RedBlackSOR, bilinear, cartesian_grid,
+from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid,
                     disc_stencil, scale_coordinate, upper_concave_hull, write_csv)
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, branched, cap_patch, constant_patch,
@@ -480,18 +480,20 @@ def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
     """(Projected) SOR on one component until the update is relatively tiny.
 
     ``values`` is updated in place; nodes off the component are Dirichlet data.
-    A non-finite update ends the loop at once with ``ConvergenceError``.
+    The kernel chooses its own relaxation factor (``grids.RedBlackSOR``).  A
+    non-finite update ends the loop at once with ``ConvergenceError``, whose
+    message names the sweeps done and the final factor.
     """
     sor = RedBlackSOR(values, comp, stencil, obstacle)
     scale = float(np.max(np.abs(values))) + 1.0
     for _ in range(MAX_SWEEPS):
-        biggest = sor.sweep(SOR_OMEGA)
+        biggest = sor.sweep()
         if biggest < RELAX_TOL * scale:
             sor.store(values)
             return
         if not np.isfinite(biggest):
-            raise ConvergenceError("component relaxation diverged", biggest)
-    raise ConvergenceError("component relaxation hit the sweep limit", biggest)
+            raise ConvergenceError(f"component relaxation diverged {sor.effort()}", biggest)
+    raise ConvergenceError(f"component relaxation hit the sweep limit {sor.effort()}", biggest)
 
 
 # ---------------------------------------------------------------------------

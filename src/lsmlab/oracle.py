@@ -23,7 +23,7 @@ import numpy as np
 
 from .envelope import GridField, cartesian_field
 from .gain import GainField
-from .grids import (ARMS, SOR_OMEGA, DiscStencil, RedBlackSOR, cartesian_grid, disc_stencil,
+from .grids import (ARMS, DiscStencil, RedBlackSOR, cartesian_grid, disc_stencil,
                     scale_coordinate, upper_concave_hull, write_csv)
 
 MAX_SWEEPS = 300_000   # PSOR sweep budget
@@ -131,12 +131,12 @@ def neg_laplacian(u: np.ndarray, stencil: DiscStencil, spacing: float) -> np.nda
 def psor_obstacle_solve(gain: GainField, n: int = 257, tol: float = 1e-8) -> GridField:
     """Solve min(-lap u, u - g) = 0 on the disc with u = 0 at the unit circle.
 
-    Red-black projected SOR (``grids.RedBlackSOR``, relaxation factor
-    ``grids.SOR_OMEGA``) on the whole disc from max(g, 0); nodes outside the
+    Red-black projected SOR (``grids.RedBlackSOR``, which chooses its own
+    relaxation factor) on the whole disc from max(g, 0); nodes outside the
     disc are Dirichlet zero.  Every CHECK_EVERY sweeps, stops once the
     complementarity residual max |min(-lap u, u - g)| falls below tol; raises
-    with the final residual after MAX_SWEEPS sweeps, or at the first check
-    whose residual is not finite.
+    with the final residual, the sweeps done and the final factor after
+    MAX_SWEEPS sweeps, or at the first check whose residual is not finite.
     """
     if gain.dim != 2:
         raise OracleError("the obstacle solver works on d = 2 grids")
@@ -146,16 +146,16 @@ def psor_obstacle_solve(gain: GainField, n: int = 257, tol: float = 1e-8) -> Gri
     u = np.maximum(phi, 0.0)
     sor = RedBlackSOR(u, stencil.inside, stencil, phi)
     for sweep in range(1, MAX_SWEEPS + 1):
-        sor.sweep(SOR_OMEGA)
+        sor.sweep()
         if sweep % CHECK_EVERY == 0:
             sor.store(u)
             residual = _residual(u, phi, stencil, spacing)
             if residual < tol:
                 return cartesian_field(n, u, tag="psor-oracle")
             if not np.isfinite(residual):
-                raise OracleConvergenceError("projected SOR diverged", residual)
+                raise OracleConvergenceError(f"projected SOR diverged {sor.effort()}", residual)
     sor.store(u)
-    raise OracleConvergenceError("projected SOR hit the iteration limit",
+    raise OracleConvergenceError(f"projected SOR hit the iteration limit {sor.effort()}",
                                  _residual(u, phi, stencil, spacing))
 
 

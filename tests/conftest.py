@@ -81,10 +81,10 @@ def nan_sweeps(monkeypatch):
     calls = []
     sweep = RedBlackSOR.sweep
 
-    def poisoned(self, omega):
-        calls.append(omega)
+    def poisoned(self):
+        calls.append(self.omega)
         self._work[:-1] = np.nan
-        return sweep(self, omega)
+        return sweep(self)
     monkeypatch.setattr(RedBlackSOR, "sweep", poisoned)
     return calls
 

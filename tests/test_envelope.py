@@ -292,6 +292,7 @@ class TestCartesianKernel:
         with pytest.raises(ConvergenceError) as err:
             envelope_step(w, contact_set(w, gain), gain)
         assert np.isfinite(err.value.residual) and err.value.residual > 0.0
+        assert "sweep limit after 1 sweeps at omega 1.9000 (residual" in str(err.value)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "gain": {"kind": "radial-bump", "center_radius": 0.3, "width": 0.15},
@@ -305,6 +306,7 @@ class TestCartesianKernel:
             envelope_step(w, contact_set(w, gain), gain)
         assert np.isnan(err.value.residual)
         assert len(nan_sweeps) == 1
+        assert "diverged after 1 sweeps at omega 1.9000" in str(err.value)
 
 
 class TestNearestNode:

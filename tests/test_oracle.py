@@ -203,6 +203,7 @@ class TestPdasReference:
         with pytest.raises(OracleConvergenceError) as err:
             psor_obstacle_solve(L.radial_bump_gain(0.3, 0.15), n=33)
         assert np.isfinite(err.value.residual) and err.value.residual > 0.0
+        assert "iteration limit after 1 sweeps at omega 1.9000 (residual" in str(err.value)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "gain": {"kind": "radial-bump", "center_radius": 0.3, "width": 0.15},
@@ -215,6 +216,7 @@ class TestPdasReference:
             psor_obstacle_solve(L.radial_bump_gain(0.3, 0.15), n=33)
         assert np.isnan(err.value.residual)
         assert len(nan_sweeps) == oracle.CHECK_EVERY
+        assert f"diverged after {oracle.CHECK_EVERY} sweeps at omega 1.9000" in str(err.value)
 
 
 class TestCrossValidate:

@@ -1,0 +1,180 @@
+"""The red-black SOR kernel: its CSR sweep and its per-solve relaxation factor."""
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.sparse.linalg import eigs
+
+import lsmlab as L
+from lsmlab.envelope import (RELAX_TOL, contact_set, gain_on_grid, iterate_envelopes,
+                             unbranched_envelope)
+from lsmlab.grids import ARMS, SOR_OMEGA, RedBlackSOR, disc_stencil
+
+
+class GatherSOR:
+    """The gather-table red-black sweep that the CSR kernel replaced, at a given omega.
+
+    Per colour: flat node indices, one flat neighbour index per arm into a copy
+    of ``values`` padded with a zero sentinel slot, and the coefficient,
+    diagonal and obstacle slices; the neighbour sum is four gathers and
+    multiply-adds in E, W, N, S order.
+    """
+
+    def __init__(self, values, nodes, stencil, obstacle):
+        ii, jj = np.nonzero(nodes)
+        ncols = values.shape[1]
+        self._flat = ii * ncols + jj
+        self._work = np.append(values.ravel(), 0.0)
+        sentinel = self._work.size - 1
+        red = (ii + jj) % 2 == 0
+        self._tables = []
+        for color in (red, ~red):
+            ci, cj = ii[color], jj[color]
+            arms = []
+            for name, (di, dj) in ARMS.items():
+                nbr = (ci + di) * ncols + (cj + dj)
+                arms.append((np.where(stencil.nbr_inside[name][ci, cj], nbr, sentinel),
+                             stencil.coeffs[name][ci, cj]))
+            phi = obstacle[ci, cj] if obstacle is not None else None
+            self._tables.append((ci * ncols + cj, arms, stencil.diag[ci, cj], phi))
+
+    def sweep(self, omega):
+        work = self._work
+        biggest = 0.0
+        for idx, arms, diag, phi in self._tables:
+            s = np.zeros(idx.size)
+            for nbr, coeff in arms:
+                s += work[nbr] * coeff
+            old = work[idx]
+            new = (1.0 - omega) * old + omega * (s / diag)
+            if phi is not None:
+                new = np.maximum(phi, new)
+            biggest = float(np.max(np.abs(new - old), initial=biggest))
+            work[idx] = new
+        return biggest
+
+    def store(self, values):
+        values.flat[self._flat] = self._work[self._flat]
+
+
+GAINS = {"annulus": (L.radial_bump_gain(0.3, 0.15), 129),
+         "cap": (L.offset_bump_gain((0.4, 0.0), 0.15), 97)}
+
+
+@pytest.fixture(scope="module", params=sorted(GAINS))
+def level0(request):
+    """The level-0 solve of the benchmark's two Cartesian cases: its largest
+    non-contact component, the dictionary envelope and the gain on the grid."""
+    gain, n = GAINS[request.param]
+    w = unbranched_envelope(gain, n).field
+    contact = contact_set(w, gain)
+    sizes = np.bincount(contact.labels.ravel())[1:]
+    comp = contact.labels == 1 + int(np.argmax(sizes))
+    return request.param, w, comp, gain_on_grid(gain, w)
+
+
+def solve(sweep, values):
+    """Sweeps until the refinement's stop rule holds; returns their count."""
+    scale = float(np.max(np.abs(values))) + 1.0
+    for count in range(1, 5001):
+        if sweep() < RELAX_TOL * scale:
+            return count
+    raise AssertionError("no convergence in 5000 sweeps")
+
+
+def young_omega(comp, stencil):
+    """Young's optimum from the spectral radius of the component's Jacobi matrix."""
+    ii, jj = np.nonzero(comp)
+    index = np.full(comp.shape, -1)
+    index[ii, jj] = np.arange(ii.size)
+    rows, cols, vals = [], [], []
+    for name, (di, dj) in ARMS.items():
+        nbr = index[ii + di, jj + dj]
+        arm = np.nonzero(stencil.nbr_inside[name][ii, jj] & (nbr >= 0))[0]
+        rows.append(arm)
+        cols.append(nbr[arm])
+        vals.append(stencil.coeffs[name][ii[arm], jj[arm]] / stencil.diag[ii[arm], jj[arm]])
+    jacobi = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                        np.concatenate(cols))),
+                               shape=(ii.size, ii.size))
+    rho = float(np.abs(eigs(jacobi, k=1, which="LM", return_eigenvectors=False)[0]))
+    return 2.0 / (1.0 + np.sqrt(1.0 - rho * rho))
+
+
+@pytest.mark.parametrize("projected", [False, True], ids=["dirichlet", "obstacle"])
+def test_csr_sweep_matches_the_gather_sweep(level0, projected):
+    _, w, comp, gvals = level0
+    stencil = disc_stencil(w.coords, w.spacing)
+    obstacle = gvals if projected else None
+    new = RedBlackSOR(w.values, comp, stencil, obstacle)
+    old = GatherSOR(w.values, comp, stencil, obstacle)
+    omegas = set()
+    for _ in range(600):
+        omegas.add(new.omega)
+        omega = new.omega
+        assert new.sweep() == old.sweep(omega)
+    got, expect = w.values.copy(), w.values.copy()
+    new.store(got)
+    old.store(expect)
+    assert np.array_equal(got, expect)
+    assert new.sweeps == 600
+    if level0[0] == "cap":
+        assert len(omegas) == 2  # the switch happened inside the compared sweeps
+
+
+def test_switched_omega_matches_the_spectrum(level0):
+    _, w, comp, _ = level0
+    stencil = disc_stencil(w.coords, w.spacing)
+    sor = RedBlackSOR(w.values, comp, stencil, None)
+    solve(sor.sweep, w.values)
+    assert abs(sor.omega - young_omega(comp, stencil)) <= 0.01
+
+
+@pytest.mark.parametrize("projected", [False, True], ids=["dirichlet", "obstacle"])
+def test_sweeps_against_a_fixed_start(level0, projected):
+    kind, w, comp, gvals = level0
+    stencil = disc_stencil(w.coords, w.spacing)
+    obstacle = gvals if projected else None
+    sor = RedBlackSOR(w.values, comp, stencil, obstacle)
+    fixed = GatherSOR(w.values, comp, stencil, obstacle)
+    adaptive = solve(sor.sweep, w.values)
+    assert adaptive == sor.sweeps
+    baseline = solve(lambda: fixed.sweep(SOR_OMEGA), w.values)
+    if kind == "cap":
+        assert sor.omega > SOR_OMEGA
+        assert adaptive <= 0.7 * baseline
+    else:
+        assert adaptive <= baseline + 2
+
+
+def test_a_component_below_the_start_keeps_it():
+    gain, n = GAINS["annulus"]
+    seq = iterate_envelopes(gain, unbranched_envelope(gain, n), max_iter=1)
+    level1, contact = seq.levels[1], seq.contacts[1]
+    comp = contact.labels == contact.labels[n // 2, n // 2]
+    assert contact.n_components == 2 and comp.sum() < 2000  # the inner disc
+    stencil = disc_stencil(level1.coords, level1.spacing)
+    assert young_omega(comp, stencil) < SOR_OMEGA - 0.05
+    # Level 1 is already harmonic there; relax it again from zero.
+    start = np.where(comp, 0.0, level1.values)
+    sor = RedBlackSOR(start, comp, stencil, None)
+    solve(sor.sweep, start)
+    assert sor.sweeps > 50
+    assert sor.omega == SOR_OMEGA
+
+
+def test_a_settled_ratio_at_or_below_omega_minus_one_keeps_watching():
+    coords, spacing = L.cartesian_grid(9)
+    stencil = disc_stencil(coords, spacing)
+    sor = RedBlackSOR(np.zeros((9, 9)), stencil.inside, stencil, None)
+    for k in range(40):  # settled at q = 0.85 <= omega - 1: a transient or past the optimum
+        sor._watch(0.85 ** k)
+    assert sor.omega == SOR_OMEGA
+    for k in range(40):  # then settled at q = 0.95: Carre's estimate, once
+        sor._watch(0.85 ** 40 * 0.95 ** k)
+    rho2 = (0.95 + SOR_OMEGA - 1.0) ** 2 / (0.95 * SOR_OMEGA ** 2)
+    assert sor.omega == pytest.approx(2.0 / (1.0 + np.sqrt(1.0 - rho2)), rel=1e-12)
+    switched = sor.omega
+    for k in range(40):
+        sor._watch(0.5 ** k)
+    assert sor.omega == switched
