@@ -14,6 +14,12 @@ of the gain with the run's ends pinned, and the balayage is interpolation
 between contact nodes.  Cartesian fields use red-black (projected) SOR on the
 cut-cell disc stencil, one ``grids.RedBlackSOR`` kernel per component.  Both
 primitives live in ``lsmlab.grids`` and are shared with the oracles.
+
+``contact_set`` labels the non-contact components with
+``grids.label_components``, so an envelope run loads no scipy module beyond
+the ``scipy.sparse`` of the SOR kernel.  Witnesses on a Cartesian grid
+(``build_branched_witness``) shrink a grid region, which loads
+``scipy.ndimage`` and ``scipy.spatial`` on first use (see ``lsmlab.geometry``).
 """
 
 from __future__ import annotations
@@ -22,13 +28,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .gain import GainField, outer_running_max
 from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
                        signed_distance, smooth_inner_approximation)
-from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid,
-                    disc_stencil, scale_coordinate, upper_concave_hull, write_csv)
+from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid, disc_stencil,
+                    label_components, scale_coordinate, upper_concave_hull, write_csv)
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, branched, cap_patch, constant_patch,
                        identity_frames, leaf, matching_error)
@@ -178,9 +183,9 @@ def contact_set(w: GridField, gain: GainField, tol: float = CONTACT_TOL) -> Cont
     inside = w.inside if w.kind == "cartesian" else np.ones_like(close)
     contact = close & inside
     noncontact = inside & ~contact
-    labels, n = ndimage.label(noncontact)
+    labels, n = label_components(noncontact)
     return ContactSet(contact_mask=contact, noncontact_mask=noncontact,
-                      labels=labels, n_components=int(n), tol=tol)
+                      labels=labels, n_components=n, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +444,24 @@ def envelope_step(w: GridField, contact: ContactSet, gain: GainField) -> GridFie
     gvals = gain_on_grid(gain, w)
     out = w.values.copy()
     if w.kind == "radial":
-        for (run,) in ndimage.find_objects(contact.labels):
-            out[run] = _pinned_concave_majorant(w, gvals, run.start, run.stop - 1)
+        for i0, i1 in _runs(contact.labels):
+            out[i0:i1 + 1] = _pinned_concave_majorant(w, gvals, i0, i1)
     else:
         stencil = disc_stencil(w.coords, w.spacing)
         for label in range(1, contact.n_components + 1):
             _relax_component(out, contact.labels == label, stencil, obstacle=gvals)
     out = np.minimum(out, w.values)
     return w.copy_with(out, tag="envelope")
+
+
+def _runs(labels: np.ndarray) -> list[tuple[int, int]]:
+    """First and last node of each labelled run of a radial grid, in label order.
+
+    Distinct runs of a line never touch, so each starts where the labels step
+    up from 0 and stops where they step back down to 0.
+    """
+    steps = np.diff(labels, prepend=0, append=0)
+    return list(zip(np.flatnonzero(steps > 0).tolist(), (np.flatnonzero(steps < 0) - 1).tolist()))
 
 
 def _pinned_concave_majorant(w: GridField, gvals: np.ndarray, i0: int, i1: int) -> np.ndarray:

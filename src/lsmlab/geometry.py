@@ -15,6 +15,13 @@ projects onto the part whose signed distance is largest there.
 
 Sign convention: signed distance is negative inside the described open set,
 positive outside, in unit-ball length units.
+
+Only the grid-region helpers and the Hausdorff distance use scipy, and each
+imports it where it is used, so importing lsmlab loads neither
+``scipy.ndimage`` nor ``scipy.spatial``: ``GridRegion.sdf_table`` and
+``inradius`` load ``scipy.ndimage`` (``distance_transform_edt``),
+``smooth_inner_approximation`` loads it too (``gaussian_filter``), and
+``hausdorff_distance`` loads ``scipy.spatial`` (``cKDTree``).
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .grids import bilinear, write_csv
 
@@ -130,13 +135,15 @@ class GridRegion:
     @cached_property
     def sdf_table(self) -> np.ndarray:
         """Signed distance at every cell centre, computed once per region."""
+        from scipy.ndimage import distance_transform_edt
+
         mask = self.mask
         if not mask.any():
             return np.full(mask.shape, np.inf)
         # Distance (in cells) to the nearest cell of the opposite phase; the
         # interface sits half a cell beyond, hence the 0.5 shift.
-        d_out = ndimage.distance_transform_edt(~mask)
-        d_in = ndimage.distance_transform_edt(mask)
+        d_out = distance_transform_edt(~mask)
+        d_in = distance_transform_edt(mask)
         return np.where(mask, -(d_in - 0.5), d_out - 0.5) * self.spacing
 
 
@@ -313,6 +320,8 @@ def hausdorff_distance(a, b) -> float:
     pb = np.atleast_2d(np.asarray(b, dtype=float))
     if pa.size == 0 or pb.size == 0:
         raise GeometryError("hausdorff distance needs nonempty point sets")
+    from scipy.spatial import cKDTree
+
     tree_a = cKDTree(pa)
     tree_b = cKDTree(pb)
     d_ab = tree_b.query(pa)[0].max()
@@ -339,9 +348,11 @@ def rasterize(dom: Domain, n: int = 512) -> GridRegion:
 
 
 def inradius(region: GridRegion) -> float:
+    from scipy.ndimage import distance_transform_edt
+
     if not region.mask.any():
         return 0.0
-    d_in = ndimage.distance_transform_edt(region.mask)
+    d_in = distance_transform_edt(region.mask)
     return float((d_in.max() - 0.5) * region.spacing)
 
 
@@ -373,6 +384,8 @@ def smooth_inner_approximation(region: GridRegion | Ball | Annulus, delta: float
     distance transform.  When the input mask is recognisably a centred ball or
     annulus the exact shrunken descriptor is returned instead.
     """
+    from scipy.ndimage import gaussian_filter
+
     if not isinstance(region, GridRegion):
         region = rasterize(region)
     if delta <= 0.0:
@@ -398,7 +411,7 @@ def smooth_inner_approximation(region: GridRegion | Ball | Annulus, delta: float
 
     table = region.sdf_table
     sigma_cells = (delta / 4.0) / region.spacing
-    mollified = ndimage.gaussian_filter(table, sigma=sigma_cells, mode="nearest")
+    mollified = gaussian_filter(table, sigma=sigma_cells, mode="nearest")
     new_mask = mollified < -delta / 2.0
     if not new_mask.any():
         raise DegenerateApproximationError("inner approximation is empty")

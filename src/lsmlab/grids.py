@@ -3,12 +3,18 @@
 Radial and Cartesian grids, bilinear interpolation of a table on a uniform
 grid (Cartesian fields, grid signed distances, grid-mollified gains), the
 upper concave hull (the radial obstacle primitive in the scale coordinate),
-the Shortley-Weller cut-cell stencil of the disc and ``RedBlackSOR``, the one
-red-black (projected) SOR kernel on it (the Cartesian obstacle and Dirichlet
-solver of both the envelope refinement and the PSOR oracle; one CSR matvec
-per colour, and a relaxation factor each solve takes from its own update
-ratios), and ``write_csv``, the one writer of every CSV table the package
-emits.
+``label_components``, the connected components of a radial or Cartesian
+mask (the non-contact components of every level), the Shortley-Weller
+cut-cell stencil of the disc and ``RedBlackSOR``, the one red-black
+(projected) SOR kernel on it (the Cartesian obstacle and Dirichlet solver of
+both the envelope refinement and the PSOR oracle; one CSR matvec per colour,
+and a relaxation factor each solve takes from its own update ratios), and
+``write_csv``, the one writer of every CSV table the package emits.
+
+``scipy.sparse`` is the one scipy module loaded when lsmlab is imported: it
+is imported here, at the top, because every Cartesian solve builds its CSR
+matrices from it.  Imported lazily instead, it would put its import (about
+0.16 s on a 2-core x86-64 machine) inside the first Cartesian solve.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
+from scipy import sparse
 
 
 def scale_coordinate(r: np.ndarray | float, d: int) -> np.ndarray | float:
@@ -94,6 +101,56 @@ def upper_concave_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.n
         hx.append(float(x))
         hy.append(float(y))
     return np.asarray(hx), np.asarray(hy)
+
+
+def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Nearest-neighbour connected components of a 1-d or 2-d boolean mask.
+
+    Returns ``(labels, n)``: int32 labels 1..n on the mask and 0 off it.
+    Components are numbered by their first node in raster order, as
+    ``scipy.ndimage.label`` numbers them with its default structure (runs on
+    a line, the 4-neighbourhood on a grid), and the labels equal its labels.
+    Two-pass run labelling (Rosenfeld & Pfaltz, J. ACM 13, 1966): each row's
+    runs of true nodes are the units, and a run joins every run of the next
+    row whose columns it overlaps.  The joins are merged by union-find with
+    the smaller run index as the root (Tarjan, J. ACM 22, 1975), in rounds
+    of vectorised hooking and full path compression; a component's root is
+    its first run.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim not in (1, 2):
+        raise ValueError(f"component labelling takes a 1-d or 2-d mask, not {mask.ndim}-d")
+    grid = np.atleast_2d(mask)
+    # A false column after each row keeps runs from crossing rows when flattened.
+    padded = np.zeros((grid.shape[0], grid.shape[1] + 1), dtype=np.int8)
+    padded[:, :-1] = grid
+    steps = np.diff(padded.ravel(), prepend=np.int8(0))
+    starts, stops = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
+    run_of = np.zeros(grid.shape, dtype=np.intp)
+    run_of[grid] = np.repeat(np.arange(starts.size), stops - starts)
+    # One join per stretch of columns where two rows overlap: a stretch holds
+    # one run above and one below, and each overlapping pair has one stretch.
+    both = grid[:-1] & grid[1:]
+    first = both.copy()
+    first[:, 1:] &= ~both[:, :-1]
+    upper, lower = run_of[:-1][first], run_of[1:][first]
+    root = np.arange(starts.size)
+    while True:
+        a, b = root[upper], root[lower]
+        join = a != b
+        if not join.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[join], np.minimum(a, b)[join])
+        while True:
+            hop = root[root]
+            if np.array_equal(hop, root):
+                break
+            root = hop
+    first_runs = root == np.arange(starts.size)
+    run_label = np.cumsum(first_runs, dtype=np.int32)[root]
+    labels = np.zeros(grid.shape, dtype=np.int32)
+    labels[grid] = np.repeat(run_label, stops - starts)
+    return labels.reshape(mask.shape), int(np.count_nonzero(first_runs))
 
 
 # Grid offsets (di, dj) of the stencil's arms, in the order every loop uses.
@@ -185,12 +242,6 @@ class RedBlackSOR:
 
     def __init__(self, values: np.ndarray, nodes: np.ndarray, stencil: DiscStencil,
                  obstacle: np.ndarray | None):
-        # Imported here so that scipy.sparse loads where it did before this
-        # kernel used it (under scipy.spatial): imported first, from this
-        # module, it shifted the garbage collections of a CLI process's
-        # start-up and made it about 0.05 s slower, with the same import work.
-        from scipy import sparse
-
         ii, jj = np.nonzero(nodes)
         ncols = values.shape[1]
         self._flat = ii * ncols + jj

@@ -29,7 +29,7 @@ writes out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -99,10 +99,25 @@ class FixedTime:
 
 @dataclass(frozen=True, eq=False)
 class ContactHit:
-    """Stop at the first visit to the contact set (or the unit sphere)."""
+    """Stop at the first visit to the contact set (or the unit sphere).
+
+    On a Cartesian grid the continuation domain is the whole non-contact set,
+    whatever the start: ``region`` is that ``GridRegion``, built with its
+    signed-distance table when the rule is, so a rule shared across calls and
+    threads fills nothing lazily.  A radial rule's region is None; its domain
+    depends on the start's run.
+    """
 
     contact: ContactSet
     grid: GridField
+    region: Optional[GridRegion] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        region = None
+        if self.grid.kind == "cartesian":
+            region = GridRegion(mask=self.contact.noncontact_mask, spacing=self.grid.spacing)
+            region.sdf_table  # filled now, not by the first walk that asks
+        object.__setattr__(self, "region", region)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +169,7 @@ def _contact_continuation(rule: ContactHit, x: np.ndarray):
         if i0 == 0:
             return Ball(center=(0.0,) * fld.dim, radius=r_out)
         return Annulus(center=(0.0,) * fld.dim, inner=float(radii[i0 - 1]), outer=r_out)
-    mask = contact.noncontact_mask
-    region = GridRegion(mask=mask, spacing=fld.spacing)
-    return region
+    return rule.region
 
 
 def _fixed_deadline(rule) -> Optional[float]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import highest_chords
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 import lsmlab as L
 from lsmlab import envelope
@@ -86,6 +87,16 @@ class TestContactSet:
             starts = gap & ~np.concatenate([[False], gap[:-1]])
             assert np.array_equal(c.labels, np.where(gap, np.cumsum(starts), 0))
             assert c.n_components == starts.sum()
+
+    def test_radial_runs_match_find_objects(self, spiked_seq):
+        rng = np.random.default_rng(5)
+        masks = [c.noncontact_mask for c in spiked_seq.contacts]
+        masks += [rng.random(n) < share for n in (1, 2, 50, 2048)
+                  for share in (0.0, 0.3, 0.7, 1.0)]
+        for mask in masks:
+            labels = ndimage.label(mask)[0]
+            ref = [(run.start, run.stop - 1) for (run,) in ndimage.find_objects(labels)]
+            assert envelope._runs(labels) == ref
 
     def test_contact_mask_meaning(self, spiked, spiked_run):
         c = contact_set(spiked_run.field, spiked)

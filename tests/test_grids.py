@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from lsmlab.envelope import balayage_step, cartesian_field, contact_set, gain_on_grid
 from lsmlab.gain import GainField
-from lsmlab.grids import (CSV_BLOCK, bilinear, cartesian_grid, disc_stencil, radial_grid,
-                          scale_coordinate, write_csv)
+from lsmlab.grids import (CSV_BLOCK, bilinear, cartesian_grid, disc_stencil, label_components,
+                          radial_grid, scale_coordinate, write_csv)
 from lsmlab.oracle import neg_laplacian
 
 
@@ -43,6 +44,56 @@ def test_cartesian_grid_shape():
     assert coords.shape == (65, 65, 2)
     assert spacing == pytest.approx(2.0 / 64)
     assert coords[0, 0, 0] == -1.0 and coords[-1, -1, 1] == 1.0
+
+
+def assert_labels_match_ndimage(mask):
+    labels, n = label_components(mask)
+    ref, ref_n = ndimage.label(mask)
+    assert labels.dtype == np.int32 and labels.shape == mask.shape
+    assert np.array_equal(labels, ref)
+    assert n == ref_n and type(n) is int
+
+
+class TestLabelComponents:
+    """``label_components`` against ``scipy.ndimage.label``, labels and count."""
+
+    @pytest.mark.parametrize("shape", [(60,), (1, 1), (3, 1), (1, 9), (7, 7), (20, 30),
+                                       (129, 129)])
+    def test_random_masks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for density in np.linspace(0.0, 1.0, 11):
+            for _ in range(5):
+                assert_labels_match_ndimage(rng.random(shape) < density)
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (5,), (1, 1), (1, 8), (8, 1), (6, 9)])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_empty_and_full_masks(self, shape, fill):
+        assert_labels_match_ndimage(np.full(shape, fill))
+
+    def test_checkerboard_diagonals_do_not_join(self):
+        board = np.add.outer(np.arange(9), np.arange(10)) % 2 == 0
+        assert_labels_match_ndimage(board)
+        assert_labels_match_ndimage(~board)
+        assert label_components(board)[1] == board.sum()
+
+    def test_a_component_that_turns_back(self):
+        # A spiral joins its rows only through runs found late in the scan.
+        spiral = np.zeros((11, 11), dtype=bool)
+        spiral[0, :] = spiral[:, 10] = spiral[10, :] = spiral[2:, 0] = True
+        spiral[2, 0:9] = spiral[2:9, 8] = spiral[8, 2:9] = spiral[4:9, 2] = True
+        spiral[4, 2:7] = spiral[4:7, 6] = True
+        assert_labels_match_ndimage(spiral)
+        assert_labels_match_ndimage(~spiral)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError):
+            label_components(np.zeros((2, 2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("seq", ["spiked_seq", "annulus_cart_seq", "cap_cart_seq"])
+    def test_every_preset_level(self, seq, request):
+        for contact in request.getfixturevalue(seq).contacts:
+            assert_labels_match_ndimage(contact.noncontact_mask)
+            assert np.array_equal(contact.labels, ndimage.label(contact.noncontact_mask)[0])
 
 
 @pytest.mark.parametrize("n", [65, 129, 257])

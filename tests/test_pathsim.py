@@ -120,6 +120,17 @@ class TestBridgeEuler:
         assert abs(mean - ref) <= 3 * np.hypot(sem, ref_sem)
 
 
+def test_grid_contact_rule_builds_its_region_once(cap_cart_seq, contact_rule):
+    contact = cap_cart_seq.contacts[0]
+    rule = ContactHit(contact=contact, grid=cap_cart_seq.levels[0])
+    # The table is there before any walk asks for it, and every start shares it.
+    assert "sdf_table" in vars(rule.region)
+    assert np.array_equal(rule.region.mask, contact.noncontact_mask)
+    for x in ([0.2, 0.0], [-0.3, 0.1], [0.0, 0.0]):
+        assert continuation_domain(rule, np.array(x)) is rule.region
+    assert contact_rule.region is None
+
+
 class TestAlgorithm1:
     def test_depth_one_terminates(self, spiked):
         tree = leaf(annulus_to_boundary_patch(0.05, GSTAR))
