@@ -278,6 +278,9 @@ def cmd_reproduce_spiked_ball(cfg: Config, out: Path, threads: int) -> int:
     if cfg.gain_kind != "spiked":
         print("the reproduce target needs the spiked radial preset", file=sys.stderr)
         return EXIT_CONFIG
+    if cfg.grid.kind != "radial":
+        raise ConfigError(f"reproduce spiked-ball needs a radial grid, got grid.kind "
+                          f"{cfg.grid.kind!r}")
     if not cfg.oracle.radial:
         _write_json(out / "verdict.json", {"verdict": "INCOMPLETE",
                                            "reason": "radial oracle disabled in config"})

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gain import GainField, outer_running_max
+from .gain import ConfigError, GainError, GainField, outer_running_max
 from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
                        signed_distance, smooth_inner_approximation)
 from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid, disc_stencil,
@@ -155,9 +155,18 @@ def cartesian_field(n: int, values: np.ndarray, tag: str) -> GridField:
                      spacing=spacing, coords=coords, inside=inside)
 
 
+def _gain_on_radii(gain: GainField, radii: np.ndarray) -> np.ndarray:
+    """The gain along a radius sweep; a gain off the origin has none, so it
+    cannot run on a radial grid."""
+    if not gain.radial:
+        raise GainError(f"gain is not radial: its centre {gain.center} is not the origin, "
+                        f"so it needs a cartesian grid")
+    return gain.profile(radii)
+
+
 def gain_on_grid(gain: GainField, fld: GridField) -> np.ndarray:
     if fld.kind == "radial":
-        return gain.profile(fld.radii)
+        return _gain_on_radii(gain, fld.radii)
     pts = fld.coords.reshape(-1, 2)
     return gain(pts).reshape(fld.values.shape)
 
@@ -268,8 +277,9 @@ def unbranched_envelope(gain: GainField, grid) -> EnvelopeRun:
     return _envelope_radial(gain, np.asarray(grid, dtype=float))
 
 
-def _cap_zstar_radial(gain: GainField, radii: np.ndarray) -> float:
-    """Largest feasible cap slope parameter, conservatively over probe gaps.
+def _cap_zstar_radial(gain: GainField) -> float:
+    """Largest feasible cap slope parameter, conservatively over the gaps of a
+    4096-point probe of [0, 1] (not the run's radius grid).
 
     On [p_i, p_{i+1}] the slice maximum G is bounded by G(p_i) (G is a
     nonincreasing running max) while the cap's lever 1 - p is at least
@@ -288,7 +298,7 @@ def _cap_zstar_radial(gain: GainField, radii: np.ndarray) -> float:
 def _envelope_radial(gain: GainField, radii: np.ndarray) -> EnvelopeRun:
     d = gain.dim
     K = len(radii)
-    gvals = gain.profile(radii)
+    gvals = _gain_on_radii(gain, radii)
     gstar = gain.gstar
     gbar = gain.max_gain
     psi = scale_coordinate(1.0, d) - scale_coordinate(radii, d)  # >= 0, decreasing
@@ -298,7 +308,7 @@ def _envelope_radial(gain: GainField, radii: np.ndarray) -> EnvelopeRun:
     index = np.zeros(K, dtype=int)
     class_lip = 0.0
 
-    zstar = _cap_zstar_radial(gain, radii)
+    zstar = _cap_zstar_radial(gain)
     cap_vals = (1.0 - radii) / zstar
     cap_vals = np.where(cap_vals <= gstar, cap_vals, np.inf)
     better = cap_vals < values
@@ -307,33 +317,32 @@ def _envelope_radial(gain: GainField, radii: np.ndarray) -> EnvelopeRun:
     class_lip = max(class_lip, 1.0 / zstar)
 
     ann_inner = None
-    if gain.radial:
-        # Conservative over inter-node gaps: the patch decreases outward, so on
-        # [r_i, r_{i+1}] its value is at least the value at r_{i+1}, while the
-        # gain is bounded by the larger endpoint.
-        psi_shift = np.concatenate([psi[1:], [0.0]])
-        g_hull = np.maximum(gvals, np.concatenate([gvals[1:], [0.0]]))
-        with np.errstate(divide="ignore"):
-            bound = np.where(g_hull > 1e-14, gstar * psi_shift / np.maximum(g_hull, 1e-300),
-                             np.inf)
-        suffix = np.minimum.accumulate(bound[::-1])[::-1]
-        feasible = psi <= suffix * (1.0 + 1e-12)
-        feasible[-1] = False  # inner radius 1 leaves no annulus
-        if feasible.any():
-            j0 = int(np.argmax(feasible))  # smallest feasible inner radius
-            ann_inner = float(radii[j0])
-            with np.errstate(invalid="ignore"):
-                ann_vals = np.where(np.arange(K) >= j0, gstar * psi / psi[j0], np.inf)
-            better = ann_vals < values
-            values = np.where(better, ann_vals, values)
-            family = np.where(better, FAMILY_ANNULUS, family)
-            index = np.where(better, j0, index)
-            if d == 2:
-                class_lip = max(class_lip, gstar / (np.log(1.0 / ann_inner) * ann_inner))
-            else:
-                p = 2.0 - d
-                class_lip = max(class_lip,
-                                gstar * abs(p) * ann_inner ** (p - 1.0) / abs(1.0 - ann_inner ** p))
+    # Conservative over inter-node gaps: the patch decreases outward, so on
+    # [r_i, r_{i+1}] its value is at least the value at r_{i+1}, while the
+    # gain is bounded by the larger endpoint.
+    psi_shift = np.concatenate([psi[1:], [0.0]])
+    g_hull = np.maximum(gvals, np.concatenate([gvals[1:], [0.0]]))
+    with np.errstate(divide="ignore"):
+        bound = np.where(g_hull > 1e-14, gstar * psi_shift / np.maximum(g_hull, 1e-300),
+                         np.inf)
+    suffix = np.minimum.accumulate(bound[::-1])[::-1]
+    feasible = psi <= suffix * (1.0 + 1e-12)
+    feasible[-1] = False  # inner radius 1 leaves no annulus
+    if feasible.any():
+        j0 = int(np.argmax(feasible))  # smallest feasible inner radius
+        ann_inner = float(radii[j0])
+        with np.errstate(invalid="ignore"):
+            ann_vals = np.where(np.arange(K) >= j0, gstar * psi / psi[j0], np.inf)
+        better = ann_vals < values
+        values = np.where(better, ann_vals, values)
+        family = np.where(better, FAMILY_ANNULUS, family)
+        index = np.where(better, j0, index)
+        if d == 2:
+            class_lip = max(class_lip, gstar / (np.log(1.0 / ann_inner) * ann_inner))
+        else:
+            p = 2.0 - d
+            class_lip = max(class_lip,
+                            gstar * abs(p) * ann_inner ** (p - 1.0) / abs(1.0 - ann_inner ** p))
 
     values = np.maximum(values, gvals)  # dictionary patches clear the gain; kill rounding slack
     fld = radial_field(radii, values, tag="unbranched-envelope", dim=d)
@@ -358,6 +367,9 @@ def _envelope_cartesian(gain: GainField, n: int) -> EnvelopeRun:
     angles = 2.0 * np.pi * np.arange(CAP_DIRECTIONS) / CAP_DIRECTIONS
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     support = inside & (gvals > 1e-14)
+    if not support.any():
+        raise ConfigError(f"no node of the {n}x{n} cartesian grid inside the disc lies in "
+                          f"the gain's support; use more grid.nodes")
     sp_pts = coords[support]
     sp_g = gvals[support]
     zstar_by_dir = np.empty(CAP_DIRECTIONS)

@@ -1,9 +1,13 @@
 """Gain fields on the unit ball: nonnegative, compactly supported payoffs.
 
-Includes the spiked radial family (a high plateau of small radius on top of a
-hemispherical dome), smooth bump gains for presets and mollification.  Each
-``GainField`` carries the constants the majorant machinery needs (max gain,
-truncation level, support gap, Lipschitz bound).
+Every gain is a profile about a centre: ``profile(s)`` is the gain at
+distance s from ``center``, and ``g(x)`` is ``profile(|x - center|)``.  The
+spiked family (a high plateau of small radius on top of a hemispherical dome)
+and the radial bump sit at the origin; the offset bump is the same bump about
+an off-origin centre.  ``mollify`` convolves any of them with a radial bump
+kernel by one radial quadrature about the centre.  Each ``GainField`` carries
+the constants the majorant machinery needs (max gain, truncation level,
+support gap, Lipschitz bound).
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-
-from .grids import bilinear
 
 
 class GainError(ValueError):
@@ -48,19 +50,25 @@ def _pts(x, d: int) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class GainField:
-    """A payoff g >= 0 with compact support strictly inside the unit ball."""
+    """A payoff g >= 0 with compact support strictly inside the unit ball.
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    ``profile_fn`` maps distances from ``center`` (the origin when not given)
+    to gain values; ``support_radius`` bounds the support about the origin.
+    """
+
+    profile_fn: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     max_gain: float
     gstar: float
     lipschitz: float
     dim: int = 2
-    radial: bool = True
-    continuous: bool = True
-    radial_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    center: Optional[tuple] = None
 
     def __post_init__(self):
+        center = (0.0,) * self.dim if self.center is None else tuple(map(float, self.center))
+        if len(center) != self.dim:
+            raise GainError(f"the centre must have {self.dim} coordinates, got {center}")
+        object.__setattr__(self, "center", center)
         if not 0.0 < self.support_radius < 1.0:
             raise GainError("support radius must lie in (0, 1)")
         if self.gstar <= self.max_gain:
@@ -68,14 +76,17 @@ class GainField:
 
     def __call__(self, x) -> float | np.ndarray:
         pts, single = _pts(x, self.dim)
-        out = np.asarray(self.evaluator(pts), dtype=float)
+        out = self.profile(np.linalg.norm(pts - np.asarray(self.center), axis=1))
         return float(out[0]) if single else out
 
-    def profile(self, radii) -> np.ndarray:
-        """Values along a radius sweep (radial gains only)."""
-        if self.radial_evaluator is None:
-            raise GainError("gain is not radial")
-        return np.asarray(self.radial_evaluator(np.asarray(radii, dtype=float)), dtype=float)
+    def profile(self, s) -> np.ndarray:
+        """The gain at distance s from the centre; a radius sweep for a radial gain."""
+        return np.asarray(self.profile_fn(np.asarray(s, dtype=float)), dtype=float)
+
+    @property
+    def radial(self) -> bool:
+        """Whether the centre is the origin, so the profile is the gain along a radius."""
+        return not any(self.center)
 
     @property
     def support_gap(self) -> float:
@@ -88,12 +99,14 @@ class GainField:
         return max(self.lipschitz, self.gstar / self.support_gap)
 
 
-def _radial_field(radial_eval: Callable[[np.ndarray], np.ndarray], support_radius: float,
-                  gstar_margin: float, dim: int, continuous: bool,
-                  lipschitz: float | None = None,
-                  known_max: float | None = None) -> GainField:
-    probe = np.linspace(0.0, min(support_radius * 1.02, 1.0), PROBE_POINTS)
-    vals = np.asarray(radial_eval(probe), dtype=float)
+def _profile_field(profile_fn: Callable[[np.ndarray], np.ndarray], reach: float,
+                   gstar_margin: float, dim: int, center: Optional[tuple] = None,
+                   lipschitz: float | None = None,
+                   known_max: float | None = None) -> GainField:
+    """The gain of a profile that vanishes beyond distance ``reach`` of the centre;
+    its max and Lipschitz constant are probed on ``PROBE_POINTS`` distances."""
+    probe = np.linspace(0.0, min(reach * 1.02, 1.0), PROBE_POINTS)
+    vals = np.asarray(profile_fn(probe), dtype=float)
     if np.any(vals < -1e-12):
         raise GainError("gain must be nonnegative")
     gbar = float(vals.max()) if known_max is None else float(known_max)
@@ -101,20 +114,15 @@ def _radial_field(radial_eval: Callable[[np.ndarray], np.ndarray], support_radiu
         raise DegenerateGainError("gain is identically zero on its support")
     if lipschitz is None:
         lipschitz = float(np.abs(np.diff(vals)).max() / (probe[1] - probe[0]))
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        return radial_eval(np.linalg.norm(pts, axis=1))
-
+    offset = 0.0 if center is None else float(np.linalg.norm(center))
     return GainField(
-        evaluator=evaluator,
-        support_radius=support_radius,
+        profile_fn=profile_fn,
+        support_radius=offset + reach,
         max_gain=gbar,
         gstar=gbar * (1.0 + gstar_margin),
         lipschitz=lipschitz,
         dim=dim,
-        radial=True,
-        continuous=continuous,
-        radial_evaluator=radial_eval,
+        center=center,
     )
 
 
@@ -131,7 +139,7 @@ def spiked_gain(eps: float, dim: int = 2, gstar_margin: float = 0.25) -> GainFie
     if not 0.0 <= eps < 0.5:
         raise GainError(f"spike radius must lie in [0, 1/2), got {eps}")
 
-    def radial_eval(r: np.ndarray) -> np.ndarray:
+    def profile(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         # The dome, then the zero outside and the plateau, all in one array.
         out = np.multiply(r, r, out=np.empty_like(r))
@@ -143,23 +151,24 @@ def spiked_gain(eps: float, dim: int = 2, gstar_margin: float = 0.25) -> GainFie
         return out
 
     # The raw spike has a jump, so the probed difference quotient is
-    # resolution-dependent; flag the field discontinuous and leave the
-    # honest Lipschitz estimate to the mollified version.
-    field = _radial_field(radial_eval, support_radius=0.5, gstar_margin=gstar_margin,
-                          dim=dim, continuous=False, lipschitz=np.inf)
+    # resolution-dependent; its Lipschitz constant is infinite, and the
+    # honest estimate is left to the mollified version.
+    field = _profile_field(profile, 0.5, gstar_margin, dim, lipschitz=np.inf)
     return replace(field, max_gain=1.0, gstar=1.0 * (1.0 + gstar_margin))
 
 
 def radial_bump_gain(center_radius: float, width: float, height: float = 1.0,
                      dim: int = 2, gstar_margin: float = 0.25) -> GainField:
     """Smooth radial bump supported on the annulus |r - c| < width."""
+    if width <= 0.0:
+        raise GainError("bump width must be positive")
     if center_radius - width < 0.0 and center_radius > 0.0:
         raise GainError("bump must not straddle the origin unless centred there")
     support = center_radius + width
     if support >= 1.0:
         raise GainError("bump support escapes the unit ball")
 
-    def radial_eval(r: np.ndarray) -> np.ndarray:
+    def profile(r: np.ndarray) -> np.ndarray:
         t = (np.asarray(r, dtype=float) - center_radius) / width
         out = np.zeros_like(t)
         inside = np.abs(t) < 1.0
@@ -168,47 +177,18 @@ def radial_bump_gain(center_radius: float, width: float, height: float = 1.0,
 
     if height <= 0.0:
         raise DegenerateGainError("gain is identically zero on its support")
-    return _radial_field(radial_eval, support_radius=support, gstar_margin=gstar_margin,
-                         dim=dim, continuous=True, known_max=height)
+    return _profile_field(profile, support, gstar_margin, dim, known_max=height)
 
 
 def offset_bump_gain(center, radius: float, height: float = 1.0,
                      gstar_margin: float = 0.25) -> GainField:
-    """Smooth bump of the given radius centred off-origin (d = 2, non-radial)."""
-    c = np.asarray(center, dtype=float)
-    support = float(np.linalg.norm(c) + radius)
+    """The smooth bump of the given radius (``radial_bump_gain(0, radius)``)
+    about an off-origin centre (d = 2)."""
+    bump = radial_bump_gain(0.0, radius, height=height, gstar_margin=gstar_margin)
+    support = float(np.linalg.norm(center) + radius)
     if support >= 1.0:
         raise GainError("bump support escapes the unit ball")
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        t = np.linalg.norm(pts - c[None, :], axis=1) / radius
-        out = np.zeros(pts.shape[0])
-        inside = t < 1.0
-        out[inside] = height * np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-        return out
-
-    # Difference quotients on a grid over the support box; the supremum is the
-    # bump height, attained at the centre.
-    n = 97
-    xs = np.linspace(c[0] - radius, c[0] + radius, n)
-    ys = np.linspace(c[1] - radius, c[1] + radius, n)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    vals = evaluator(np.stack([xx.ravel(), yy.ravel()], axis=1)).reshape(n, n)
-    gbar = float(height)
-    if gbar <= 0.0:
-        raise DegenerateGainError("gain is identically zero on its support")
-    h = xs[1] - xs[0]
-    lip = float(max(np.abs(np.diff(vals, axis=0)).max(), np.abs(np.diff(vals, axis=1)).max()) / h)
-    return GainField(
-        evaluator=evaluator,
-        support_radius=support,
-        max_gain=gbar,
-        gstar=gbar * (1.0 + gstar_margin),
-        lipschitz=lip,
-        dim=2,
-        radial=False,
-        continuous=True,
-    )
+    return replace(bump, center=center, support_radius=support)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +206,11 @@ def _bump_kernel(s: np.ndarray, width: float) -> np.ndarray:
 def mollify(g: GainField, width: float, profile_points: int = 4096) -> GainField:
     """Convolve with a normalised radial bump of the given width.
 
-    Radial gains use a one-dimensional radial convolution carrying the full
-    d-dimensional kernel weight; the support radius grows by exactly width.
-    The quadrature runs ``MOLLIFY_BLOCK`` radius nodes at a time in one
+    The gain is a profile about its centre and the kernel is radial, so the
+    convolution is a profile about the same centre: a one-dimensional radial
+    quadrature carrying the full d-dimensional kernel weight, on
+    ``profile_points`` distances.  The support radius grows by exactly width.
+    The quadrature runs ``MOLLIFY_BLOCK`` distance nodes at a time in one
     reused buffer sized to fit in cache, so its peak memory does not grow with
     ``profile_points``; each node's value is the same bits as on whole arrays.
     """
@@ -236,12 +218,10 @@ def mollify(g: GainField, width: float, profile_points: int = 4096) -> GainField
         raise GainError("mollification width must be positive")
     if width >= (1.0 - g.support_radius) / 2.0:
         raise GainError("mollification width pushes the support out of the ball")
-    if not g.radial:
-        return _mollify_grid(g, width)
 
     d = g.dim
-    new_support = g.support_radius + width
-    r_nodes = np.linspace(0.0, min(new_support * 1.01, 1.0), profile_points)
+    reach = g.support_radius - float(np.linalg.norm(g.center)) + width
+    r_nodes = np.linspace(0.0, min(reach * 1.01, 1.0), profile_points)
 
     # Gauss-Legendre in kernel radius and angle.
     s_x, s_w = np.polynomial.legendre.leggauss(32)
@@ -286,53 +266,12 @@ def mollify(g: GainField, width: float, profile_points: int = 4096) -> GainField
         values[start:start + block] = dist.sum(axis=(1, 2)) / norm
     values = np.clip(values, 0.0, None)
 
-    def radial_eval(r: np.ndarray) -> np.ndarray:
+    def profile(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        return np.where(r >= new_support, 0.0, np.interp(r, r_nodes, values))
+        return np.where(r >= reach, 0.0, np.interp(r, r_nodes, values))
 
     gstar_margin = g.gstar / g.max_gain - 1.0
-    return _radial_field(radial_eval, support_radius=new_support,
-                         gstar_margin=gstar_margin, dim=d, continuous=True)
-
-
-def _mollify_grid(g: GainField, width: float) -> GainField:
-    from scipy.signal import fftconvolve
-
-    spacing = width / 6.0
-    half = g.support_radius + width + 2.0 * spacing
-    n = int(np.ceil(2.0 * half / spacing)) | 1
-    xs = (np.arange(n) - (n - 1) / 2.0) * spacing
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    field = g(np.stack([xx.ravel(), yy.ravel()], axis=1)).reshape(n, n)
-
-    m = int(np.ceil(width / spacing))
-    ks = np.arange(-m, m + 1) * spacing
-    kx, ky = np.meshgrid(ks, ks, indexing="ij")
-    kernel = _bump_kernel(np.hypot(kx, ky), width)
-    kernel /= kernel.sum()
-    smooth = fftconvolve(field, kernel, mode="same")
-    smooth = np.clip(smooth, 0.0, None)
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        out = bilinear(smooth, (xs[0], xs[0]), (spacing, spacing), pts)
-        far = np.linalg.norm(pts, axis=1) >= g.support_radius + width
-        out[far] = 0.0
-        return out
-
-    gbar = float(smooth.max())
-    if gbar <= 0.0:
-        raise DegenerateGainError("mollified gain is identically zero")
-    lip = float(max(np.abs(np.diff(smooth, axis=0)).max(), np.abs(np.diff(smooth, axis=1)).max()) / spacing)
-    return GainField(
-        evaluator=evaluator,
-        support_radius=g.support_radius + width,
-        max_gain=gbar,
-        gstar=gbar * (g.gstar / g.max_gain),
-        lipschitz=lip,
-        dim=2,
-        radial=False,
-        continuous=True,
-    )
+    return _profile_field(profile, reach, gstar_margin, d, center=g.center)
 
 
 # ---------------------------------------------------------------------------

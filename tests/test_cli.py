@@ -144,6 +144,68 @@ class TestExitCodes:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "paths"]) == 5
 
 
+class TestGridKind:
+    """A config whose grid cannot carry its gain exits 2 and says why."""
+
+    OFFSET = {"kind": "offset-bump", "center": [0.4, 0.0], "radius": 0.15}
+
+    @pytest.mark.parametrize("command", ["envelope", "balayage", "paths"])
+    def test_offset_gain_on_a_radial_grid_exits_two(self, command, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"gain": self.OFFSET, "grid": {"kind": "radial", "nodes": 64}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
+        assert "gain is not radial" in capsys.readouterr().err
+
+    def test_reproduce_on_a_cartesian_grid_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"gain": {"kind": "spiked", "epsilon": 0.05, "mollify": 0.01},
+                                   "grid": {"kind": "cartesian", "nodes": 33},
+                                   "oracle": {"radial": True}})
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "reproduce", "spiked-ball"]) == 2
+        assert "grid.kind 'cartesian'" in capsys.readouterr().err
+        assert not (out / "verdict.json").exists()
+
+    @pytest.mark.parametrize("nodes", [4, 5])
+    def test_cartesian_grid_missing_the_support_exits_two(self, nodes, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(CART33, grid={"kind": "cartesian", "nodes": nodes}))
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "envelope"]) == 2
+        assert "gain's support" in capsys.readouterr().err
+
+
+# Every gain kind on radial and Cartesian grids down to 3 nodes; a mollified
+# gain takes the code paths of its raw gain, so it runs on two of the grids.
+SWEEP_GAINS = {
+    "spiked-raw": {"kind": "spiked", "epsilon": 0.05},
+    "spiked-mollified": {"kind": "spiked", "epsilon": 0.05, "mollify": 0.01},
+    "spiked-eps0": {"kind": "spiked", "epsilon": 0.0},
+    "bump-d2": {"kind": "radial-bump", "center_radius": 0.3, "width": 0.15},
+    "bump-d3": {"kind": "radial-bump", "center_radius": 0.3, "width": 0.15, "dim": 3},
+    "offset-raw": {"kind": "offset-bump", "center": [0.4, 0.0], "radius": 0.15},
+    "offset-mollified": {"kind": "offset-bump", "center": [0.4, 0.0], "radius": 0.15,
+                         "mollify": 0.01},
+}
+SWEEP_GRIDS = [("radial", 3), ("radial", 17), ("cartesian", 3), ("cartesian", 4),
+               ("cartesian", 5), ("cartesian", 9)]
+SWEEP_CASES = [(gain, kind, nodes) for gain in SWEEP_GAINS for kind, nodes in SWEEP_GRIDS
+               if "mollify" not in SWEEP_GAINS[gain] or nodes in (17, 9)]
+SWEEP_COMMANDS = [["envelope"], ["balayage"], ["paths"], ["oracle"], ["reproduce", "spiked-ball"]]
+
+
+@pytest.mark.parametrize("gain, kind, nodes", SWEEP_CASES,
+                         ids=[f"{gain}-{kind}-{nodes}" for gain, kind, nodes in SWEEP_CASES])
+def test_small_configs_exit_with_a_table_code(gain, kind, nodes, tmp_path):
+    # A structural failure, a config error or a non-convergence is an exit
+    # code; anything raised out of main is a fault of the program.  The probe
+    # lies between every gain's support and the sphere.
+    block = SWEEP_GAINS[gain]
+    dim = block.get("dim", 2)
+    payload = {"gain": block, "grid": {"kind": kind, "nodes": nodes},
+               "paths": {"n_paths": 2, "sample_traces": 1, "probe": [0.7] + [0.0] * (dim - 1)},
+               "oracle": {"radial": kind == "radial", "psor": kind == "cartesian"}}
+    cfg = write_cfg(tmp_path, payload)
+    for k, command in enumerate(SWEEP_COMMANDS):
+        assert main(["--config", cfg, "--out", str(tmp_path / f"o{k}"), *command]) in {0, 2, 3, 4, 5}
+
+
 class TestExitCodeTable:
     """One case per row of cli.EXIT_TABLE, each class raised from inside a command."""
 

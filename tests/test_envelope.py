@@ -227,9 +227,8 @@ class TestEnvelopeStep:
         lift = np.where(rng.uniform(size=n) < 0.6, rng.uniform(0.01, 1.0, n), 0.0)
         lift[[0, -1]] = rng.uniform(0.01, 1.0, 2)  # a run at the origin and one at the sphere
         lift[n // 2] = 0.0
-        gain = GainField(evaluator=lambda p: np.interp(np.linalg.norm(p, axis=1), radii, g),
-                         support_radius=0.99, max_gain=1.0, gstar=2.0, lipschitz=1.0,
-                         continuous=False, radial_evaluator=lambda r: np.interp(r, radii, g))
+        gain = GainField(profile_fn=lambda r: np.interp(r, radii, g),
+                         support_radius=0.99, max_gain=1.0, gstar=2.0, lipschitz=1.0)
         w = radial_field(radii, g + lift, tag="w")
         contact = contact_set(w, gain)
         stepped = envelope_step(w, contact, gain)

@@ -34,7 +34,7 @@ class TestSpiked:
         assert np.all(geps.profile(r) >= g0.profile(r) - 1e-15)
 
     def test_flagged_discontinuous(self):
-        assert not spiked_gain(0.05).continuous
+        assert spiked_gain(0.05).lipschitz == np.inf
 
     def test_profile_matches_the_where_chain(self):
         eps = 0.05
@@ -164,6 +164,11 @@ class TestDeriveConstants:
         with pytest.raises((DegenerateGainError, GainError)):
             radial_bump_gain(0.3, 0.15, height=0.0)
 
+    @pytest.mark.parametrize("width", [0.0, -0.1])
+    def test_bump_width_must_be_positive(self, width):
+        with pytest.raises(GainError, match="width"):
+            radial_bump_gain(0.3, width)
+
     def test_margin_one(self):
         g = mollify(spiked_gain(0.05, gstar_margin=1.0), 0.01)
         assert g.gstar == pytest.approx(2.0, abs=1e-6)
@@ -194,7 +199,6 @@ class TestConfig:
     def test_spiked_block(self):
         g = gain_from_config({"kind": "spiked", "epsilon": 0.05, "mollify": 0.01,
                               "gstar_margin": 0.25})
-        assert g.continuous
         assert g.gstar == pytest.approx(1.25, abs=1e-6)
 
     def test_unknown_kind(self):

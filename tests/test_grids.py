@@ -113,9 +113,8 @@ def test_disc_stencil_exact_on_quadratics_and_harmonics(n):
 def test_solver_stencil_matches_its_grid():
     # Fields are freed between steps, so their coordinate arrays may reuse an
     # address: a stencil cached by id() would come back at another grid size.
-    gain = GainField(evaluator=lambda p: np.where(np.linalg.norm(p, axis=1) < 0.5, 0.5, 0.0),
-                     support_radius=0.5, max_gain=0.5, gstar=1.0, lipschitz=1.0,
-                     radial=False, continuous=False)
+    gain = GainField(profile_fn=lambda s: np.where(s < 0.5, 0.5, 0.0),
+                     support_radius=0.5, max_gain=0.5, gstar=1.0, lipschitz=1.0)
 
     def balayage_of_fresh_field(n):
         fld = cartesian_field(n, np.zeros((n, n)), tag="probe")

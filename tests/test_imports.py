@@ -25,6 +25,14 @@ CARTESIAN = {
     "grid": {"kind": "cartesian", "nodes": 33},
 }
 
+# An off-centre gain is mollified by the same radial quadrature as a radial one.
+CARTESIAN_MOLLIFIED = {
+    "gain": {"kind": "offset-bump", "center": [0.4, 0.0], "radius": 0.15, "mollify": 0.01,
+             "gstar_margin": 0.25},
+    "dim": 2,
+    "grid": {"kind": "cartesian", "nodes": 33},
+}
+
 PROBE = """
 import sys
 import lsmlab, lsmlab.cli
@@ -54,6 +62,7 @@ def test_cli_import_loads_no_unused_scipy_module(tmp_path):
     assert loaded_after(tmp_path) == []
 
 
-@pytest.mark.parametrize("config", [RADIAL, CARTESIAN], ids=["radial", "cartesian-33"])
+@pytest.mark.parametrize("config", [RADIAL, CARTESIAN, CARTESIAN_MOLLIFIED],
+                         ids=["radial", "cartesian-33", "cartesian-33-offset-mollified"])
 def test_envelope_loads_no_unused_scipy_module(tmp_path, config):
     assert loaded_after(tmp_path, config) == []

@@ -76,13 +76,12 @@ class TestRadialOracle:
 
         def shell_eval(r):
             r = np.asarray(r, dtype=float)
-            return np.where(r >= r_shell, dome.radial_evaluator(r), 0.0)
+            return np.where(r >= r_shell, dome.profile(r), 0.0)
 
         from lsmlab.gain import GainField
-        g = GainField(evaluator=lambda p: shell_eval(np.linalg.norm(p, axis=1)),
+        g = GainField(profile_fn=shell_eval,
                       support_radius=0.5, max_gain=float(np.sqrt(0.25 - r_shell ** 2)),
-                      gstar=1.25, lipschitz=10.0, radial=True, continuous=False,
-                      radial_evaluator=shell_eval)
+                      gstar=1.25, lipschitz=10.0)
         radii = L.radial_grid(2048)
         prof = radial_value_oracle(g, 2, radii)
         inner = radii < r_shell - 0.05
