@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -360,10 +361,12 @@ def cmd_paths(cfg: Config, out: Path, threads: int) -> int:
         _write_json(out / "excessivity.json", {"runs": 0, "note": "no paths requested"})
         return EXIT_OK
     # Fixed-size chunks with per-chunk streams: results are byte-identical for
-    # any thread count, and chunks can run concurrently.
+    # any thread count, and chunks can run concurrently.  No more workers start
+    # than there are chunks or cores, whatever --threads asks for.
     chunk = 4096
     jobs = [(k, min(chunk, n_paths - k * chunk)) for k in range((n_paths + chunk - 1) // chunk)]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    workers = max(1, min(threads, len(jobs), os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(
             lambda job: run_algorithm1_batch(witness, probe, job[1], pcfg, stream_key=job[0]),
             jobs))

@@ -2,11 +2,16 @@
 
 The unbranched envelope scans a parametric dictionary of globally majorising
 patches (constants, boundary-tangent caps, annulus-to-boundary patches) and is
-an upper bound on the true infimum.  Refinement replaces the field on each
-non-contact component by the component's obstacle-respecting harmonic
-replacement, which coincides with plain log/power interpolation whenever the
-interpolant clears the gain.  The plain replacement (which may dip below the
-gain, and does for spiked gains) is kept as the balayage diagnostic.
+an upper bound on the true infimum.  One scan serves radial and Cartesian
+grids alike: a grid supplies its node points, its cap directions with their
+slopes, and the radius sweep on which one safeguarded rule picks the annulus
+inner radius.
+
+Refinement replaces the field on each non-contact component by the
+component's obstacle-respecting harmonic replacement, which coincides with
+plain log/power interpolation whenever the interpolant clears the gain.  The
+plain replacement (which may dip below the gain, and does for spiked gains) is
+kept as the balayage diagnostic.
 
 Radial fields are affine in the scale coordinate on a harmonic stretch, so the
 obstacle-respecting replacement of a non-contact run is the upper concave hull
@@ -33,7 +38,8 @@ from .gain import ConfigError, GainError, GainField, outer_running_max
 from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
                        signed_distance, smooth_inner_approximation)
 from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid, disc_stencil,
-                    label_components, scale_coordinate, upper_concave_hull, write_csv)
+                    label_components, radial_grid, scale_coordinate, upper_concave_hull,
+                    write_csv)
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, branched, cap_patch, constant_patch,
                        identity_frames, leaf, matching_error)
@@ -214,30 +220,29 @@ class EnvelopeRun:
     field: GridField
     gain: GainField
     family: np.ndarray           # per-node best family code
-    index: np.ndarray            # per-node family parameter index
-    zstar: float                 # cap slope parameter (by direction for cartesian)
-    zstar_by_dir: Optional[np.ndarray]
-    directions: Optional[np.ndarray]
+    index: np.ndarray            # per-node cap direction index (0 off the caps)
+    directions: np.ndarray       # cap directions, one per row; e1 alone on a radial run
+    slopes: np.ndarray           # cap slope parameter of each direction
     annulus_inner: Optional[float]
     class_lipschitz: float
 
     @property
     def rotated_caps(self) -> bool:
         """Whether caps turn to pass through each query direction (radial runs)."""
-        return self.zstar_by_dir is None
+        return self.field.kind == "radial"
 
     def best_patches(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Family code and parameter key of the dictionary patch at each point.
 
         The patch is the one achieving the envelope at the node nearest the
         point; a radial distance halfway between two nodes takes the lower
-        one.  The parameter is the cap direction index on a Cartesian run and
-        0 otherwise, so ``(family, parameter)`` names one ``key_patch``.
+        one.  The parameter is the cap direction index (always 0 on a radial
+        run) and 0 for the other families, so ``(family, parameter)`` names
+        one ``key_patch``.
         """
         node = self.field.nearest_node(np.atleast_2d(points))
         family = self.family[node]
-        param = np.where((family == FAMILY_CAP) & (not self.rotated_caps), self.index[node], 0)
-        return family, param
+        return family, np.where(family == FAMILY_CAP, self.index[node], 0)
 
     def key_patch(self, family: int, param: int) -> HarmonicPatch:
         """The dictionary patch of one ``best_patches`` key; a radial cap is
@@ -246,9 +251,7 @@ class EnvelopeRun:
         if family == FAMILY_CONSTANT:
             return constant_patch(gain.max_gain, gain.gstar, dim=gain.dim)
         if family == FAMILY_CAP:
-            if self.rotated_caps:
-                return cap_patch(np.eye(gain.dim)[0], self.zstar, gain.gstar)
-            return cap_patch(self.directions[param], float(self.zstar_by_dir[param]), gain.gstar)
+            return cap_patch(self.directions[param], float(self.slopes[param]), gain.gstar)
         if family == FAMILY_ANNULUS:
             return annulus_to_boundary_patch(self.annulus_inner, gain.gstar, dim=gain.dim)
         raise EnvelopeError(f"unknown family code {family}")
@@ -259,22 +262,99 @@ class EnvelopeRun:
         x = np.asarray(x, dtype=float)
         family, param = self.best_patches(x)
         if family[0] == FAMILY_CAP and self.rotated_caps:
-            return cap_patch(x / np.linalg.norm(x), self.zstar, self.gain.gstar)
+            return cap_patch(x / np.linalg.norm(x), float(self.slopes[0]), self.gain.gstar)
         return self.key_patch(int(family[0]), int(param[0]))
 
 
 def unbranched_envelope(gain: GainField, grid) -> EnvelopeRun:
     """Pointwise minimum over the feasible patch dictionary.
 
-    The dictionary contains the constant at the max gain (feasible for every
-    gain, so the envelope is defined even when everything else fails),
-    boundary-tangent caps (rotated through each radial query direction, or
-    ``CAP_DIRECTIONS`` fixed directions on a Cartesian grid), and for radial
-    gains the annulus-to-boundary family with inner radii on the grid.
+    ``grid`` is a radius array (a radial run) or a Cartesian node count.  The
+    dictionary holds the constant at the max gain (feasible for every gain, so
+    the envelope is defined even when everything else fails), boundary-tangent
+    caps, and for radial gains the annulus-to-boundary family.  The grid
+    supplies only three things:
+
+    - its node points: ``radii x e1`` on a radial run, the grid nodes on a
+      Cartesian one;
+    - its cap directions and slopes: e1 alone with the slope of
+      ``_cap_zstar_radial`` on a radial run (its caps turn through each query
+      direction), ``CAP_DIRECTIONS`` fixed directions with node-exact slopes
+      on a Cartesian run;
+    - its radius sweep, on which ``_annulus_inner_index`` picks the annulus
+      inner radius: the run's own radii, or ``radial_grid(2048, 1e-3)``.
+
+    The three families are then scanned once for both grids.  A Cartesian grid
+    with no node inside the disc in the gain's support raises ``ConfigError``;
+    an off-centre gain on a radial grid raises ``GainError``.
     """
+    d, gstar = gain.dim, gain.gstar
     if isinstance(grid, (int, np.integer)):
-        return _envelope_cartesian(gain, int(grid))
-    return _envelope_radial(gain, np.asarray(grid, dtype=float))
+        n = int(grid)
+        fld = cartesian_field(n, np.zeros((n, n)), tag="unbranched-envelope")
+        points, inside = fld.coords.reshape(-1, 2), fld.inside.ravel()
+        gvals = gain_on_grid(gain, fld).ravel()
+        support = inside & (gvals > 1e-14)
+        if not support.any():
+            raise ConfigError(f"no node of the {n}x{n} cartesian grid inside the disc lies in "
+                              f"the gain's support; use more grid.nodes")
+        angles = 2.0 * np.pi * np.arange(CAP_DIRECTIONS) / CAP_DIRECTIONS
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        # Each slope clears the gain at the support's nodes only, so a cap may
+        # fall below the gain between nodes (by up to 1.3e-3 at 257 nodes and
+        # 7.1e-3 at 97 on the presets).  It stays node-exact on purpose: slopes
+        # bounded rigorously from the gain profile left w1 with no contact node
+        # at all (84 -> 0 nodes on a 129-node annulus gain, 6 -> 0 and 14 -> 0
+        # on the offset cap gain at 97 and 257 nodes) while the refinement
+        # limits agreed within 1.1e-11.  The level-0 balayage would then be the
+        # trivial whole-disc solve, and so would a payoff rule built on the w1
+        # contact set.  A rigorous slope first needs a decision on that discrete
+        # contact set, or separate rigorous witness leaves.
+        sp_pts, sp_g = points[support], gvals[support]
+        slopes = np.array([np.min((1.0 - sp_pts @ u) / sp_g) for u in directions])
+        sweep = radial_grid(2048, 1e-3)
+    else:
+        fld = radial_field(grid, np.zeros(len(grid)), tag="unbranched-envelope", dim=d)
+        sweep = fld.radii
+        gvals = _gain_on_radii(gain, sweep)
+        directions = np.eye(d)[:1]
+        slopes = np.array([_cap_zstar_radial(gain)])
+        points, inside = np.outer(sweep, directions[0]), np.ones(len(sweep), dtype=bool)
+
+    values = np.full(len(points), gain.max_gain)
+    family = np.full(len(points), FAMILY_CONSTANT, dtype=int)
+    index = np.zeros(len(points), dtype=int)
+    for k, (u, z) in enumerate(zip(directions, slopes)):
+        cap = (1.0 - points @ u) / z
+        better = (cap <= gstar) & (cap < values)
+        values[better], family[better], index[better] = cap[better], FAMILY_CAP, k
+    class_lip = float(np.max(1.0 / slopes))
+
+    ann_inner = None
+    if gain.radial:
+        psi = scale_coordinate(1.0, d) - scale_coordinate(sweep, d)  # >= 0, decreasing
+        j0 = _annulus_inner_index(gain.profile(sweep), psi, gstar)
+        if j0 is not None:
+            ann_inner = float(sweep[j0])
+            r = np.linalg.norm(points, axis=1)
+            with np.errstate(divide="ignore"):
+                ann = gstar * (scale_coordinate(1.0, d) - scale_coordinate(r, d)) / psi[j0]
+            better = (r >= ann_inner) & (ann < values)
+            values[better], family[better], index[better] = ann[better], FAMILY_ANNULUS, 0
+            if d == 2:
+                lip = gstar / (np.log(1.0 / ann_inner) * ann_inner)
+            else:
+                p = 2.0 - d
+                lip = gstar * abs(p) * ann_inner ** (p - 1.0) / abs(1.0 - ann_inner ** p)
+            class_lip = max(class_lip, lip)
+
+    # Dictionary patches clear the gain; the maximum kills rounding slack.
+    values = np.where(inside, np.maximum(values, gvals), 0.0)
+    shape = fld.values.shape
+    return EnvelopeRun(field=fld.copy_with(values.reshape(shape), fld.tag), gain=gain,
+                       family=family.reshape(shape), index=index.reshape(shape),
+                       directions=directions, slopes=slopes, annulus_inner=ann_inner,
+                       class_lipschitz=float(class_lip))
 
 
 def _cap_zstar_radial(gain: GainField) -> float:
@@ -295,127 +375,26 @@ def _cap_zstar_radial(gain: GainField) -> float:
     return float(np.min(lever[pos] / big[pos]))
 
 
-def _envelope_radial(gain: GainField, radii: np.ndarray) -> EnvelopeRun:
-    d = gain.dim
-    K = len(radii)
-    gvals = _gain_on_radii(gain, radii)
-    gstar = gain.gstar
-    gbar = gain.max_gain
-    psi = scale_coordinate(1.0, d) - scale_coordinate(radii, d)  # >= 0, decreasing
+def _annulus_inner_index(gprof: np.ndarray, psi: np.ndarray, gstar: float) -> Optional[int]:
+    """Index on a radius sweep of the smallest feasible inner radius of the
+    annulus-to-boundary patch, or None if none below the last radius is.
 
-    values = np.full(K, gbar)
-    family = np.full(K, FAMILY_CONSTANT, dtype=int)
-    index = np.zeros(K, dtype=int)
-    class_lip = 0.0
-
-    zstar = _cap_zstar_radial(gain)
-    cap_vals = (1.0 - radii) / zstar
-    cap_vals = np.where(cap_vals <= gstar, cap_vals, np.inf)
-    better = cap_vals < values
-    values = np.where(better, cap_vals, values)
-    family = np.where(better, FAMILY_CAP, family)
-    class_lip = max(class_lip, 1.0 / zstar)
-
-    ann_inner = None
-    # Conservative over inter-node gaps: the patch decreases outward, so on
-    # [r_i, r_{i+1}] its value is at least the value at r_{i+1}, while the
-    # gain is bounded by the larger endpoint.
+    ``gprof`` is the gain and ``psi`` the scale distance to the unit sphere
+    (``scale(1) - scale(r)``) along the sweep; the patch with inner radius a
+    is gstar * psi(r) / psi(a) on r >= a.  Conservative over the gaps between
+    sweep radii: the patch decreases outward, so on [r_i, r_{i+1}] its value
+    is at least the value at r_{i+1}, while the gain is bounded by the larger
+    endpoint.
+    """
     psi_shift = np.concatenate([psi[1:], [0.0]])
-    g_hull = np.maximum(gvals, np.concatenate([gvals[1:], [0.0]]))
+    g_hull = np.maximum(gprof, np.concatenate([gprof[1:], [0.0]]))
     with np.errstate(divide="ignore"):
         bound = np.where(g_hull > 1e-14, gstar * psi_shift / np.maximum(g_hull, 1e-300),
                          np.inf)
     suffix = np.minimum.accumulate(bound[::-1])[::-1]
     feasible = psi <= suffix * (1.0 + 1e-12)
     feasible[-1] = False  # inner radius 1 leaves no annulus
-    if feasible.any():
-        j0 = int(np.argmax(feasible))  # smallest feasible inner radius
-        ann_inner = float(radii[j0])
-        with np.errstate(invalid="ignore"):
-            ann_vals = np.where(np.arange(K) >= j0, gstar * psi / psi[j0], np.inf)
-        better = ann_vals < values
-        values = np.where(better, ann_vals, values)
-        family = np.where(better, FAMILY_ANNULUS, family)
-        index = np.where(better, j0, index)
-        if d == 2:
-            class_lip = max(class_lip, gstar / (np.log(1.0 / ann_inner) * ann_inner))
-        else:
-            p = 2.0 - d
-            class_lip = max(class_lip,
-                            gstar * abs(p) * ann_inner ** (p - 1.0) / abs(1.0 - ann_inner ** p))
-
-    values = np.maximum(values, gvals)  # dictionary patches clear the gain; kill rounding slack
-    fld = radial_field(radii, values, tag="unbranched-envelope", dim=d)
-    return EnvelopeRun(field=fld, gain=gain, family=family, index=index,
-                       zstar=float(zstar), zstar_by_dir=None, directions=None,
-                       annulus_inner=ann_inner, class_lipschitz=float(class_lip))
-
-
-def _envelope_cartesian(gain: GainField, n: int) -> EnvelopeRun:
-    coords, spacing = cartesian_grid(n)
-    inside = np.linalg.norm(coords, axis=-1) < 1.0
-    pts = coords.reshape(-1, 2)
-    gvals = gain(pts).reshape(n, n)
-    gstar = gain.gstar
-    gbar = gain.max_gain
-
-    values = np.full((n, n), gbar)
-    family = np.full((n, n), FAMILY_CONSTANT, dtype=int)
-    index = np.zeros((n, n), dtype=int)
-    class_lip = 0.0
-
-    angles = 2.0 * np.pi * np.arange(CAP_DIRECTIONS) / CAP_DIRECTIONS
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    support = inside & (gvals > 1e-14)
-    if not support.any():
-        raise ConfigError(f"no node of the {n}x{n} cartesian grid inside the disc lies in "
-                          f"the gain's support; use more grid.nodes")
-    sp_pts = coords[support]
-    sp_g = gvals[support]
-    zstar_by_dir = np.empty(CAP_DIRECTIONS)
-    for k in range(CAP_DIRECTIONS):
-        p = sp_pts @ dirs[k]
-        zstar_by_dir[k] = np.min((1.0 - p) / sp_g)
-        cap_vals = (1.0 - pts @ dirs[k]) / zstar_by_dir[k]
-        cap_vals = np.where(cap_vals <= gstar, cap_vals, np.inf).reshape(n, n)
-        better = cap_vals < values
-        values = np.where(better, cap_vals, values)
-        family = np.where(better, FAMILY_CAP, family)
-        index = np.where(better, k, index)
-    class_lip = max(class_lip, float(np.max(1.0 / zstar_by_dir)))
-
-    ann_inner = None
-    if gain.radial:
-        fine = np.exp(np.linspace(np.log(1e-3), 0.0, 2048))
-        fine[-1] = 1.0
-        gf = gain.profile(fine)
-        psi_f = scale_coordinate(1.0, 2) - scale_coordinate(fine, 2)
-        with np.errstate(divide="ignore"):
-            bound = np.where(gf > 1e-14, gstar * psi_f / np.maximum(gf, 1e-300), np.inf)
-        suffix = np.minimum.accumulate(bound[::-1])[::-1]
-        feasible = psi_f <= suffix * (1.0 + 1e-12)
-        feasible[-1] = False
-        if feasible.any():
-            j0 = int(np.argmax(feasible))
-            ann_inner = float(fine[j0])
-            radii_nodes = np.linalg.norm(coords, axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                psi_nodes = scale_coordinate(1.0, 2) - scale_coordinate(
-                    np.clip(radii_nodes, 1e-12, None), 2)
-                ann_vals = np.where(radii_nodes >= ann_inner,
-                                    gstar * psi_nodes / psi_f[j0], np.inf)
-            better = ann_vals < values
-            values = np.where(better, ann_vals, values)
-            family = np.where(better, FAMILY_ANNULUS, family)
-            class_lip = max(class_lip, gstar / (np.log(1.0 / ann_inner) * ann_inner))
-
-    values = np.maximum(values, gvals)
-    values[~inside] = 0.0
-    fld = cartesian_field(n, values, tag="unbranched-envelope")
-    return EnvelopeRun(field=fld, gain=gain, family=family, index=index,
-                       zstar=float(np.min(zstar_by_dir)), zstar_by_dir=zstar_by_dir,
-                       directions=dirs,
-                       annulus_inner=ann_inner, class_lipschitz=float(class_lip))
+    return int(np.argmax(feasible)) if feasible.any() else None
 
 
 # ---------------------------------------------------------------------------

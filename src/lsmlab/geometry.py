@@ -375,9 +375,9 @@ def _recognise_radial(region: GridRegion) -> Ball | Annulus | None:
     return Annulus(center=(0.0, 0.0), inner=lo, outer=hi)
 
 
-def smooth_inner_approximation(region: GridRegion | Ball | Annulus, delta: float,
+def smooth_inner_approximation(region: GridRegion, delta: float,
                                check_samples: int = 512) -> Domain:
-    """Shrink an open set to a smoothly bounded subset within Hausdorff distance delta.
+    """Shrink a grid region to a smoothly bounded subset within Hausdorff distance delta.
 
     The result is the sublevel set {mollified signed distance < -delta/2}; the
     mollifier is a Gaussian of standard deviation delta/4 applied to the grid
@@ -386,8 +386,6 @@ def smooth_inner_approximation(region: GridRegion | Ball | Annulus, delta: float
     """
     from scipy.ndimage import gaussian_filter
 
-    if not isinstance(region, GridRegion):
-        region = rasterize(region)
     if delta <= 0.0:
         raise DegenerateApproximationError("shrink width must be positive")
     rho = inradius(region)

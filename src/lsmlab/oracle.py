@@ -48,7 +48,6 @@ class RadialProfile:
     values: np.ndarray
     scale: np.ndarray
     dim: int
-    value_at_origin: float = 0.0
 
     def __post_init__(self):
         if np.any(np.diff(self.radii) <= 0.0):
@@ -105,9 +104,7 @@ def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray,
     hx, hy = upper_concave_hull(xs, ys)
     vals = np.interp(s, hx, hy)
     vals = np.maximum(vals, prof)
-    g0 = float(gain.profile(np.array([0.0]))[0])
-    return RadialProfile(radii=radii, values=vals, scale=s, dim=d,
-                         value_at_origin=max(g0, float(vals[0])))
+    return RadialProfile(radii=radii, values=vals, scale=s, dim=d)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lsmlab import cli
@@ -412,6 +414,42 @@ class TestThreads:
         assert main(["--config", cfg, "--out", str(out1), "--threads", "1", "paths"]) == 0
         assert main(["--config", cfg, "--out", str(out2), "--threads", "3", "paths"]) == 0
         assert read_all(out1) == read_all(out2)
+
+    @pytest.mark.parametrize("threads, cpus, chunks, workers", [
+        (10_000, 2, 5, 2), (10_000, 64, 3, 3), (1, 64, 3, 1), (0, 64, 3, 1), (4, None, 3, 1)])
+    def test_pool_starts_at_most_one_worker_per_chunk_and_core(self, threads, cpus, chunks,
+                                                               workers, monkeypatch, tmp_path):
+        # A stub pool runs the jobs inline and records the workers asked for, so
+        # no thread starts; a stub batch makes each chunk's paths free.
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        def batch(witness, probe, n, pcfg, stream_key):
+            return np.tile(probe, (n, 1)), ["stub"] * n
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "run_algorithm1_batch", batch)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        n_paths = 4096 * (chunks - 1) + 1
+        payload = dict(FAST_SPIKED, paths=dict(FAST_SPIKED["paths"], n_paths=n_paths))
+        out = tmp_path / "out"
+        assert main(["--config", write_cfg(tmp_path, payload), "--out", str(out),
+                     "--threads", str(threads), "paths"]) == 0
+        assert started == [workers]
+        report = json.loads((out / "excessivity.json").read_text())
+        assert report["terminations"] == {"stub": n_paths}
 
 
 class TestPathsCommand:

@@ -18,7 +18,8 @@ from lsmlab.envelope import (ContactSet, ConvergenceError, NoWitnessError, balay
                              unbranched_envelope)
 from lsmlab.gain import GainField
 from lsmlab.grids import disc_stencil
-from lsmlab.majorant import majorises_gain, matching_error, reflect
+from lsmlab.majorant import (annulus_to_boundary_patch, majorises_gain, matching_error,
+                             reflect)
 from lsmlab.oracle import neg_laplacian
 
 
@@ -52,6 +53,22 @@ class TestUnbranchedEnvelope:
         gv = gain_on_grid(cap_gain, fld)
         assert np.all(fld.values[inside] >= gv[inside] - 1e-10)
         assert np.all(fld.values[inside] <= cap_gain.max_gain + 1e-12)
+
+
+class TestAnnulusRule:
+    """One annulus inner-radius rule, with its safeguard between sweep radii,
+    for both grids."""
+
+    def test_cartesian_and_radial_runs_pick_one_inner_radius(self):
+        g = L.radial_bump_gain(0.3, 0.15)
+        cart = unbranched_envelope(g, 129)
+        rad = unbranched_envelope(g, L.radial_grid(2048))
+        assert cart.annulus_inner == rad.annulus_inner
+        fine = L.radial_grid(8 * 2047 + 1)  # 8 steps per gap of the 2048-node sweep
+        for run in (cart, rad):
+            patch = annulus_to_boundary_patch(run.annulus_inner, g.gstar)
+            r = fine[fine >= run.annulus_inner]
+            assert np.all(patch.value(np.outer(r, [1.0, 0.0])) >= g.profile(r))
 
 
 class TestContactSet:

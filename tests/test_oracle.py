@@ -64,9 +64,6 @@ class TestRadialOracle:
     def test_dominates_gain(self, spiked, radii, spiked_oracle):
         assert np.all(spiked_oracle.values >= spiked.profile(radii) - 1e-12)
 
-    def test_value_at_origin(self, spiked_oracle):
-        assert spiked_oracle.value_at_origin == pytest.approx(1.0, abs=1e-9)
-
     def test_annular_shell_flat_inner_value(self):
         # Gain forcing exit at a fixed radius: the dome restricted to
         # [shell_radius, 1/2].  From inside the hole the walls are hit almost
