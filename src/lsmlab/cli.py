@@ -20,6 +20,7 @@ import json
 import os
 import shutil
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
@@ -362,16 +363,22 @@ def cmd_paths(cfg: Config, out: Path, threads: int) -> int:
         return EXIT_OK
     # Fixed-size chunks with per-chunk streams: results are byte-identical for
     # any thread count, and chunks can run concurrently.  No more workers start
-    # than there are chunks or cores, whatever --threads asks for.
+    # than there are chunks or cores, whatever --threads asks for.  Each chunk
+    # writes its final points into its rows of one array and returns only its
+    # termination tally, so no path's result is held twice.
     chunk = 4096
-    jobs = [(k, min(chunk, n_paths - k * chunk)) for k in range((n_paths + chunk - 1) // chunk)]
+    jobs = range((n_paths + chunk - 1) // chunk)
+    finals = np.empty((n_paths, probe.shape[0]))
+
+    def run_chunk(k: int) -> Counter:
+        rows = slice(k * chunk, min((k + 1) * chunk, n_paths))
+        finals[rows], terms = run_algorithm1_batch(witness, probe, rows.stop - rows.start,
+                                                   pcfg, stream_key=k)
+        return Counter(terms)
+
     workers = max(1, min(threads, len(jobs), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda job: run_algorithm1_batch(witness, probe, job[1], pcfg, stream_key=job[0]),
-            jobs))
-    finals = np.concatenate([p[0] for p in parts], axis=0)
-    terms = [t for p in parts for t in p[1]]
+        tally = sum(pool.map(run_chunk, jobs), Counter())
     payoffs = gain(finals)
     mean = float(np.mean(payoffs))
     sem = float(np.std(payoffs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -386,7 +393,7 @@ def cmd_paths(cfg: Config, out: Path, threads: int) -> int:
         "error_bound": witness.error_bound,
         "bound": bound,
         "excessive": bool(mean <= bound + 3.0 * sem),
-        "terminations": {t: terms.count(t) for t in sorted(set(terms))},
+        "terminations": {t: tally[t] for t in sorted(tally)},
         "seed": cfg.paths.seed,
     }
     _write_json(out / "excessivity.json", report)

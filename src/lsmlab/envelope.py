@@ -21,10 +21,10 @@ cut-cell disc stencil, one ``grids.RedBlackSOR`` kernel per component.  Both
 primitives live in ``lsmlab.grids`` and are shared with the oracles.
 
 ``contact_set`` labels the non-contact components with
-``grids.label_components``, so an envelope run loads no scipy module beyond
-the ``scipy.sparse`` of the SOR kernel.  Witnesses on a Cartesian grid
-(``build_branched_witness``) shrink a grid region, which loads
-``scipy.ndimage`` and ``scipy.spatial`` on first use (see ``lsmlab.geometry``).
+``grids.label_components``, and witnesses on a Cartesian grid
+(``build_branched_witness``) shrink a grid region with numpy only (see
+``lsmlab.geometry``), so no run loads a scipy module beyond the
+``scipy.sparse`` of the SOR kernel.
 """
 
 from __future__ import annotations

@@ -16,12 +16,13 @@ projects onto the part whose signed distance is largest there.
 Sign convention: signed distance is negative inside the described open set,
 positive outside, in unit-ball length units.
 
-Only the grid-region helpers and the Hausdorff distance use scipy, and each
-imports it where it is used, so importing lsmlab loads neither
-``scipy.ndimage`` nor ``scipy.spatial``: ``GridRegion.sdf_table`` and
-``inradius`` load ``scipy.ndimage`` (``distance_transform_edt``),
-``smooth_inner_approximation`` loads it too (``gaussian_filter``), and
-``hausdorff_distance`` loads ``scipy.spatial`` (``cKDTree``).
+The grid-region helpers are numpy only, so no geometry query loads a scipy
+module: ``GridRegion.sdf_table`` is an exact separable Euclidean distance
+transform (Felzenszwalb & Huttenlocher, *Theory of Computing* 8, 2012) with
+the same bits as ``scipy.ndimage.distance_transform_edt``; ``inradius`` reads
+that table; ``smooth_inner_approximation`` mollifies it with a separable
+Gaussian (``gaussian_filter(mode="nearest")``'s kernel and sums); and
+``hausdorff_distance`` takes brute-force nearest distances in row blocks.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class GridRegion:
 
     Cell (i, j) has centre ((i - (nx-1)/2) * spacing, (j - (ny-1)/2) * spacing);
     the grid is symmetric about the origin.  All inside cells must lie strictly
-    inside the unit ball.
+    inside the unit ball, and at least one cell must lie outside: the signed
+    distance measures to the cells of the other phase, never past the array.
     """
 
     mask: np.ndarray
@@ -114,6 +116,8 @@ class GridRegion:
             raise GeometryError("grid region mask must be 2-dimensional")
         if self.spacing <= 0.0:
             raise GeometryError("grid spacing must be positive")
+        if mask.all():
+            raise GeometryError("grid region mask needs at least one outside cell")
         object.__setattr__(self, "mask", mask)
         centers = self.cell_centers()
         radii = np.linalg.norm(centers[mask], axis=1) if mask.any() else np.array([])
@@ -135,16 +139,46 @@ class GridRegion:
     @cached_property
     def sdf_table(self) -> np.ndarray:
         """Signed distance at every cell centre, computed once per region."""
-        from scipy.ndimage import distance_transform_edt
-
         mask = self.mask
         if not mask.any():
             return np.full(mask.shape, np.inf)
         # Distance (in cells) to the nearest cell of the opposite phase; the
         # interface sits half a cell beyond, hence the 0.5 shift.
-        d_out = distance_transform_edt(~mask)
-        d_in = distance_transform_edt(mask)
+        d_out = np.sqrt(_squared_distance_to(mask))
+        d_in = np.sqrt(_squared_distance_to(~mask))
         return np.where(mask, -(d_in - 0.5), d_out - 0.5) * self.spacing
+
+
+def _squared_distance_to(target: np.ndarray) -> np.ndarray:
+    """Exact squared Euclidean distance, in cells, from each cell to the nearest
+    True cell of ``target`` (which must have one).
+
+    The separable transform of Felzenszwalb & Huttenlocher: pass 1 is each
+    column's distance f to its nearest target, from running index scans down
+    and up the column; pass 2 is each row's lower envelope of f(k)² + (j-k)²,
+    taken as minima over ever wider shifts t, stopped once t² reaches the
+    largest current value (no wider shift can lower any cell).  Every value is
+    an exact integer, so the square root of the result has the bits of
+    ``scipy.ndimage.distance_transform_edt``.
+    """
+    n, m = target.shape
+    far = n + m  # a column with no target: f = far outweighs every real pair
+    dtype = np.int32 if 2 * far * far < 2 ** 31 else np.int64
+    rows = np.arange(n, dtype=dtype)[:, None]
+    above = np.maximum.accumulate(np.where(target, rows, -far), axis=0)
+    below = np.minimum.accumulate(np.where(target, rows, 2 * far)[::-1], axis=0)[::-1]
+    f = np.minimum(np.minimum(rows - above, below - rows), far)
+    f2 = f * f
+    d2 = f2.copy()
+    shifted = np.empty_like(f2)
+    t = 1
+    while t < m and t * t < d2.max():
+        np.add(f2[:, :-t], t * t, out=shifted[:, t:])
+        np.minimum(d2[:, t:], shifted[:, t:], out=d2[:, t:])
+        np.add(f2[:, t:], t * t, out=shifted[:, :-t])
+        np.minimum(d2[:, :-t], shifted[:, :-t], out=d2[:, :-t])
+        t += 1
+    return d2.astype(float)
 
 
 @dataclass(frozen=True)
@@ -314,19 +348,34 @@ def boundary_samples(dom: Domain, count: int) -> np.ndarray:
 # Hausdorff distance
 # ---------------------------------------------------------------------------
 
+HAUSDORFF_BLOCK = 1 << 20   # pair distances held at once
+
+
 def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between two finite point sets."""
+    """Hausdorff distance between two finite point sets.
+
+    Brute-force nearest distances over blocks of rows of ``a``, so at most
+    about ``HAUSDORFF_BLOCK`` pair distances are held at once; one block of
+    squared distances gives both directions.
+    """
     pa = np.atleast_2d(np.asarray(a, dtype=float))
     pb = np.atleast_2d(np.asarray(b, dtype=float))
     if pa.size == 0 or pb.size == 0:
         raise GeometryError("hausdorff distance needs nonempty point sets")
-    from scipy.spatial import cKDTree
-
-    tree_a = cKDTree(pa)
-    tree_b = cKDTree(pb)
-    d_ab = tree_b.query(pa)[0].max()
-    d_ba = tree_a.query(pb)[0].max()
-    return float(max(d_ab, d_ba))
+    if pa.shape[1] != pb.shape[1]:
+        raise GeometryError("hausdorff distance needs point sets of one dimension")
+    rows = max(1, HAUSDORFF_BLOCK // pb.shape[0])
+    a_to_b = 0.0
+    b_to_a = np.full(pb.shape[0], np.inf)
+    for start in range(0, pa.shape[0], rows):
+        block = pa[start:start + rows]
+        d2 = np.zeros((block.shape[0], pb.shape[0]))
+        for k in range(pa.shape[1]):
+            diff = block[:, k, None] - pb[None, :, k]
+            d2 += diff * diff
+        a_to_b = max(a_to_b, float(d2.min(axis=1).max()))
+        np.minimum(b_to_a, d2.min(axis=0), out=b_to_a)
+    return float(np.sqrt(max(a_to_b, float(b_to_a.max()))))
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +397,36 @@ def rasterize(dom: Domain, n: int = 512) -> GridRegion:
 
 
 def inradius(region: GridRegion) -> float:
-    from scipy.ndimage import distance_transform_edt
-
+    """Largest distance from an inside cell centre to the region's boundary
+    (0 for an empty region), read from the region's cached distance table."""
     if not region.mask.any():
         return 0.0
-    d_in = distance_transform_edt(region.mask)
-    return float((d_in.max() - 0.5) * region.spacing)
+    return float(-region.sdf_table[region.mask].min())
+
+
+def _gaussian_nearest(a: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(a, sigma, mode="nearest")`` in numpy.
+
+    The same kernel (truncated at 4 sigma, normalised by its sum), the same
+    edge extension and axis order, and the same order of sums as scipy's
+    symmetric correlation: centre term first, then the outermost pair of
+    taps inwards.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = (weights / weights.sum())[radius:]
+    out = a
+    for axis in range(a.ndim):
+        lines = np.moveaxis(out, axis, 0)
+        n = lines.shape[0]
+        pad = [(radius, radius)] + [(0, 0)] * (a.ndim - 1)
+        padded = np.pad(lines, pad, mode="edge")
+        acc = lines * weights[0]
+        for j in range(radius, 0, -1):
+            acc += (padded[radius - j:radius - j + n] + padded[radius + j:radius + j + n]) * weights[j]
+        out = np.moveaxis(acc, 0, axis)
+    return out
 
 
 def _recognise_radial(region: GridRegion) -> Ball | Annulus | None:
@@ -384,8 +457,6 @@ def smooth_inner_approximation(region: GridRegion, delta: float,
     distance transform.  When the input mask is recognisably a centred ball or
     annulus the exact shrunken descriptor is returned instead.
     """
-    from scipy.ndimage import gaussian_filter
-
     if delta <= 0.0:
         raise DegenerateApproximationError("shrink width must be positive")
     rho = inradius(region)
@@ -409,7 +480,7 @@ def smooth_inner_approximation(region: GridRegion, delta: float,
 
     table = region.sdf_table
     sigma_cells = (delta / 4.0) / region.spacing
-    mollified = gaussian_filter(table, sigma=sigma_cells, mode="nearest")
+    mollified = _gaussian_nearest(table, sigma_cells)
     new_mask = mollified < -delta / 2.0
     if not new_mask.any():
         raise DegenerateApproximationError("inner approximation is empty")

@@ -11,10 +11,10 @@ both the envelope refinement and the PSOR oracle; one CSR matvec per colour,
 and a relaxation factor each solve takes from its own update ratios), and
 ``write_csv``, the one writer of every CSV table the package emits.
 
-``scipy.sparse`` is the one scipy module loaded when lsmlab is imported: it
-is imported here, at the top, because every Cartesian solve builds its CSR
-matrices from it.  Imported lazily instead, it would put its import (about
-0.16 s on a 2-core x86-64 machine) inside the first Cartesian solve.
+``scipy.sparse`` is the one scipy module lsmlab loads: it is imported here,
+at the top, because every Cartesian solve builds its CSR matrices from it.
+Imported lazily instead, it would put its import (about 0.16 s on a 2-core
+x86-64 machine) inside the first Cartesian solve.
 """
 
 from __future__ import annotations

@@ -5,13 +5,116 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
+from lsmlab import geometry
 from lsmlab.geometry import (Annulus, Ball, Cap, DegenerateApproximationError, FullBall,
                              GeometryError, GridRegion, Intersection, boundary_samples,
-                             hausdorff_distance, project_to_boundary_batch, rasterize,
-                             ray_exit, save_mask_csv, signed_distance,
+                             hausdorff_distance, inradius, project_to_boundary_batch,
+                             rasterize, ray_exit, save_mask_csv, signed_distance,
                              smooth_inner_approximation)
 from lsmlab.grids import cartesian_grid
+
+
+def region_of(mask):
+    """The mask as a region whose cells all lie inside the unit ball."""
+    return GridRegion(mask=mask, spacing=0.5 / max(mask.shape))
+
+
+def assert_sdf_matches_ndimage(mask):
+    """``sdf_table`` and ``inradius`` against the ``distance_transform_edt``
+    formulas they replace, bit for bit."""
+    region = region_of(mask)
+    d_in = ndimage.distance_transform_edt(mask)
+    want = np.where(mask, -(d_in - 0.5), ndimage.distance_transform_edt(~mask) - 0.5)
+    assert np.array_equal(region.sdf_table, want * region.spacing)
+    assert inradius(region) == float((d_in.max() - 0.5) * region.spacing)
+
+
+class TestDistanceTransform:
+    """The numpy distance transform against ``scipy.ndimage.distance_transform_edt``."""
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (7, 3), (33, 64), (50, 50), (97, 41)])
+    def test_random_masks(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for density in (0.01, 0.1, 0.5, 0.9, 0.99):
+            for _ in range(4):
+                mask = rng.random(shape) < density
+                if mask.any() and not mask.all():
+                    assert_sdf_matches_ndimage(mask)
+
+    def test_checkerboard(self):
+        board = np.indices((40, 31)).sum(axis=0) % 2 == 0
+        assert_sdf_matches_ndimage(board)
+        assert_sdf_matches_ndimage(~board)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (12, 30), (19, 0), (7, 13)])
+    def test_single_outside_and_single_inside_cell(self, cell):
+        mask = np.ones((20, 31), dtype=bool)
+        mask[cell] = False
+        assert_sdf_matches_ndimage(mask)
+        assert_sdf_matches_ndimage(~mask)
+
+    def test_masks_touching_the_array_edge(self):
+        rows, cols = np.indices((45, 60))
+        for mask in (rows < 3, cols >= 57, (rows + cols) % 17 == 0, rows * cols < 40):
+            assert_sdf_matches_ndimage(mask)
+            assert_sdf_matches_ndimage(~mask)
+
+    @pytest.mark.parametrize("seq", ["annulus_cart_seq", "cap_cart_seq"])
+    def test_every_257_level(self, seq, request):
+        for contact in request.getfixturevalue(seq).contacts:
+            assert_sdf_matches_ndimage(contact.noncontact_mask)
+            assert_sdf_matches_ndimage(contact.contact_mask)
+
+    def test_mask_without_an_outside_cell_is_rejected(self):
+        # The transform would have to measure to cells off the array.
+        with pytest.raises(GeometryError):
+            GridRegion(mask=np.ones((3, 4), dtype=bool), spacing=0.1)
+
+    def test_empty_region_lies_at_infinite_distance(self):
+        region = region_of(np.zeros((4, 5), dtype=bool))
+        assert np.all(region.sdf_table == np.inf)
+        assert inradius(region) == 0.0
+
+    def test_one_transform_per_region(self, monkeypatch):
+        # inradius and the mollified table both read the region's cached table:
+        # one transform of each phase.
+        calls = []
+        transform = geometry._squared_distance_to
+
+        def counted(target):
+            calls.append(target)
+            return transform(target)
+
+        monkeypatch.setattr(geometry, "_squared_distance_to", counted)
+        region = rasterize(Ball((0.2, 0.1), 0.4), n=256)
+        smooth_inner_approximation(region, 0.05)
+        assert len(calls) == 2
+
+
+class TestGaussian:
+    """The numpy Gaussian against ``scipy.ndimage.gaussian_filter(mode="nearest")``."""
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 1.5, 2.7, 6.0])
+    def test_matches_gaussian_filter(self, sigma):
+        rng = np.random.default_rng(5)
+        table = rasterize(Annulus((0.1, 0.0), 0.2, 0.6), n=128).sdf_table
+        for a in (table, rng.standard_normal((41, 17)), rng.standard_normal((3, 60))):
+            want = ndimage.gaussian_filter(a, sigma=sigma, mode="nearest")
+            assert np.max(np.abs(geometry._gaussian_nearest(a, sigma) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("seq", ["annulus_cart_seq", "cap_cart_seq"])
+    def test_shrunk_masks_match_the_scipy_shrink(self, seq, request):
+        # smooth_inner_approximation's sublevel set, with scipy's filter in its place.
+        fld = request.getfixturevalue(seq).levels[0]
+        for contact in request.getfixturevalue(seq).contacts:
+            region = GridRegion(mask=contact.noncontact_mask, spacing=fld.spacing)
+            delta = 6.0 * region.spacing
+            sigma = (delta / 4.0) / region.spacing
+            want = ndimage.gaussian_filter(region.sdf_table, sigma=sigma, mode="nearest")
+            got = geometry._gaussian_nearest(region.sdf_table, sigma)
+            assert np.array_equal(got < -delta / 2.0, want < -delta / 2.0)
 
 
 class TestSignedDistance:
@@ -130,6 +233,29 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(GeometryError):
             hausdorff_distance(np.zeros((0, 2)), [[0.0, 0.0]])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(GeometryError):
+            hausdorff_distance([[0.0, 0.0, 0.0]], [[0.0, 0.0]])
+
+    @staticmethod
+    def kdtree_hausdorff(a, b):
+        return max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
+
+    @pytest.mark.parametrize("block", [geometry.HAUSDORFF_BLOCK, 1, 1000])
+    def test_matches_kdtree_on_random_sets(self, block, monkeypatch):
+        # Small blocks split the rows of the first set; the result must not move.
+        monkeypatch.setattr(geometry, "HAUSDORFF_BLOCK", block)
+        rng = np.random.default_rng(11)
+        for na, nb in [(1, 1), (1, 300), (300, 1), (513, 512), (2000, 37)]:
+            a, b = rng.standard_normal((na, 2)), rng.uniform(-1, 1, (nb, 2))
+            assert hausdorff_distance(a, b) == self.kdtree_hausdorff(a, b)
+
+    def test_matches_kdtree_on_concentric_circles(self):
+        for r in (0.9, 0.5, 0.1):
+            a = boundary_samples(Ball((0.0, 0.0), 1.0), 512)
+            b = boundary_samples(Ball((0.0, 0.0), r), 360)
+            assert hausdorff_distance(a, b) == self.kdtree_hausdorff(a, b)
 
 
 class TestSmoothInnerApproximation:
