@@ -244,7 +244,7 @@ def cmd_balayage(cfg: Config, out: Path, threads: int) -> int:
     seq = _run_envelope(cfg)
     rows = []
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
-        bal = balayage_step(fld, contact, cfg.gain)
+        bal = balayage_step(fld, contact)
         bal.to_csv(out / f"balayage_{k:03d}.csv")
         gap = fld.values - bal.values
         rows.append({"level": k, "max_gap": float(np.max(gap)),
@@ -260,8 +260,7 @@ def cmd_oracle(cfg: Config, out: Path, threads: int) -> int:
         return EXIT_INCOMPLETE
     # Both oracles' requirements are checked before either one runs.
     if want_radial and not gain.radial:
-        print("radial oracle requested for a non-radial gain", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("radial oracle requested for a non-radial gain")
     if want_psor and gain.dim != 2:
         raise ConfigError("the PSOR oracle needs gain.dim 2")
     if want_radial:
@@ -278,8 +277,7 @@ def cmd_oracle(cfg: Config, out: Path, threads: int) -> int:
 
 def cmd_reproduce_spiked_ball(cfg: Config, out: Path, threads: int) -> int:
     if cfg.gain_kind != "spiked":
-        print("the reproduce target needs the spiked radial preset", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("the reproduce target needs the spiked radial preset")
     if cfg.grid.kind != "radial":
         raise ConfigError(f"reproduce spiked-ball needs a radial grid, got grid.kind "
                           f"{cfg.grid.kind!r}")
@@ -292,7 +290,7 @@ def cmd_reproduce_spiked_ball(cfg: Config, out: Path, threads: int) -> int:
     fld = seq.run.field
     radii = fld.radii
     contact1 = seq.contacts[0]
-    wbar1 = balayage_step(fld, contact1, gain)
+    wbar1 = balayage_step(fld, contact1)
     oracle_prof = radial_value_oracle(gain, gain.dim, radii)
 
     write_csv(out / "cross_section.csv",

@@ -29,7 +29,7 @@ primitives live in ``lsmlab.grids`` and are shared with the oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -40,9 +40,10 @@ from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
 from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid, disc_stencil,
                     label_components, radial_grid, scale_coordinate, upper_concave_hull,
                     write_csv)
+from .harmonic import BoundaryData, WosConfig
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
-                       annulus_to_boundary_patch, branched, cap_patch, constant_patch,
-                       identity_frames, leaf, matching_error)
+                       annulus_to_boundary_patch, ball_patch, branched, cap_patch,
+                       constant_patch, grid_patch, identity_frames, leaf, matching_error)
 
 CONTACT_TOL = 1e-9
 RELAX_TOL = 1e-11
@@ -71,7 +72,12 @@ class NoWitnessError(EnvelopeError):
 
 @dataclass(eq=False)
 class GridField:
-    """Scalar field on a radial or 2-d Cartesian grid."""
+    """Scalar field on a radial or 2-d Cartesian grid.
+
+    A Cartesian field builds the cut-cell disc stencil of its grid on first
+    use of ``stencil``; ``copy_with`` hands it on, so the levels of a
+    refinement share one operator.
+    """
 
     kind: str
     values: np.ndarray
@@ -81,11 +87,18 @@ class GridField:
     spacing: Optional[float] = None
     coords: Optional[np.ndarray] = None
     inside: Optional[np.ndarray] = None
+    _stencil: Optional[DiscStencil] = field(default=None, init=False, repr=False)
 
     def copy_with(self, values: np.ndarray, tag: str) -> "GridField":
-        return GridField(kind=self.kind, values=values, tag=tag, dim=self.dim,
-                         radii=self.radii, spacing=self.spacing, coords=self.coords,
-                         inside=self.inside)
+        out = replace(self, values=values, tag=tag)
+        out._stencil = self._stencil
+        return out
+
+    @property
+    def stencil(self) -> DiscStencil:
+        if self._stencil is None:
+            self._stencil = disc_stencil(self.coords, self.spacing)
+        return self._stencil
 
     @property
     def scale(self) -> np.ndarray:
@@ -401,7 +414,7 @@ def _annulus_inner_index(gprof: np.ndarray, psi: np.ndarray, gstar: float) -> Op
 # Balayage (plain harmonic replacement) and obstacle-respecting refinement
 # ---------------------------------------------------------------------------
 
-def balayage_step(w: GridField, contact: ContactSet, gain: GainField) -> GridField:
+def balayage_step(w: GridField, contact: ContactSet) -> GridField:
     """Harmonic replacement of w on each non-contact component, clipped above by w.
 
     This realises the expected gain at the first exit from the non-contact
@@ -418,9 +431,8 @@ def balayage_step(w: GridField, contact: ContactSet, gain: GainField) -> GridFie
         out = np.interp(w.scale, w.scale[pins], data[pins])
     else:
         out = w.values.copy()
-        stencil = disc_stencil(w.coords, w.spacing)
         for label in range(1, contact.n_components + 1):
-            _relax_component(out, contact.labels == label, stencil, obstacle=None)
+            _relax_component(out, contact.labels == label, w.stencil, obstacle=None)
     out = np.minimum(out, w.values)
     return w.copy_with(out, tag="balayage")
 
@@ -438,9 +450,8 @@ def envelope_step(w: GridField, contact: ContactSet, gain: GainField) -> GridFie
         for i0, i1 in _runs(contact.labels):
             out[i0:i1 + 1] = _pinned_concave_majorant(w, gvals, i0, i1)
     else:
-        stencil = disc_stencil(w.coords, w.spacing)
         for label in range(1, contact.n_components + 1):
-            _relax_component(out, contact.labels == label, stencil, obstacle=gvals)
+            _relax_component(out, contact.labels == label, w.stencil, obstacle=gvals)
     out = np.minimum(out, w.values)
     return w.copy_with(out, tag="envelope")
 
@@ -483,15 +494,15 @@ def _pinned_concave_majorant(w: GridField, gvals: np.ndarray, i0: int, i1: int) 
 
 def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
                      obstacle: np.ndarray | None) -> None:
-    """(Projected) SOR on one component until the update is relatively tiny.
+    """(Projected) SOR on one component until the update is tiny against the field on the disc.
 
     ``values`` is updated in place; nodes off the component are Dirichlet data.
     The kernel chooses its own relaxation factor (``grids.RedBlackSOR``).  A
     non-finite update ends the loop at once with ``ConvergenceError``, whose
     message names the sweeps done and the final factor.
     """
+    scale = float(np.max(np.abs(values[stencil.inside]))) + 1.0
     sor = RedBlackSOR(values, comp, stencil, obstacle)
-    scale = float(np.max(np.abs(values))) + 1.0
     for _ in range(MAX_SWEEPS):
         biggest = sor.sweep()
         if biggest < RELAX_TOL * scale:
@@ -512,20 +523,19 @@ class EnvelopeSequence:
     contacts: list
     converged: bool
     summary: list
-    run: Optional[EnvelopeRun] = None
-    gain: Optional[GainField] = None
+    run: EnvelopeRun
+    gain: GainField
 
 
-def iterate_envelopes(gain: GainField, start, max_iter: int = 32, tol: float = 1e-9,
+def iterate_envelopes(gain: GainField, run: EnvelopeRun, max_iter: int = 32, tol: float = 1e-9,
                       contact_tol: float = CONTACT_TOL) -> EnvelopeSequence:
-    """Monotone refinement along decreasing non-contact sets.
+    """Monotone refinement along decreasing non-contact sets, from the run's field.
 
     Each level replaces the previous one on its non-contact components and is
     clipped by it, so levels decrease nodewise and the non-contact sets nest.
     Stops when the sup change drops below tol.
     """
-    run = start if isinstance(start, EnvelopeRun) else None
-    w = start.field if isinstance(start, EnvelopeRun) else start
+    w = run.field
     gvals = gain_on_grid(gain, w)
     levels = [w]
     contacts = [contact_set(w, gain, contact_tol)]
@@ -576,10 +586,7 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
     nxt_idx = min(level + 1, len(seq.levels) - 1)
     nxt = seq.levels[nxt_idx]
     contact = seq.contacts[nxt_idx]
-    gain = seq.gain
-    run = seq.run
-    if run is None:
-        raise EnvelopeError("witness construction needs the dictionary run")
+    gain, run = seq.gain, seq.run
     x = np.asarray(x, dtype=float)
 
     leaves: dict[tuple[int, int], BranchedMajorant] = {}
@@ -628,45 +635,40 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
         sel = (fld.radii > inner) & (fld.radii < outer)
         base_profile = np.atleast_1d(base.value(np.outer(fld.radii[sel], np.eye(gain.dim)[0])))
         value_gap = float(np.max(np.abs(base_profile - nxt.values[sel]))) if sel.any() else 0.0
-        err = (matching_error(branched(base, extension, depth=2, error_bound=0.0))[0] + value_gap
-               + run.class_lipschitz * shrink)
-        return branched(base, extension, depth=max(2, level + 2), error_bound=err)
-
-    # Cartesian: smooth inner approximation of the component mask.
-    i = fld.nearest_node(x)
-    if contact.labels[i] == 0:
-        raise NoWitnessError(f"point {x} lies in the contact set")
-    label = contact.labels[i]
-    comp_mask = contact.labels == label
-    region = GridRegion(mask=comp_mask, spacing=fld.spacing)
-    from .harmonic import BoundaryData, WosConfig
-    from .majorant import ball_patch, grid_patch
-    if shrink is None:
-        shrink = 6.0 * fld.spacing  # room for the grid mollifier at this resolution
-    try:
-        dom = smooth_inner_approximation(region, shrink)
-    except DegenerateApproximationError as exc:
-        raise NoWitnessError(str(exc)) from None
-    data = BoundaryData(evaluator=lambda pts: np.asarray(fld.interpolate(pts)))
-    if isinstance(dom, Ball):
-        base = ball_patch(dom.center, dom.radius, data, gain.gstar)
-    elif isinstance(dom, Annulus):
-        va = float(fld.interpolate(np.array([dom.inner, 0.0]) + np.asarray(dom.center)))
-        vb = float(fld.interpolate(np.array([dom.outer, 0.0]) + np.asarray(dom.center)))
-        base = annulus_patch(dom.inner, dom.outer, va, vb, gain.gstar)
     else:
-        base = grid_patch(dom, data, gain.gstar, WosConfig(walks=4000, seed=11),
-                          lipschitz_bound=run.class_lipschitz, label="witness-grid")
-    if float(signed_distance(base.domain, x)) >= 0.0:
-        raise NoWitnessError("point too close to the component boundary for the shrink width")
-    probe_idx = np.argwhere(comp_mask)[:: max(1, comp_mask.sum() // 12)]
-    gaps = []
-    for pi, pj in probe_idx:
-        p = fld.coords[pi, pj]
-        bv = float(base.value(p))
-        if np.isfinite(bv):
-            gaps.append(abs(bv - float(nxt.values[pi, pj])))
-    value_gap = max(gaps) if gaps else 0.0
+        # Cartesian: smooth inner approximation of the component mask.
+        i = fld.nearest_node(x)
+        if contact.labels[i] == 0:
+            raise NoWitnessError(f"point {x} lies in the contact set")
+        label = contact.labels[i]
+        comp_mask = contact.labels == label
+        region = GridRegion(mask=comp_mask, spacing=fld.spacing)
+        if shrink is None:
+            shrink = 6.0 * fld.spacing  # room for the grid mollifier at this resolution
+        try:
+            dom = smooth_inner_approximation(region, shrink)
+        except DegenerateApproximationError as exc:
+            raise NoWitnessError(str(exc)) from None
+        data = BoundaryData(evaluator=lambda pts: np.asarray(fld.interpolate(pts)))
+        if isinstance(dom, Ball):
+            base = ball_patch(dom.center, dom.radius, data, gain.gstar)
+        elif isinstance(dom, Annulus):
+            va = float(fld.interpolate(np.array([dom.inner, 0.0]) + np.asarray(dom.center)))
+            vb = float(fld.interpolate(np.array([dom.outer, 0.0]) + np.asarray(dom.center)))
+            base = annulus_patch(dom.inner, dom.outer, va, vb, gain.gstar)
+        else:
+            base = grid_patch(dom, data, gain.gstar, WosConfig(walks=4000, seed=11),
+                              lipschitz_bound=run.class_lipschitz, label="witness-grid")
+        if float(signed_distance(base.domain, x)) >= 0.0:
+            raise NoWitnessError("point too close to the component boundary for the shrink width")
+        probe_idx = np.argwhere(comp_mask)[:: max(1, comp_mask.sum() // 12)]
+        gaps = []
+        for pi, pj in probe_idx:
+            p = fld.coords[pi, pj]
+            bv = float(base.value(p))
+            if np.isfinite(bv):
+                gaps.append(abs(bv - float(nxt.values[pi, pj])))
+        value_gap = max(gaps) if gaps else 0.0
     err = (matching_error(branched(base, extension, depth=2, error_bound=0.0))[0] + value_gap
            + run.class_lipschitz * shrink)
     return branched(base, extension, depth=max(2, level + 2), error_bound=err)

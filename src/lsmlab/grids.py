@@ -4,15 +4,17 @@ Radial and Cartesian grids, bilinear interpolation of a table on a uniform
 grid (Cartesian fields, grid signed distances, grid-mollified gains), the
 upper concave hull (the radial obstacle primitive in the scale coordinate),
 ``label_components``, the connected components of a radial or Cartesian
-mask (the non-contact components of every level), the Shortley-Weller
-cut-cell stencil of the disc and ``RedBlackSOR``, the one red-black
-(projected) SOR kernel on it (the Cartesian obstacle and Dirichlet solver of
-both the envelope refinement and the PSOR oracle; one CSR matvec per colour,
-and a relaxation factor each solve takes from its own update ratios), and
-``write_csv``, the one writer of every CSV table the package emits.
+mask (the non-contact components of every level), ``disc_stencil``, the
+Shortley-Weller cut-cell -Laplacian of the disc as one diagonal and one CSR
+off-diagonal operator, ``RedBlackSOR``, the one red-black (projected)
+SOR kernel on it (the Cartesian obstacle and Dirichlet solver of both the
+envelope refinement and the PSOR oracle; one matvec of the operator's rows
+per colour, and a relaxation factor each solve takes from its own update
+ratios), and ``write_csv``, the one writer of every CSV table the package
+emits.  The PSOR residual reads the same operator.
 
 ``scipy.sparse`` is the one scipy module lsmlab loads: it is imported here,
-at the top, because every Cartesian solve builds its CSR matrices from it.
+at the top, because the disc stencil is a CSR matrix.
 Imported lazily instead, it would put its import (about 0.16 s on a 2-core
 x86-64 machine) inside the first Cartesian solve.
 """
@@ -153,23 +155,27 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labels.reshape(mask.shape), int(np.count_nonzero(first_runs))
 
 
-# Grid offsets (di, dj) of the stencil's arms, in the order every loop uses.
+# Grid offsets (di, dj) of the stencil's arms, in the order of each operator row.
 ARMS = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
 
 
 @dataclass(eq=False)
 class DiscStencil:
-    """Shortley-Weller 5-point stencil on the disc-masked grid.
+    """Shortley-Weller 5-point stencil on the disc-masked grid, as one operator.
 
-    ``coeffs`` and ``nbr_inside`` are keyed by arm ("E", "W", "N", "S").  At
-    an inside node, -Laplacian u = (diag * u - sum of coeffs * neighbour u)
-    / spacing**2, where a neighbour outside the disc contributes zero.
+    At an inside node, -Laplacian u = (diag * u - offdiag @ u) / spacing**2,
+    with ``u`` and the matvec on flat node indices.  ``offdiag`` is one
+    ``scipy.sparse.csr_array`` of shape (n*n, n*n): the row of an inside node
+    holds its E, W, N and S coefficients, in that order, against the flat
+    indices of those neighbours; an arm that leaves the disc reads the
+    circle's zero, so it has no entry, and the row of a node outside the disc
+    is empty.  ``diag`` and ``inside`` are (n, n) arrays; ``diag`` is zero off
+    the disc.
     """
 
     inside: np.ndarray
-    coeffs: dict
     diag: np.ndarray
-    nbr_inside: dict
+    offdiag: sparse.csr_array
 
 
 def disc_stencil(coords: np.ndarray, spacing: float) -> DiscStencil:
@@ -181,28 +187,33 @@ def disc_stencil(coords: np.ndarray, spacing: float) -> DiscStencil:
     """
     n = coords.shape[0]
     inside = np.linalg.norm(coords, axis=-1) < 1.0
-    nbr_inside = {}
-    thetas = {}
-    for name, (di, dj) in ARMS.items():
-        src_i = np.clip(np.arange(n)[:, None] + di, 0, n - 1)
-        src_j = np.clip(np.arange(n)[None, :] + dj, 0, n - 1)
-        theta = np.ones((n, n))
-        cut = inside & ~inside[src_i, src_j]
-        if cut.any():
-            p = coords[cut]
-            e = np.array([di, dj], dtype=float)
-            a = spacing * spacing
-            b = 2.0 * spacing * (p @ e)
-            c = np.sum(p * p, axis=1) - 1.0
-            disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-            theta[cut] = np.clip((-b + disc) / (2.0 * a), 1e-6, 1.0)
-        thetas[name] = theta
-        nbr_inside[name] = inside[src_i, src_j] & inside
-    te, tw, tn, ts = thetas["E"], thetas["W"], thetas["N"], thetas["S"]
-    coeffs = {"E": 2.0 / (te * (te + tw)), "W": 2.0 / (tw * (te + tw)),
-              "N": 2.0 / (tn * (tn + ts)), "S": 2.0 / (ts * (tn + ts))}
-    diag = 2.0 / (te * tw) + 2.0 / (tn * ts)
-    return DiscStencil(inside=inside, coeffs=coeffs, diag=diag, nbr_inside=nbr_inside)
+    # The grid's edge lies outside the disc, so every arm of an inside node
+    # ends on the grid.  Each (node, arm) table is in row-major order, so its
+    # kept entries give each row's arms in E, W, N, S order.
+    rows = np.flatnonzero(inside).astype(np.int32)
+    cols = rows[:, None] + np.array([di * n + dj for di, dj in ARMS.values()], dtype=np.int32)
+    keep = inside.ravel()[cols]
+    theta = np.ones((len(ARMS), rows.size))
+    for k, e in enumerate(np.array(list(ARMS.values()), dtype=float)):
+        cut = ~keep[:, k]
+        p = coords.reshape(-1, 2)[rows[cut]]
+        a = spacing * spacing
+        b = 2.0 * spacing * (p @ e)
+        c = np.sum(p * p, axis=1) - 1.0
+        disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+        theta[k, cut] = np.clip((-b + disc) / (2.0 * a), 1e-6, 1.0)
+    te, tw, tn, ts = theta
+    data = np.stack([2.0 / (te * (te + tw)), 2.0 / (tw * (te + tw)),
+                     2.0 / (tn * (tn + ts)), 2.0 / (ts * (tn + ts))], axis=1)
+    diag = np.zeros((n, n))
+    diag.flat[rows] = 2.0 / (te * tw) + 2.0 / (tn * ts)
+    # Row ends: the running count of kept entries at each inside node's last
+    # arm, carried forward over the empty rows of the nodes outside.
+    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    indptr[rows + 1] = np.cumsum(keep.ravel(), dtype=np.int32)[len(ARMS) - 1::len(ARMS)]
+    offdiag = sparse.csr_array((data[keep], cols[keep], np.maximum.accumulate(indptr)),
+                               shape=(n * n, n * n))
+    return DiscStencil(inside=inside, diag=diag, offdiag=offdiag)
 
 
 # Every SOR solve starts at this relaxation factor.  The kernel switches once to
@@ -220,13 +231,12 @@ class RedBlackSOR:
     """Red-black (projected) SOR sweeps of the disc stencil on the ``nodes`` mask.
 
     Nodes off the mask hold their ``values`` as Dirichlet data, arms that leave
-    the disc contribute zero, and an ``obstacle`` clips each update from below.
-    Each colour's neighbour sums are one CSR matvec, built once: a row per
-    node of the colour holds its E, W, N and S coefficients against flat
-    indices into a copy of ``values`` padded with a zero sentinel slot (the
-    target of arms that leave the disc).  The matvec adds a row's products
-    from zero in that order, so each sum is bit for bit the one of four
-    gathers and multiply-adds.
+    the disc read the circle's zero (they have no entry in the operator), and
+    an ``obstacle`` clips each update from below.  Each colour's neighbour
+    sums are one CSR matvec of its rows of ``stencil.offdiag`` against a flat
+    copy of ``values``.  The matvec adds a row's products from zero in E, W,
+    N, S order, so each sum is bit for bit the one of four gathers and
+    multiply-adds.
 
     The kernel owns its relaxation factor ``omega``; ``sweeps`` counts the
     sweeps done.  A solve starts at SOR_OMEGA.  Once the ratio q of successive
@@ -243,25 +253,14 @@ class RedBlackSOR:
     def __init__(self, values: np.ndarray, nodes: np.ndarray, stencil: DiscStencil,
                  obstacle: np.ndarray | None):
         ii, jj = np.nonzero(nodes)
-        ncols = values.shape[1]
-        self._flat = ii * ncols + jj
-        self._work = np.append(values.ravel(), 0.0)
-        sentinel = self._work.size - 1
+        flat = ii * values.shape[1] + jj
         red = (ii + jj) % 2 == 0
-        self._colours = []
-        for color in (red, ~red):
-            ci, cj = ii[color], jj[color]
-            cols = np.empty((ci.size, len(ARMS)), dtype=np.int32)
-            data = np.empty((ci.size, len(ARMS)))
-            for k, (name, (di, dj)) in enumerate(ARMS.items()):
-                cols[:, k] = np.where(stencil.nbr_inside[name][ci, cj],
-                                      (ci + di) * ncols + (cj + dj), sentinel)
-                data[:, k] = stencil.coeffs[name][ci, cj]
-            rows = np.arange(0, cols.size + 1, len(ARMS), dtype=np.int32)
-            sums = sparse.csr_array((data.ravel(), cols.ravel(), rows),
-                                    shape=(ci.size, sentinel + 1))
-            phi = obstacle[ci, cj] if obstacle is not None else None
-            self._colours.append((ci * ncols + cj, sums, stencil.diag[ci, cj], phi))
+        self._work = values.ravel().copy()
+        diag = stencil.diag.ravel()
+        phi = obstacle.ravel() if obstacle is not None else None
+        self._colours = [(idx, stencil.offdiag[idx], diag[idx],
+                          phi[idx] if phi is not None else None)
+                         for idx in (flat[red], flat[~red])]
         self.omega = SOR_OMEGA
         self.sweeps = 0
         self._watching = True
@@ -304,7 +303,8 @@ class RedBlackSOR:
 
     def store(self, values: np.ndarray) -> None:
         """Write the relaxed nodes back into ``values``."""
-        values.flat[self._flat] = self._work[self._flat]
+        for idx, *_ in self._colours:
+            values.flat[idx] = self._work[idx]
 
 
 # Values become Python objects and text CSV_BLOCK rows at a time: a numeric

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import GridField, cartesian_field
+from .envelope import GridField, cartesian_field, gain_on_grid
 from .gain import GainField
-from .grids import (ARMS, DiscStencil, RedBlackSOR, cartesian_grid, disc_stencil,
-                    scale_coordinate, upper_concave_hull, write_csv)
+from .grids import (DiscStencil, RedBlackSOR, scale_coordinate, upper_concave_hull,
+                    write_csv)
 
 MAX_SWEEPS = 300_000   # PSOR sweep budget
 CHECK_EVERY = 50       # sweeps between complementarity residual checks
@@ -113,16 +113,8 @@ def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray,
 
 def neg_laplacian(u: np.ndarray, stencil: DiscStencil, spacing: float) -> np.ndarray:
     """-(discrete Laplacian) with cut-cell arms; zero off the disc."""
-    out = np.zeros_like(u)
-    n = u.shape[0]
-    acc = stencil.diag * u
-    for name, (di, dj) in ARMS.items():
-        src_i = np.clip(np.arange(n)[:, None] + di, 0, n - 1)
-        src_j = np.clip(np.arange(n)[None, :] + dj, 0, n - 1)
-        nbr = np.where(stencil.nbr_inside[name], u[src_i, src_j], 0.0)
-        acc = acc - stencil.coeffs[name] * nbr
-    out[stencil.inside] = acc[stencil.inside] / (spacing * spacing)
-    return out
+    acc = (stencil.diag * u).ravel() - stencil.offdiag @ u.ravel()
+    return np.where(stencil.inside, acc.reshape(u.shape) / (spacing * spacing), 0.0)
 
 
 def psor_obstacle_solve(gain: GainField, n: int = 257, tol: float = 1e-8) -> GridField:
@@ -137,34 +129,32 @@ def psor_obstacle_solve(gain: GainField, n: int = 257, tol: float = 1e-8) -> Gri
     """
     if gain.dim != 2:
         raise OracleError("the obstacle solver works on d = 2 grids")
-    coords, spacing = cartesian_grid(n)
-    stencil = disc_stencil(coords, spacing)
-    phi = np.where(stencil.inside, gain(coords.reshape(-1, 2)).reshape(n, n), 0.0)
-    u = np.maximum(phi, 0.0)
-    sor = RedBlackSOR(u, stencil.inside, stencil, phi)
+    fld = cartesian_field(n, np.zeros((n, n)), tag="psor-oracle")
+    phi = np.where(fld.inside, gain_on_grid(gain, fld), 0.0)
+    u = fld.values = np.maximum(phi, 0.0)
+    sor = RedBlackSOR(u, fld.inside, fld.stencil, phi)
     for sweep in range(1, MAX_SWEEPS + 1):
         sor.sweep()
         if sweep % CHECK_EVERY == 0:
             sor.store(u)
-            residual = _residual(u, phi, stencil, spacing)
+            residual = _residual(fld, phi)
             if residual < tol:
-                return cartesian_field(n, u, tag="psor-oracle")
+                return fld
             if not np.isfinite(residual):
                 raise OracleConvergenceError(f"projected SOR diverged {sor.effort()}", residual)
     sor.store(u)
     raise OracleConvergenceError(f"projected SOR hit the iteration limit {sor.effort()}",
-                                 _residual(u, phi, stencil, spacing))
+                                 _residual(fld, phi))
 
 
 def complementarity_residual(fld: GridField, gain: GainField) -> float:
     """Max over nodes of |min(-lap u, u - g)| for a solver-output field."""
-    coords, spacing = fld.coords, fld.spacing
-    phi = gain(coords.reshape(-1, 2)).reshape(fld.values.shape)
-    return _residual(fld.values, phi, disc_stencil(coords, spacing), spacing)
+    return _residual(fld, gain_on_grid(gain, fld))
 
 
-def _residual(u: np.ndarray, phi: np.ndarray, stencil: DiscStencil, spacing: float) -> float:
-    comp = np.minimum(neg_laplacian(u, stencil, spacing), u - phi)
+def _residual(fld: GridField, phi: np.ndarray) -> float:
+    stencil = fld.stencil
+    comp = np.minimum(neg_laplacian(fld.values, stencil, fld.spacing), fld.values - phi)
     return float(np.max(np.abs(comp[stencil.inside])))
 
 

@@ -83,7 +83,7 @@ def nan_sweeps(monkeypatch):
 
     def poisoned(self):
         calls.append(self.omega)
-        self._work[:-1] = np.nan
+        self._work[:] = np.nan
         return sweep(self)
     monkeypatch.setattr(RedBlackSOR, "sweep", poisoned)
     return calls

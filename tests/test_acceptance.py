@@ -87,7 +87,7 @@ class TestAC2SpikedBallFailure:
         assert np.all(c1.noncontact_mask[band])
 
         # (b) the balayage drops below the envelope on the annular component.
-        bal = balayage_step(fld, c1, gain)
+        bal = balayage_step(fld, c1)
         margin = fld.values - bal.values
         i = int(np.argmin(np.abs(radii - 0.1)))
         label = c1.labels[i]

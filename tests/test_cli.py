@@ -156,22 +156,29 @@ class TestGridKind:
     def test_offset_gain_on_a_radial_grid_exits_two(self, command, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"gain": self.OFFSET, "grid": {"kind": "radial", "nodes": 64}})
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
-        assert "gain is not radial" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error: gain is not radial")
 
-    def test_reproduce_on_a_cartesian_grid_exits_two(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"gain": {"kind": "spiked", "epsilon": 0.05, "mollify": 0.01},
-                                   "grid": {"kind": "cartesian", "nodes": 33},
+    @pytest.mark.parametrize("gain, command, message", [
+        (OFFSET, ["oracle"], "radial oracle requested for a non-radial gain"),
+        ({"kind": "radial-bump", "center_radius": 0.3, "width": 0.15},
+         ["reproduce", "spiked-ball"], "the reproduce target needs the spiked radial preset"),
+        ({"kind": "spiked", "epsilon": 0.05, "mollify": 0.01}, ["reproduce", "spiked-ball"],
+         "reproduce spiked-ball needs a radial grid, got grid.kind 'cartesian'")],
+        ids=["oracle-offset-gain", "reproduce-bump-gain", "reproduce-cartesian-grid"])
+    def test_command_that_cannot_take_its_config_exits_two(self, gain, command, message,
+                                                           tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"gain": gain, "grid": {"kind": "cartesian", "nodes": 33},
                                    "oracle": {"radial": True}})
         out = tmp_path / "o"
-        assert main(["--config", cfg, "--out", str(out), "reproduce", "spiked-ball"]) == 2
-        assert "grid.kind 'cartesian'" in capsys.readouterr().err
-        assert not (out / "verdict.json").exists()
+        assert main(["--config", cfg, "--out", str(out), *command]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("nodes", [4, 5])
     def test_cartesian_grid_missing_the_support_exits_two(self, nodes, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(CART33, grid={"kind": "cartesian", "nodes": nodes}))
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "envelope"]) == 2
-        assert "gain's support" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: no node of the {nodes}x{nodes}")
 
 
 # Every gain kind on radial and Cartesian grids down to 3 nodes; a mollified

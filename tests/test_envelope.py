@@ -17,7 +17,6 @@ from lsmlab.envelope import (ContactSet, ConvergenceError, NoWitnessError, balay
                              envelope_step, gain_on_grid, iterate_envelopes, radial_field,
                              unbranched_envelope)
 from lsmlab.gain import GainField
-from lsmlab.grids import disc_stencil
 from lsmlab.majorant import (annulus_to_boundary_patch, majorises_gain, matching_error,
                              reflect)
 from lsmlab.oracle import neg_laplacian
@@ -126,7 +125,7 @@ class TestBalayage:
     def test_fixed_point_on_converged_field(self, spiked, spiked_seq):
         lim = spiked_seq.levels[-1]
         c = spiked_seq.contacts[-1]
-        again = balayage_step(lim, c, spiked)
+        again = balayage_step(lim, c)
         assert np.max(np.abs(again.values - lim.values)) <= 1e-9
 
     def test_radial_log_interpolation(self, spiked, radii):
@@ -137,7 +136,7 @@ class TestBalayage:
         vals[sel] += 0.3
         fld = radial_field(radii, vals, tag="unbranched-envelope")
         c = contact_set(fld, spiked, tol=1e-5)
-        bal = balayage_step(fld, c, spiked)
+        bal = balayage_step(fld, c)
         runs = np.nonzero(sel)[0]
         i0, i1 = runs[0], runs[-1]
         s = np.log(radii)
@@ -149,7 +148,7 @@ class TestBalayage:
     def test_spiked_balayage_drops_below_envelope(self, spiked, spiked_run):
         fld = spiked_run.field
         c = contact_set(fld, spiked)
-        bal = balayage_step(fld, c, spiked)
+        bal = balayage_step(fld, c)
         i = np.argmin(np.abs(fld.radii - 0.2))
         assert bal.values[i] < fld.values[i] - 1e-3
         # The balayage is allowed below the gain; the spiked gain realises it.
@@ -230,7 +229,7 @@ class TestEnvelopeStep:
         stepped = envelope_step(fld, c, spiked)
         gv = gain_on_grid(spiked, fld)
         assert np.all(stepped.values >= gv - 1e-12)
-        bal = balayage_step(fld, c, spiked)
+        bal = balayage_step(fld, c)
         assert np.any(stepped.values > bal.values + 1e-3)
 
     @given(st.integers(0, 10_000))
@@ -282,18 +281,29 @@ class TestCartesianKernel:
     def test_balayage_reproduces_discrete_harmonic_data(self, which):
         n = self.N
         fld = cartesian_field(n, np.zeros((n, n)), tag="grid")
-        stencil = disc_stencil(fld.coords, fld.spacing)
+        stencil = fld.stencil
         x, y = fld.coords[..., 0], fld.coords[..., 1]
         u = {"x": x, "x2-y2": x * x - y * y, "xy": x * y}[which]
         # On full-stencil nodes the cut-cell stencil is the plain 5-point one,
         # for which u is exactly discrete harmonic; the ring around them holds
         # u as Dirichlet data, so the harmonic replacement is u itself.
-        comp = stencil.inside & np.logical_and.reduce(list(stencil.nbr_inside.values()))
+        comp = (np.diff(stencil.offdiag.indptr) == 4).reshape(n, n)
         w = fld.copy_with(np.where(comp, u + 1.0, u), tag="lifted")
         contact = ContactSet(contact_mask=stencil.inside & ~comp, noncontact_mask=comp,
                              labels=comp.astype(int), n_components=1, tol=0.0)
-        bal = balayage_step(w, contact, gain=None)
+        bal = balayage_step(w, contact)
         assert np.max(np.abs(bal.values - u)[stencil.inside]) <= 1e-9
+
+    def test_arms_leaving_the_disc_read_the_circle_not_the_array(self):
+        gain = L.radial_bump_gain(0.3, 0.15)
+        w = unbranched_envelope(gain, self.N).field
+        contact = contact_set(w, gain)
+        rim = ~ndimage.binary_erosion(w.inside)  # nodes with an arm that leaves the disc
+        assert np.any(contact.noncontact_mask & rim)
+        junk = w.copy_with(np.where(w.inside, w.values, 7.0), tag="junk")
+        for solve in (balayage_step, lambda f, c: envelope_step(f, c, gain)):
+            assert np.array_equal(solve(junk, contact).values[w.inside],
+                                  solve(w, contact).values[w.inside])
 
     @pytest.mark.parametrize("kind", ["annulus", "cap"])
     def test_projected_solve_is_complementary(self, kind):
@@ -308,7 +318,7 @@ class TestCartesianKernel:
         assert np.any(gap == 0.0)  # the obstacle is active somewhere
         # -Laplacian in the stencil's own units (times spacing**2): the sweep
         # stops on a 1e-11-relative update, so this residual sits near 1e-10.
-        lap = neg_laplacian(stepped, disc_stencil(w.coords, w.spacing), w.spacing)
+        lap = neg_laplacian(stepped, w.stencil, w.spacing)
         residual = np.minimum(lap * w.spacing ** 2, stepped - gain_on_grid(gain, w))
         assert np.max(np.abs(residual[comp])) <= 1e-8
 

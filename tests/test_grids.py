@@ -105,7 +105,7 @@ def test_disc_stencil_exact_on_quadratics_and_harmonics(n):
     # boundary value, and Shortley-Weller is exact for quadratics.
     bowl = neg_laplacian(1.0 - x * x - y * y, stencil, spacing)
     assert np.max(np.abs(bowl[stencil.inside] - 4.0)) <= 1e-9
-    full = stencil.inside & np.logical_and.reduce(list(stencil.nbr_inside.values()))
+    full = (np.diff(stencil.offdiag.indptr) == 4).reshape(n, n)
     for u in (x, x * x - y * y, x * y):
         assert np.max(np.abs(neg_laplacian(u, stencil, spacing)[full])) <= 1e-9
 
@@ -122,7 +122,7 @@ def test_solver_stencil_matches_its_grid():
         lifted = g.copy()
         lifted[n // 2 - 1:n // 2 + 2, n // 2 - 1:n // 2 + 2] += 0.1
         w = fld.copy_with(lifted, tag="w")
-        return balayage_step(w, contact_set(w, gain), gain).values, g
+        return balayage_step(w, contact_set(w, gain)).values, g
 
     for k in range(30):
         n = (33, 49, 65)[k % 3]

@@ -13,7 +13,7 @@ import lsmlab as L
 from lsmlab import oracle
 from lsmlab.cli import main
 from lsmlab.gain import spiked_gain, mollify
-from lsmlab.grids import ARMS, cartesian_grid, disc_stencil, upper_concave_hull
+from lsmlab.grids import cartesian_grid, disc_stencil, upper_concave_hull
 from lsmlab.oracle import (OracleConvergenceError, OracleError, complementarity_residual,
                            cross_validate, psor_obstacle_solve, radial_value_oracle)
 
@@ -126,7 +126,7 @@ class TestPsor:
 
     def test_discretely_superharmonic(self, annulus_gain, annulus_psor):
         from lsmlab.oracle import neg_laplacian
-        stencil = disc_stencil(annulus_psor.coords, annulus_psor.spacing)
+        stencil = annulus_psor.stencil
         neg_lap = neg_laplacian(annulus_psor.values, stencil, annulus_psor.spacing)
         assert np.min(neg_lap[stencil.inside]) >= -1e-8
 
@@ -144,27 +144,17 @@ class TestPsor:
 def pdas_obstacle_solve(gain, n: int, max_steps: int = 50) -> np.ndarray:
     """Primal-dual active-set solve of min(A u, u - g) = 0 on the disc's inside nodes.
 
-    A is the cut-cell -Laplacian (times spacing**2) assembled as a sparse
-    matrix; each step fixes u = g on the active set and solves the other rows
-    exactly (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002).  Shares only
-    the stencil coefficients with the red-black SOR kernel: a reference for it.
+    A is the cut-cell -Laplacian (times spacing**2), diag - offdiag on the
+    inside nodes; each step fixes u = g on the active set and solves the other
+    rows exactly (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002).  Shares
+    only the stencil with the red-black SOR kernel: a reference for it.
     """
     coords, spacing = cartesian_grid(n)
     stencil = disc_stencil(coords, spacing)
-    ii, jj = np.nonzero(stencil.inside)
-    m = ii.size
-    index = np.full((n, n), -1)
-    index[ii, jj] = np.arange(m)
-    rows, cols, vals = [np.arange(m)], [np.arange(m)], [stencil.diag[ii, jj]]
-    for name, (di, dj) in ARMS.items():
-        arm = np.nonzero(stencil.nbr_inside[name][ii, jj])[0]
-        rows.append(arm)
-        cols.append(index[ii[arm] + di, jj[arm] + dj])
-        vals.append(-stencil.coeffs[name][ii[arm], jj[arm]])
-    a = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(m, m))
-    phi = gain(coords[ii, jj])
-    u, lam = np.zeros(m), np.zeros(m)
+    idx = np.flatnonzero(stencil.inside)
+    a = (sparse.diags_array(stencil.diag.ravel()) - stencil.offdiag).tocsr()[idx][:, idx]
+    phi = gain(coords.reshape(-1, 2)[idx])
+    u, lam = np.zeros(idx.size), np.zeros(idx.size)
     active = None
     for _ in range(max_steps):
         new_active = lam + (phi - u) > 0.0
@@ -177,7 +167,7 @@ def pdas_obstacle_solve(gain, n: int, max_steps: int = 50) -> np.ndarray:
     else:
         raise AssertionError("the active set did not settle")
     out = np.zeros((n, n))
-    out[ii, jj] = u
+    out.flat[idx] = u
     return out
 
 

@@ -8,16 +8,17 @@ from scipy.sparse.linalg import eigs
 import lsmlab as L
 from lsmlab.envelope import (RELAX_TOL, contact_set, gain_on_grid, iterate_envelopes,
                              unbranched_envelope)
-from lsmlab.grids import ARMS, SOR_OMEGA, RedBlackSOR, disc_stencil
+from lsmlab.grids import SOR_OMEGA, RedBlackSOR, disc_stencil
 
 
 class GatherSOR:
     """The gather-table red-black sweep that the CSR kernel replaced, at a given omega.
 
-    Per colour: flat node indices, one flat neighbour index per arm into a copy
-    of ``values`` padded with a zero sentinel slot, and the coefficient,
-    diagonal and obstacle slices; the neighbour sum is four gathers and
-    multiply-adds in E, W, N, S order.
+    Per colour: flat node indices; per arm (E, W, N, S), each node's entry of
+    ``stencil.offdiag`` at that arm's neighbour, as the neighbour's flat index
+    into a copy of ``values`` padded with a zero slot (the target of an arm
+    without an entry) and its coefficient; the diagonal and obstacle slices.
+    The neighbour sum is four gathers and multiply-adds in E, W, N, S order.
     """
 
     def __init__(self, values, nodes, stencil, obstacle):
@@ -25,18 +26,16 @@ class GatherSOR:
         ncols = values.shape[1]
         self._flat = ii * ncols + jj
         self._work = np.append(values.ravel(), 0.0)
-        sentinel = self._work.size - 1
+        zero = self._work.size - 1
         red = (ii + jj) % 2 == 0
         self._tables = []
-        for color in (red, ~red):
-            ci, cj = ii[color], jj[color]
+        for idx in (self._flat[red], self._flat[~red]):
             arms = []
-            for name, (di, dj) in ARMS.items():
-                nbr = (ci + di) * ncols + (cj + dj)
-                arms.append((np.where(stencil.nbr_inside[name][ci, cj], nbr, sentinel),
-                             stencil.coeffs[name][ci, cj]))
-            phi = obstacle[ci, cj] if obstacle is not None else None
-            self._tables.append((ci * ncols + cj, arms, stencil.diag[ci, cj], phi))
+            for step in (ncols, -ncols, 1, -1):
+                coeff = stencil.offdiag[idx, idx + step]
+                arms.append((np.where(coeff > 0.0, idx + step, zero), coeff))
+            phi = obstacle.flat[idx] if obstacle is not None else None
+            self._tables.append((idx, arms, stencil.diag.flat[idx], phi))
 
     def sweep(self, omega):
         work = self._work
@@ -84,19 +83,8 @@ def solve(sweep, values):
 
 def young_omega(comp, stencil):
     """Young's optimum from the spectral radius of the component's Jacobi matrix."""
-    ii, jj = np.nonzero(comp)
-    index = np.full(comp.shape, -1)
-    index[ii, jj] = np.arange(ii.size)
-    rows, cols, vals = [], [], []
-    for name, (di, dj) in ARMS.items():
-        nbr = index[ii + di, jj + dj]
-        arm = np.nonzero(stencil.nbr_inside[name][ii, jj] & (nbr >= 0))[0]
-        rows.append(arm)
-        cols.append(nbr[arm])
-        vals.append(stencil.coeffs[name][ii[arm], jj[arm]] / stencil.diag[ii[arm], jj[arm]])
-    jacobi = sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                        np.concatenate(cols))),
-                               shape=(ii.size, ii.size))
+    idx = np.flatnonzero(comp)
+    jacobi = sparse.diags_array(1.0 / stencil.diag.flat[idx]) @ stencil.offdiag[idx][:, idx]
     rho = float(np.abs(eigs(jacobi, k=1, which="LM", return_eigenvectors=False)[0]))
     return 2.0 / (1.0 + np.sqrt(1.0 - rho * rho))
 
@@ -104,7 +92,7 @@ def young_omega(comp, stencil):
 @pytest.mark.parametrize("projected", [False, True], ids=["dirichlet", "obstacle"])
 def test_csr_sweep_matches_the_gather_sweep(level0, projected):
     _, w, comp, gvals = level0
-    stencil = disc_stencil(w.coords, w.spacing)
+    stencil = w.stencil
     obstacle = gvals if projected else None
     new = RedBlackSOR(w.values, comp, stencil, obstacle)
     old = GatherSOR(w.values, comp, stencil, obstacle)
@@ -124,7 +112,7 @@ def test_csr_sweep_matches_the_gather_sweep(level0, projected):
 
 def test_switched_omega_matches_the_spectrum(level0):
     _, w, comp, _ = level0
-    stencil = disc_stencil(w.coords, w.spacing)
+    stencil = w.stencil
     sor = RedBlackSOR(w.values, comp, stencil, None)
     solve(sor.sweep, w.values)
     assert abs(sor.omega - young_omega(comp, stencil)) <= 0.01
@@ -133,7 +121,7 @@ def test_switched_omega_matches_the_spectrum(level0):
 @pytest.mark.parametrize("projected", [False, True], ids=["dirichlet", "obstacle"])
 def test_sweeps_against_a_fixed_start(level0, projected):
     kind, w, comp, gvals = level0
-    stencil = disc_stencil(w.coords, w.spacing)
+    stencil = w.stencil
     obstacle = gvals if projected else None
     sor = RedBlackSOR(w.values, comp, stencil, obstacle)
     fixed = GatherSOR(w.values, comp, stencil, obstacle)
@@ -153,7 +141,7 @@ def test_a_component_below_the_start_keeps_it():
     level1, contact = seq.levels[1], seq.contacts[1]
     comp = contact.labels == contact.labels[n // 2, n // 2]
     assert contact.n_components == 2 and comp.sum() < 2000  # the inner disc
-    stencil = disc_stencil(level1.coords, level1.spacing)
+    stencil = level1.stencil
     assert young_omega(comp, stencil) < SOR_OMEGA - 0.05
     # Level 1 is already harmonic there; relax it again from zero.
     start = np.where(comp, 0.0, level1.values)
