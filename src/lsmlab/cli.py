@@ -401,8 +401,9 @@ def cmd_paths(cfg: Config, out: Path, threads: int) -> int:
 def cmd_selftest(threads: int) -> int:
     """Fast internal consistency checks; prints one line per check."""
     from .gain import spiked_gain, mollify
-    from .geometry import Ball, hausdorff_distance, boundary_samples
-    from .harmonic import BoundaryData, WosConfig, poisson_ball_eval, wos_harmonic_eval
+    from .geometry import Ball, Intersection, hausdorff_distance, boundary_samples
+    from .harmonic import (BoundaryData, WosConfig, poisson_ball_eval, wos_exit_batch,
+                           wos_harmonic_eval)
     from .grids import upper_concave_hull
 
     ok = True
@@ -418,7 +419,13 @@ def cmd_selftest(threads: int) -> int:
 
     mean, sem = wos_harmonic_eval(Ball((0.0, 0.0), 1.0), BoundaryData(lambda p: p[:, 0]),
                                   np.array([0.3, 0.0]), WosConfig(walks=20_000, seed=1))
-    check("walk-on-spheres matches Poisson within 4 sigma", abs(mean - 0.3) <= 4 * sem + 1e-9)
+    check("exact disc exits match Poisson within 4 sigma", abs(mean - 0.3) <= 4 * sem + 1e-9)
+
+    lens = Intersection((Ball((0.0, 0.0), 0.8), Ball((0.4, 0.3), 0.6)))
+    exits = wos_exit_batch(lens, np.array([0.3, 0.2]), WosConfig(walks=20_000, seed=1))
+    sem = float(exits[:, 0].std() / np.sqrt(len(exits)))
+    check("walk-on-spheres exit mean on a lens within 4 sigma",
+          abs(float(exits[:, 0].mean()) - 0.3) <= 4 * sem)
 
     xs = np.linspace(-3.0, 0.0, 200)
     ys = np.sin(xs) + 1.0

@@ -2,11 +2,19 @@
 
 Closed forms: Poisson quadrature on balls/discs and radial two-sphere
 interpolation in the scale coordinate (the affine cap formula lives with its
-patch, ``majorant.cap_patch``).  General domains, intersections included, use
-a walk-on-spheres Monte Carlo evaluator that asks ``geometry.signed_distance``
-for its step radii and lands exits with ``geometry.project_to_boundary_batch``.
-Off-domain evaluations return the +inf sentinel so envelope infima can consume
-them transparently.
+patch, ``majorant.cap_patch``).
+
+Exit laws: ``wos_exit_batch`` draws the first exits of Brownian motion.  In
+the plane, discs, annuli, caps of the unit disc and concentric intersections
+of discs and annuli have exact one-draw exit laws, because planar Brownian
+motion is conformally invariant (Mörters & Peres, *Brownian Motion*, 2010,
+Thm 7.20): ``planar_sampler`` maps each onto the unit disc or the upper
+half-plane, where one uniform per exit gives a uniform angle or a Cauchy
+point.  Every other domain (grid regions, other intersections, d = 3) is
+walked on spheres (Muller 1956): the walk asks ``geometry.signed_distance``
+for its step radii and lands exits with
+``geometry.project_to_boundary_batch``.  Off-domain evaluations return the
++inf sentinel so envelope infima can consume them transparently.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .geometry import Domain, GeometryError, project_to_boundary_batch, signed_distance
+from .geometry import (Annulus, Ball, Cap, Domain, FullBall, GeometryError, Intersection,
+                       domain_dim, project_to_boundary_batch, signed_distance)
 
 INF = math.inf
 
@@ -49,6 +58,9 @@ def constant_data(value: float) -> BoundaryData:
 
 @dataclass(frozen=True)
 class WosConfig:
+    """Walk budget and seed; ``shell`` (the absorption width) and ``max_steps``
+    apply to walked domains only."""
+
     shell: float = 1e-4
     max_steps: int = 10_000
     walks: int = 100_000
@@ -152,17 +164,146 @@ def radial_annulus_harmonic(a: float, b: float, va: float, vb: float, r, d: int 
 
 
 # ---------------------------------------------------------------------------
-# Walk on spheres
+# Exact planar exits
+# ---------------------------------------------------------------------------
+
+Sampler = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _complex(pts: np.ndarray) -> np.ndarray:
+    """Rows (x, y) as complex numbers x + iy."""
+    return np.ascontiguousarray(pts, dtype=float).view(complex)[:, 0]
+
+
+def _points(w: np.ndarray) -> np.ndarray:
+    """Complex numbers as rows (x, y), without a copy."""
+    return np.ascontiguousarray(w).view(float).reshape(-1, 2)
+
+
+def _cauchy(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Exits of the upper half-plane from e^{i phi}, one per uniform u."""
+    return np.cos(phi) + np.sin(phi) * np.tan(np.pi * (u - 0.5))
+
+
+def _log_abs(x: np.ndarray) -> np.ndarray:
+    """log|x|, finite at x = 0."""
+    return np.log(np.maximum(np.abs(x), np.finfo(float).tiny))
+
+
+def _disc_exits(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Exits of the unit disc from z: the Möbius image (ζ + z)/(1 + z̄ζ) of
+    ζ = e^{2πiu}.  The image has modulus one, so it is taken as the unit
+    number with the argument of (ζ + z)·conj(1 + z̄ζ)."""
+    zeta = np.exp(2j * np.pi * u)
+    w = zeta + z
+    zeta.imag *= -1.0
+    zeta *= z
+    zeta += 1.0
+    w *= zeta
+    w /= np.abs(w)
+    return w
+
+
+def _annulus_exits(p: np.ndarray, a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """Exits of a < |p| < b from p.  The map w -> exp(iπ log(w/a)/L), L = log(b/a),
+    on the universal cover sends the start to e^{iφ}, φ = π log(|p|/a)/L, with
+    its angle at 0.  A Cauchy exit X > 0 lands on the inner circle, X < 0 on
+    the outer one, turned by -(L/π) log|X| from the start's angle."""
+    r = np.abs(p)
+    span = math.log(b / a)
+    x = _cauchy(np.pi / span * np.log(r / a), u)
+    exits = np.exp(-1j * (span / np.pi) * _log_abs(x))
+    exits *= p / r
+    exits *= np.where(x < 0.0, b, a)
+    return exits
+
+
+def _cap_exits(direction, t: float, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Exits of the cap {|z| < 1, z·v > t} from z.  With v turned to 1,
+    W = -(z - p+)/(z - p-), p± = t ± i√(1-t²), maps the cap onto the wedge
+    0 < arg W < α = arccos t (chord to arg 0, arc to arg α), and W^{π/α} the
+    wedge onto the upper half-plane.  The start's e^{iφ}, φ = (π/α) arg W0,
+    gives a Cauchy exit X; the exit's log|W| is log|W0| + (α/π) log|X|,
+    which maps back to the chord (X > 0) or the arc (X < 0) in closed form."""
+    v = complex(*direction)
+    z = z * v.conjugate()
+    s, alpha = math.sqrt(1.0 - t * t), math.acos(t)
+    top, bottom = z - complex(t, s), z - complex(t, -s)
+    arg_w0 = np.angle(-top * np.conj(bottom))
+    lam = np.log(np.abs(top)) - np.log(np.abs(bottom))
+    x = _cauchy(np.pi / alpha * arg_w0, u)
+    lam = lam + alpha / np.pi * _log_abs(x)
+    arc = x < 0.0
+    exits = np.empty(u.size, dtype=complex)
+    # Chord: z = (p+ + W p-)/(1 + W) = t - i s tanh(log W / 2) for W > 0.
+    exits[~arc] = t - 1j * s * np.tanh(0.5 * lam[~arc])
+    # Arc: W = |W| e^{iα} gives z = p+ conj(q)/q, q = 1 + |W| p+.
+    q_arg = np.arctan2(s, np.exp(np.minimum(-lam[arc], 700.0)) + t)
+    exits[arc] = np.exp(1j * (alpha - 2.0 * q_arg))
+    exits *= v
+    return exits
+
+
+def _rings(dom: Domain):
+    """(centre, inner, outer) of a disc (inner 0), an annulus, or a concentric
+    intersection of them; None for anything else or an empty intersection."""
+    if isinstance(dom, Ball):
+        return dom.center, 0.0, dom.radius
+    if isinstance(dom, FullBall):
+        return (0.0,) * dom.dim, 0.0, 1.0
+    if isinstance(dom, Annulus):
+        return dom.center, dom.inner, dom.outer
+    if isinstance(dom, Intersection):
+        rings = [_rings(part) for part in dom.parts]
+        if any(ring is None for ring in rings) or len({ring[0] for ring in rings}) != 1:
+            return None
+        inner, outer = max(ring[1] for ring in rings), min(ring[2] for ring in rings)
+        return (rings[0][0], inner, outer) if inner < outer else None
+    return None
+
+
+def planar_sampler(dom: Domain) -> Sampler | None:
+    """The exact exit sampler of a planar domain, or None if it must be walked.
+
+    The sampler takes starts (rows inside the domain, or one row for every
+    exit) and one uniform per exit, and returns the exits as rows.
+    """
+    if domain_dim(dom) != 2:
+        return None
+    if isinstance(dom, Cap):
+        return lambda starts, u: _points(_cap_exits(dom.direction, dom.threshold,
+                                                    _complex(starts), u))
+    rings = _rings(dom)
+    if rings is None:
+        return None
+    center, inner, outer = rings
+    c = complex(*center)
+    if inner == 0.0:
+        return lambda starts, u: _points(c + outer * _disc_exits((_complex(starts) - c) / outer, u))
+    return lambda starts, u: _points(c + _annulus_exits(_complex(starts) - c, inner, outer, u))
+
+
+# ---------------------------------------------------------------------------
+# First exits: exact where a sampler exists, walk on spheres elsewhere
 # ---------------------------------------------------------------------------
 
 def wos_exit_batch(dom: Domain, x, cfg: WosConfig, n: int | None = None,
                    generator: np.random.Generator | None = None) -> np.ndarray:
-    """Exit points on the domain boundary for n walks started at x.
+    """Exit points on the domain boundary for n walks started at x (one start,
+    or one row per walk).
 
-    Repeatedly jumps uniformly on the largest inscribed sphere until within
-    the absorption shell, then projects to the nearest boundary point.
+    A domain with a ``planar_sampler`` draws every exit exactly, from one
+    uniform per exit; a start on or outside its boundary lands at its nearest
+    boundary point.  Any other domain is walked: each walk jumps uniformly on
+    the largest inscribed sphere until within the absorption shell
+    ``cfg.shell``, then projects to the nearest boundary point.  Either way a
+    start more than ``cfg.shell`` outside raises GeometryError.
     """
     x = np.asarray(x, dtype=float)
+    gen = generator if generator is not None else rngmod.stream(cfg.seed, 0)
+    sampler = planar_sampler(dom)
+    if sampler is not None:
+        return _sampled_exits(dom, sampler, x, cfg, cfg.walks if n is None else n, gen)
     if x.ndim == 1:
         if n is None:
             n = cfg.walks
@@ -171,7 +312,6 @@ def wos_exit_batch(dom: Domain, x, cfg: WosConfig, n: int | None = None,
         pos = x.astype(float).copy()
         n = pos.shape[0]
     d = pos.shape[1]
-    gen = generator if generator is not None else rngmod.stream(cfg.seed, 0)
 
     dist = -signed_distance(dom, pos)
     if np.any(dist < -cfg.shell):
@@ -190,6 +330,26 @@ def wos_exit_batch(dom: Domain, x, cfg: WosConfig, n: int | None = None,
         steps += 1
 
     return project_to_boundary_batch(dom, pos)
+
+
+def _sampled_exits(dom: Domain, sampler: Sampler, x: np.ndarray, cfg: WosConfig, n: int,
+                   gen: np.random.Generator) -> np.ndarray:
+    """``wos_exit_batch`` on a domain with an exact sampler."""
+    starts = np.atleast_2d(x)
+    dist = -signed_distance(dom, starts)
+    if np.any(dist < -cfg.shell):
+        raise GeometryError("walk started outside the domain")
+    u = gen.random(n if x.ndim == 1 else starts.shape[0])
+    inside = dist > 0.0
+    if inside.all():
+        return sampler(starts, u)
+    if x.ndim == 1:
+        return np.tile(project_to_boundary_batch(dom, starts), (n, 1))
+    exits = np.empty_like(starts)
+    exits[~inside] = project_to_boundary_batch(dom, starts[~inside])
+    if inside.any():
+        exits[inside] = sampler(starts[inside], u[inside])
+    return exits
 
 
 def wos_harmonic_eval(dom: Domain, f: BoundaryData | Callable, x, cfg: WosConfig,

@@ -1,26 +1,29 @@
 """Brownian paths absorbed at the unit sphere, stopping rules, and the
 pathwise patch-extension procedure over branched majorants.
 
-Payoff estimation uses walk-on-spheres jumps (exact exit positions, no
-time-step bias) unless the rule has a fixed-time deadline; those rules run
+Payoff estimation draws first exits with ``harmonic.wos_exit_batch`` (no
+time step) unless the rule has a fixed-time deadline; those rules run
 ``euler_exits``, the batched Euler scheme.  After each step that stays inside
 the stopping set, it stops a path with the half-space Brownian-bridge
 probability of a crossing within the step, so its payoffs carry an O(dt)
 bias (weak order 1), not the O(sqrt(dt)) of checking step ends only.  A rule
 that stops at a first exit maps to a continuation domain, and an earlier-of
-rule to the ``geometry.Intersection`` of its rules' domains; both schemes ask
-``geometry.signed_distance`` of that domain whether a path has stopped.
+rule to the ``geometry.Intersection`` of its rules' domains.  Exits of
+discs, annuli, caps and concentric intersections of discs and annuli are
+exact, one uniform each; grid regions and other intersections are walked on
+spheres.  Euler steps and walks ask ``geometry.signed_distance`` of the
+domain whether a path has stopped.
 
 Pathwise extension runs have one engine, ``_extend``, which works in rounds.
-Each round walks every group of paths that holds the same successor key in
-one ``wos_exit_batch`` call, and then hands the paths on in one
+Each round draws the exits of every group of paths that holds the same
+successor key in one ``wos_exit_batch`` call, and then hands the paths on in one
 ``ExtensionMap.successors`` call per group.  Group g of round k draws from
 the stream ``(seed, 92, stream_key, k, g)`` (``run_algorithm1_batch``) or
 ``(seed, 91, path_index, k, g)`` (``run_algorithm1``), with groups in order of
 their first path index, so the bytes do not depend on how batches are spread
 over threads.  A radial cap through direction v is the cap through e1 seen
 through the Householder reflection H_v, so all such caps form one group: the
-walks run from H_v p on the e1 cap, whose data at the exit is the turned
+exits are drawn from H_v p on the e1 cap, whose data at the exit is the turned
 cap's data at the reflected-back exit.  ``run_algorithm1`` is the engine at
 one path with its hops recorded as a ``PathRecord``, which ``trace_to_csv``
 writes out.
@@ -223,11 +226,11 @@ def run_algorithm1_batch(h: BranchedMajorant, x, n_paths: int, cfg: PathConfig,
 
 def walk_exits(node: BranchedMajorant, pts: np.ndarray, frames: np.ndarray, wos: WosConfig,
                generator: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Walk-on-spheres exits of node's patch, each seen through its frame.
+    """Exits of node's patch, each seen through its frame.
 
-    Every walk runs in one ``wos_exit_batch`` call on the node's own domain,
-    from the reflected start H_v p; the exits are reflected back, and the
-    boundary values are the node's data at the reflected exits.
+    Every exit is drawn in one ``wos_exit_batch`` call on the node's own
+    domain, from the reflected start H_v p; the exits are reflected back, and
+    the boundary values are the node's data at the reflected exits.
     """
     exits = wos_exit_batch(node.base.domain, reflect(pts, frames), wos, generator=generator)
     values = np.atleast_1d(node.base.boundary_value(exits))

@@ -1,14 +1,16 @@
-"""Harmonic evaluation: Poisson quadrature, radial closed forms, walk on spheres."""
+"""Harmonic evaluation: Poisson quadrature, radial closed forms, exact planar
+exits and walk on spheres."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsmlab import rng as rngmod
-from lsmlab.geometry import Annulus, Ball, FullBall, rasterize
+from lsmlab.geometry import (Annulus, Ball, Cap, FullBall, GeometryError, Intersection,
+                             rasterize, signed_distance)
 from lsmlab.harmonic import (INF, BoundaryData, NonTerminationError, WosConfig,
-                             constant_data, poisson_ball_eval, radial_annulus_harmonic,
-                             wos_exit_batch, wos_harmonic_eval)
+                             constant_data, planar_sampler, poisson_ball_eval,
+                             radial_annulus_harmonic, wos_exit_batch, wos_harmonic_eval)
 from lsmlab.majorant import MajorantError, cap_patch
 
 
@@ -126,10 +128,12 @@ class TestWos:
         assert np.allclose(np.linalg.norm(exits, axis=1), 1.0, atol=1e-9)
 
     def test_shell_point_projects_immediately(self):
+        # The shell is a walked domain's: the start lies in the lens's shell,
+        # 5e-5 inside its outer disc of radius 0.8.
         cfg = WosConfig(shell=1e-4, walks=1, seed=0)
-        x = np.array([0.5 - 5e-5, 0.0])
-        out = wos_exit_batch(Ball((0.0, 0.0), 0.5), x, cfg, n=1)[0]
-        assert np.linalg.norm(out) == pytest.approx(0.5, abs=1e-12)
+        x = np.array([0.8 - 5e-5, 0.0])
+        out = wos_exit_batch(LENS, x, cfg, n=1)[0]
+        assert np.linalg.norm(out) == pytest.approx(0.8, abs=1e-12)
 
     def test_annulus_exit_matches_closed_form(self):
         cfg = WosConfig(walks=100_000, seed=4)
@@ -163,7 +167,121 @@ class TestWos:
     def test_nontermination_reported(self):
         cfg = WosConfig(walks=16, seed=0, max_steps=2)
         with pytest.raises(NonTerminationError):
-            wos_exit_batch(FullBall(2), np.array([0.3, 0.2]), cfg)
+            wos_exit_batch(LENS, np.array([0.3, 0.2]), cfg)
+
+    def test_lens_exit_mean_is_the_start(self):
+        # Two discs that are not concentric have no exact sampler: this walks.
+        assert planar_sampler(LENS) is None
+        x = np.array([0.3, 0.2])
+        cfg = WosConfig(walks=100_000, seed=5)
+        exits = wos_exit_batch(LENS, x, cfg)
+        sigma = exits[:, 0].std() / np.sqrt(cfg.walks)
+        assert abs(exits[:, 0].mean() - x[0]) <= 4 * sigma
+        assert np.max(np.abs(signed_distance(LENS, exits))) <= 1e-12
+
+
+# A lens: the intersection of two discs that are not concentric.
+LENS = Intersection((Ball((0.0, 0.0), 0.8), Ball((0.4, 0.3), 0.6)))
+
+
+def _complex(pts):
+    return pts[:, 0] + 1j * pts[:, 1]
+
+
+# Each exact domain with a start inside it and a pole outside its closure.
+EXACT = {
+    "disc": (Ball((0.1, -0.2), 0.6), (0.4, 0.1), 0.8 + 0.0j),
+    "full-ball": (FullBall(2), (0.3, 0.5), 1.2 - 0.3j),
+    "annulus": (Annulus((0.0, 0.0), 0.1, 0.5), (0.2, 0.15), 0.05 + 0.0j),
+    "off-centre-annulus": (Annulus((0.2, -0.1), 0.2, 0.6), (-0.1, 0.1), 0.25 - 0.05j),
+    "ball-and-annulus": (Intersection((Ball((0.0, 0.0), 0.9), Annulus((0.0, 0.0), 0.1, 0.95))),
+                         (0.3, 0.2), 0.05j),
+    "annulus-and-full-ball": (Intersection((Annulus((0.0, 0.0), 0.3, 1.5), FullBall(2))),
+                              (-0.5, 0.4), 0.1 + 0.1j),
+    "two-annuli": (Intersection((Annulus((0.0, 0.0), 0.2, 0.8), Annulus((0.0, 0.0), 0.1, 0.6))),
+                   (0.0, -0.4), 0.7 + 0.0j),
+    "cap-0.3": (Cap((np.cos(1.0), np.sin(1.0)), 0.3), (0.7 * np.cos(1.2), 0.7 * np.sin(1.2)),
+                0.25 * np.exp(1.0j)),
+    "cap-0": (Cap((1.0, 0.0), 0.0), (0.3, 0.5), -0.05 + 0.2j),
+    "cap-neg": (Cap((0.0, 1.0), -0.4), (0.1, -0.2), -0.45j),
+    "cap-0.95": (Cap((1.0, 0.0), 0.95), (0.97, 0.01), 0.94 + 0.0j),
+    "cap-neg-0.97": (Cap((1.0, 0.0), -0.97), (-0.9, 0.1), -0.98 + 0.0j),
+}
+
+
+class TestExactExits:
+    """The one-uniform exit samplers of discs, annuli and caps, and the
+    concentric intersections that reduce to a disc or an annulus."""
+
+    N = 1_000_000
+
+    @pytest.fixture(scope="class", params=sorted(EXACT))
+    def case(self, request):
+        dom, x, pole = EXACT[request.param]
+        x = np.array(x)
+        assert planar_sampler(dom) is not None
+        assert signed_distance(dom, np.array([pole.real, pole.imag])) > 0.0
+        exits = wos_exit_batch(dom, x, WosConfig(walks=self.N), generator=rngmod.stream(7, 1))
+        return dom, x, pole, exits
+
+    def test_harmonic_means_are_the_start_values(self, case):
+        dom, x, pole, exits = case
+        z, z0 = _complex(exits), complex(*x)
+        for f in (lambda w: w.real, lambda w: (w ** 3).real, lambda w: np.log(np.abs(w - pole))):
+            vals = f(z)
+            sigma = vals.std() / np.sqrt(self.N)
+            assert abs(vals.mean() - f(np.array([z0]))[0]) <= 4 * sigma
+
+    def test_exits_lie_on_the_boundary(self, case):
+        dom, _x, _pole, exits = case
+        assert np.max(np.abs(signed_distance(dom, exits))) <= 1e-12
+
+    def test_annulus_side_probability(self):
+        a, b, x = 0.1, 0.5, np.array([0.2, 0.15])
+        exits = wos_exit_batch(Annulus((0.0, 0.0), a, b), x, WosConfig(walks=self.N, seed=3))
+        p_outer = np.log(np.linalg.norm(x) / a) / np.log(b / a)
+        outer = np.mean(np.linalg.norm(exits, axis=1) > np.sqrt(a * b))
+        assert abs(outer - p_outer) <= 4 * np.sqrt(p_outer * (1 - p_outer) / self.N)
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_boundary_start_returns_itself(self, name):
+        dom, x = EXACT[name][:2]
+        exits = wos_exit_batch(dom, np.array(x), WosConfig(walks=64, seed=1))
+        edges = exits[signed_distance(dom, exits) >= 0.0][:4]
+        assert edges.size
+        cfg = WosConfig(walks=8, seed=1)
+        for edge in edges:
+            assert np.allclose(wos_exit_batch(dom, edge, cfg), edge, rtol=0.0, atol=1e-15)
+        # As rows among inside starts, boundary starts keep their places.
+        out = wos_exit_batch(dom, np.concatenate([np.tile(x, (4, 1)), edges]), cfg)
+        assert np.allclose(out[4:], edges, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(signed_distance(dom, out))) <= 1e-12
+
+    @pytest.mark.parametrize("dom, x", [
+        (Annulus((0.0, 0.0), 0.5, 0.5005), (0.50025, 0.0)),
+        (Cap((1.0, 0.0), 0.99), (0.995, 0.0)),
+        (Cap((0.0, 1.0), -0.99), (0.0, -0.5)),
+        (Cap((1.0, 0.0), 0.99), (0.99 + 1e-13, 0.14)),
+    ])
+    def test_narrow_domains_give_finite_exits(self, dom, x):
+        exits = wos_exit_batch(dom, np.array(x), WosConfig(walks=100_000, seed=2))
+        assert np.all(np.isfinite(exits))
+        assert np.max(np.abs(signed_distance(dom, exits))) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_identical_stream_gives_identical_bits(self, name):
+        dom, x = EXACT[name][:2]
+        cfg = WosConfig(walks=64)
+        a = wos_exit_batch(dom, np.array(x), cfg, generator=rngmod.stream(4, 2))
+        b = wos_exit_batch(dom, np.array(x), cfg, generator=rngmod.stream(4, 2))
+        assert np.array_equal(a, b)
+        rows = np.tile(np.array(x), (64, 1))
+        c = wos_exit_batch(dom, rows, cfg, generator=rngmod.stream(4, 2))
+        assert np.array_equal(a, c)
+
+    def test_start_outside_the_shell_raises(self):
+        with pytest.raises(GeometryError):
+            wos_exit_batch(Cap((1.0, 0.0), 0.3), np.array([0.2, 0.0]), WosConfig(walks=4))
 
 
 class TestStreams:
