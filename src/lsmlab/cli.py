@@ -7,7 +7,9 @@ fixed config and seed the emitted files are byte-identical across runs.
 ``parse_config`` reads a config once, into frozen specs whose fields are the
 accepted keys with their defaults; commands take the parsed ``Config``, so an
 unknown key or a bad value exits 2 before any solve.  ``RETIRED`` keys change
-no result and are accepted only at their one value.
+no result and are accepted only at their one value.  Likewise the
+``--threads`` flag is accepted and changes nothing: ``paths`` runs its path
+chunks one after another in one loop.
 
 Exit codes: 0 ok, 2 config error, 3 incomplete, 4 structural error,
 5 non-convergence; ``EXIT_TABLE`` maps exception classes to them.
@@ -17,11 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -216,7 +216,7 @@ def _run_envelope(cfg: Config):
                              **asdict(cfg.envelope))
 
 
-def cmd_envelope(cfg: Config, out: Path, threads: int) -> int:
+def cmd_envelope(cfg: Config, out: Path) -> int:
     seq = _run_envelope(cfg)
     seq.run.field.to_csv(out / "w1.csv")
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
@@ -240,7 +240,7 @@ def cmd_envelope(cfg: Config, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_balayage(cfg: Config, out: Path, threads: int) -> int:
+def cmd_balayage(cfg: Config, out: Path) -> int:
     seq = _run_envelope(cfg)
     rows = []
     for k, (fld, contact) in enumerate(zip(seq.levels, seq.contacts)):
@@ -253,7 +253,7 @@ def cmd_balayage(cfg: Config, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: Config, out: Path, threads: int) -> int:
+def cmd_oracle(cfg: Config, out: Path) -> int:
     gain, want_radial, want_psor = cfg.gain, cfg.oracle.radial, cfg.oracle.psor
     if not (want_radial or want_psor):
         print("no oracle enabled in config", file=sys.stderr)
@@ -275,7 +275,7 @@ def cmd_oracle(cfg: Config, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce_spiked_ball(cfg: Config, out: Path, threads: int) -> int:
+def cmd_reproduce_spiked_ball(cfg: Config, out: Path) -> int:
     if cfg.gain_kind != "spiked":
         raise ConfigError("the reproduce target needs the spiked radial preset")
     if cfg.grid.kind != "radial":
@@ -340,7 +340,7 @@ def cmd_reproduce_spiked_ball(cfg: Config, out: Path, threads: int) -> int:
                                               else EXIT_INCOMPLETE)
 
 
-def cmd_paths(cfg: Config, out: Path, threads: int) -> int:
+def cmd_paths(cfg: Config, out: Path) -> int:
     gain, n_paths, probe = cfg.gain, cfg.paths.n_paths, np.asarray(cfg.paths.probe)
     pcfg = PathConfig(seed=cfg.paths.seed)
     seq = _run_envelope(cfg)
@@ -359,24 +359,18 @@ def cmd_paths(cfg: Config, out: Path, threads: int) -> int:
     if n_paths == 0:
         _write_json(out / "excessivity.json", {"runs": 0, "note": "no paths requested"})
         return EXIT_OK
-    # Fixed-size chunks with per-chunk streams: results are byte-identical for
-    # any thread count, and chunks can run concurrently.  No more workers start
-    # than there are chunks or cores, whatever --threads asks for.  Each chunk
-    # writes its final points into its rows of one array and returns only its
-    # termination tally, so no path's result is held twice.
+    # Fixed-size chunks, each drawing from its own streams: chunk k's rows do
+    # not depend on the other chunks.  Each chunk writes its final points into
+    # its rows of one array and keeps only its termination tally, so no path's
+    # result is held twice.
     chunk = 4096
-    jobs = range((n_paths + chunk - 1) // chunk)
     finals = np.empty((n_paths, probe.shape[0]))
-
-    def run_chunk(k: int) -> Counter:
+    tally = Counter()
+    for k in range((n_paths + chunk - 1) // chunk):
         rows = slice(k * chunk, min((k + 1) * chunk, n_paths))
         finals[rows], terms = run_algorithm1_batch(witness, probe, rows.stop - rows.start,
                                                    pcfg, stream_key=k)
-        return Counter(terms)
-
-    workers = max(1, min(threads, len(jobs), os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tally = sum(pool.map(run_chunk, jobs), Counter())
+        tally.update(terms)
     payoffs = gain(finals)
     mean = float(np.mean(payoffs))
     sem = float(np.std(payoffs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -398,13 +392,14 @@ def cmd_paths(cfg: Config, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(threads: int) -> int:
+def cmd_selftest() -> int:
     """Fast internal consistency checks; prints one line per check."""
     from .gain import spiked_gain, mollify
     from .geometry import Ball, Intersection, hausdorff_distance, boundary_samples
     from .harmonic import (BoundaryData, WosConfig, poisson_ball_eval, wos_exit_batch,
                            wos_harmonic_eval)
     from .grids import upper_concave_hull
+    from .rng import stream
 
     ok = True
 
@@ -422,7 +417,7 @@ def cmd_selftest(threads: int) -> int:
     check("exact disc exits match Poisson within 4 sigma", abs(mean - 0.3) <= 4 * sem + 1e-9)
 
     lens = Intersection((Ball((0.0, 0.0), 0.8), Ball((0.4, 0.3), 0.6)))
-    exits = wos_exit_batch(lens, np.array([0.3, 0.2]), WosConfig(walks=20_000, seed=1))
+    exits = wos_exit_batch(lens, np.array([0.3, 0.2]), stream(1, 0), n=20_000)
     sem = float(exits[:, 0].std() / np.sqrt(len(exits)))
     check("walk-on-spheres exit mean on a lens within 4 sigma",
           abs(float(exits[:, 0].mean()) - 0.3) <= 4 * sem)
@@ -452,7 +447,9 @@ def main(argv=None) -> int:
                         help="config file path or preset name (default: spiked-ball)")
     parser.add_argument("--out", default="lsmlab-out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for batches")
+    # Kept only while scripts (the benchmark's among them) still pass it.
+    parser.add_argument("--threads", type=int, default=1,
+                        help="has no effect; accepted for old scripts and to be removed")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("envelope", help="compute the envelope sequence and contact masks")
     sub.add_parser("balayage", help="emit the balayage diagnostic per level")
@@ -464,7 +461,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "selftest":
-        return cmd_selftest(args.threads)
+        return cmd_selftest()
 
     commands = {"envelope": cmd_envelope, "balayage": cmd_balayage, "oracle": cmd_oracle,
                 "paths": cmd_paths, "reproduce": cmd_reproduce_spiked_ball}
@@ -472,7 +469,7 @@ def main(argv=None) -> int:
         raw = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return commands[args.command](parse_config(raw, args.seed), out, args.threads)
+        return commands[args.command](parse_config(raw, args.seed), out)
     except tuple(cls for classes, _, _ in EXIT_TABLE for cls in classes) as exc:
         code, label = next((code, label) for classes, code, label in EXIT_TABLE
                            if isinstance(exc, classes))

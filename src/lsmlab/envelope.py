@@ -97,7 +97,7 @@ class GridField:
     @property
     def stencil(self) -> DiscStencil:
         if self._stencil is None:
-            self._stencil = disc_stencil(self.coords, self.spacing)
+            self._stencil = disc_stencil(self.coords, self.spacing, self.inside)
         return self._stencil
 
     @property

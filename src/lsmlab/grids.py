@@ -178,15 +178,15 @@ class DiscStencil:
     offdiag: sparse.csr_array
 
 
-def disc_stencil(coords: np.ndarray, spacing: float) -> DiscStencil:
+def disc_stencil(coords: np.ndarray, spacing: float, inside: np.ndarray) -> DiscStencil:
     """Cut-cell stencil of -Laplacian on the nodes of ``coords`` inside the unit disc.
 
-    An arm that leaves the disc is shortened to the fraction theta of a cell
-    at which it meets the unit circle (Shortley & Weller 1938), where the
-    Dirichlet value is zero.
+    ``inside`` is the grid's mask of nodes with |x| < 1, as its ``GridField``
+    holds it.  An arm that leaves the disc is shortened to the fraction theta
+    of a cell at which it meets the unit circle (Shortley & Weller 1938),
+    where the Dirichlet value is zero.
     """
     n = coords.shape[0]
-    inside = np.linalg.norm(coords, axis=-1) < 1.0
     # The grid's edge lies outside the disc, so every arm of an inside node
     # ends on the grid.  Each (node, arm) table is in row-major order, so its
     # kept entries give each row's arms in E, W, N, S order.

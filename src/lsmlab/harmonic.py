@@ -12,7 +12,8 @@ Thm 7.20): ``planar_sampler`` maps each onto the unit disc or the upper
 half-plane, where one uniform per exit gives a uniform angle or a Cauchy
 point.  Every other domain (grid regions, other intersections, d = 3) is
 walked on spheres (Muller 1956): the walk asks ``geometry.signed_distance``
-for its step radii and lands exits with
+for its step radii, stops within ``SHELL`` of the boundary or raises
+``NonTerminationError`` after ``MAX_STEPS`` steps, and lands exits with
 ``geometry.project_to_boundary_batch``.  Off-domain evaluations return the
 +inf sentinel so envelope infima can consume them transparently.
 """
@@ -56,19 +57,22 @@ def constant_data(value: float) -> BoundaryData:
     return BoundaryData(evaluator=lambda pts: np.full(pts.shape[0], float(value)))
 
 
+# The absorption width and the step budget of a walk on spheres; exact
+# samplers use neither.  No walk of the CLI commands on the presets or of the
+# benchmark's operations took more than 133 steps (a contact-hit payoff on a
+# 257-node Cartesian contact set), so a walk that reaches the budget has stalled.
+SHELL = 1e-4
+MAX_STEPS = 10_000
+
+
 @dataclass(frozen=True)
 class WosConfig:
-    """Walk budget and seed; ``shell`` (the absorption width) and ``max_steps``
-    apply to walked domains only."""
+    """Walks per ``wos_harmonic_eval`` and the seed of their streams."""
 
-    shell: float = 1e-4
-    max_steps: int = 10_000
     walks: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.shell <= 0.0:
-            raise HarmonicError("absorption shell must be positive")
         if self.walks < 1:
             raise HarmonicError("need at least one walk")
 
@@ -287,57 +291,50 @@ def planar_sampler(dom: Domain) -> Sampler | None:
 # First exits: exact where a sampler exists, walk on spheres elsewhere
 # ---------------------------------------------------------------------------
 
-def wos_exit_batch(dom: Domain, x, cfg: WosConfig, n: int | None = None,
-                   generator: np.random.Generator | None = None) -> np.ndarray:
-    """Exit points on the domain boundary for n walks started at x (one start,
-    or one row per walk).
+def wos_exit_batch(dom: Domain, x, generator: np.random.Generator,
+                   n: int | None = None) -> np.ndarray:
+    """Exit points on the domain boundary for walks started at x: n walks from
+    one start, or one walk per row.
 
     A domain with a ``planar_sampler`` draws every exit exactly, from one
     uniform per exit; a start on or outside its boundary lands at its nearest
     boundary point.  Any other domain is walked: each walk jumps uniformly on
-    the largest inscribed sphere until within the absorption shell
-    ``cfg.shell``, then projects to the nearest boundary point.  Either way a
-    start more than ``cfg.shell`` outside raises GeometryError.
+    the largest inscribed sphere until within the absorption shell ``SHELL``,
+    then projects to the nearest boundary point.  Either way a start more than
+    ``SHELL`` outside raises GeometryError.
     """
     x = np.asarray(x, dtype=float)
-    gen = generator if generator is not None else rngmod.stream(cfg.seed, 0)
     sampler = planar_sampler(dom)
     if sampler is not None:
-        return _sampled_exits(dom, sampler, x, cfg, cfg.walks if n is None else n, gen)
-    if x.ndim == 1:
-        if n is None:
-            n = cfg.walks
-        pos = np.tile(x, (n, 1))
-    else:
-        pos = x.astype(float).copy()
-        n = pos.shape[0]
+        return _sampled_exits(dom, sampler, x, n, generator)
+    pos = np.tile(x, (n, 1)) if x.ndim == 1 else x.copy()
     d = pos.shape[1]
 
     dist = -signed_distance(dom, pos)
-    if np.any(dist < -cfg.shell):
+    if np.any(dist < -SHELL):
         raise GeometryError("walk started outside the domain")
-    active = dist > cfg.shell
+    active = dist > SHELL
     steps = 0
     while active.any():
-        if steps >= cfg.max_steps:
+        if steps >= MAX_STEPS:
             raise NonTerminationError(
-                f"{int(active.sum())} walks still active after {cfg.max_steps} steps")
+                f"{int(active.sum())} walks still active after {MAX_STEPS} steps")
         idx = np.nonzero(active)[0]
-        dirs = rngmod.uniform_directions(gen, idx.size, d)
+        dirs = rngmod.uniform_directions(generator, idx.size, d)
         pos[idx] += dist[idx, None] * dirs
         dist[idx] = -signed_distance(dom, pos[idx])
-        active[idx] = dist[idx] > cfg.shell
+        active[idx] = dist[idx] > SHELL
         steps += 1
 
     return project_to_boundary_batch(dom, pos)
 
 
-def _sampled_exits(dom: Domain, sampler: Sampler, x: np.ndarray, cfg: WosConfig, n: int,
+def _sampled_exits(dom: Domain, sampler: Sampler, x: np.ndarray, n: int | None,
                    gen: np.random.Generator) -> np.ndarray:
     """``wos_exit_batch`` on a domain with an exact sampler."""
     starts = np.atleast_2d(x)
     dist = -signed_distance(dom, starts)
-    if np.any(dist < -cfg.shell):
+    if np.any(dist < -SHELL):
         raise GeometryError("walk started outside the domain")
     u = gen.random(n if x.ndim == 1 else starts.shape[0])
     inside = dist > 0.0
@@ -356,7 +353,8 @@ def wos_harmonic_eval(dom: Domain, f: BoundaryData | Callable, x, cfg: WosConfig
                       generator: np.random.Generator | None = None) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the harmonic extension of f at x."""
     data = f if isinstance(f, BoundaryData) else BoundaryData(evaluator=f)
-    exits = wos_exit_batch(dom, x, cfg, generator=generator)
+    gen = generator if generator is not None else rngmod.stream(cfg.seed, 0)
+    exits = wos_exit_batch(dom, x, gen, n=cfg.walks)
     vals = data(exits)
     mean = float(vals.mean())
     sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0

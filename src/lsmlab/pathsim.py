@@ -20,8 +20,8 @@ successor key in one ``wos_exit_batch`` call, and then hands the paths on in one
 ``ExtensionMap.successors`` call per group.  Group g of round k draws from
 the stream ``(seed, 92, stream_key, k, g)`` (``run_algorithm1_batch``) or
 ``(seed, 91, path_index, k, g)`` (``run_algorithm1``), with groups in order of
-their first path index, so the bytes do not depend on how batches are spread
-over threads.  A radial cap through direction v is the cap through e1 seen
+their first path index, so the bytes do not depend on the order in which
+batches run.  A radial cap through direction v is the cap through e1 seen
 through the Householder reflection H_v, so all such caps form one group: the
 exits are drawn from H_v p on the e1 cap, whose data at the exit is the turned
 cap's data at the reflected-back exit.  ``run_algorithm1`` is the engine at
@@ -43,10 +43,13 @@ from .gain import GainField
 from .geometry import (Annulus, Ball, Domain, FullBall, GridRegion, Intersection,
                        project_to_boundary_batch, signed_distance)
 from .grids import write_csv
-from .harmonic import WosConfig, wos_exit_batch
+from .harmonic import SHELL, wos_exit_batch
 from .majorant import BranchedMajorant, identity_frames, reflect
 
 BATCH = 4096
+# The Euler scheme's time step and horizon.
+DT = 1e-3
+MAX_TIME = 50.0
 
 
 class PathError(ValueError):
@@ -59,18 +62,9 @@ class StructuralError(PathError):
 
 @dataclass(frozen=True)
 class PathConfig:
-    dt: float = 1e-3
-    seed: int = 0
-    max_time: float = 50.0
-    shell: float = 1e-4
+    """The seed of every stream a path routine draws from."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise PathError(f"time step must be finite and positive, got {self.dt}")
-        if not (math.isfinite(self.max_time) and self.max_time > 0.0):
-            raise PathError(f"max_time must be finite and positive, got {self.max_time}")
-        if not 0.0 < self.shell < 1.0:
-            raise PathError(f"shell must lie in (0, 1), got {self.shell}")
+    seed: int = 0
 
 
 @dataclass(eq=False)
@@ -106,8 +100,8 @@ class ContactHit:
 
     On a Cartesian grid the continuation domain is the whole non-contact set,
     whatever the start: ``region`` is that ``GridRegion``, built with its
-    signed-distance table when the rule is, so a rule shared across calls and
-    threads fills nothing lazily.  A radial rule's region is None; its domain
+    signed-distance table when the rule is, so a rule shared across calls
+    fills nothing lazily.  A radial rule's region is None; its domain
     depends on the start's run.
     """
 
@@ -224,7 +218,7 @@ def run_algorithm1_batch(h: BranchedMajorant, x, n_paths: int, cfg: PathConfig,
     return finals, [TERMINATIONS[c] for c in causes.tolist()]
 
 
-def walk_exits(node: BranchedMajorant, pts: np.ndarray, frames: np.ndarray, wos: WosConfig,
+def walk_exits(node: BranchedMajorant, pts: np.ndarray, frames: np.ndarray,
                generator: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Exits of node's patch, each seen through its frame.
 
@@ -232,7 +226,7 @@ def walk_exits(node: BranchedMajorant, pts: np.ndarray, frames: np.ndarray, wos:
     domain, from the reflected start H_v p; the exits are reflected back, and
     the boundary values are the node's data at the reflected exits.
     """
-    exits = wos_exit_batch(node.base.domain, reflect(pts, frames), wos, generator=generator)
+    exits = wos_exit_batch(node.base.domain, reflect(pts, frames), generator)
     values = np.atleast_1d(node.base.boundary_value(exits))
     return reflect(exits, frames), values
 
@@ -249,8 +243,7 @@ def _extend(h: BranchedMajorant, x: np.ndarray, n_paths: int, cfg: PathConfig,
     if float(signed_distance(h.base.domain, x)) >= 0.0:
         raise PathError("start point must lie in the base patch domain")
     gstar = h.base.gstar
-    sphere = 1.0 - max(cfg.shell, 1e-9)
-    wos = WosConfig(shell=cfg.shell, max_steps=100_000, walks=1, seed=cfg.seed)
+    sphere = 1.0 - SHELL
     pos = np.tile(x, (n_paths, 1))
     frames = identity_frames(n_paths, x.shape[0])
     causes = np.full(n_paths, EXHAUSTED)
@@ -261,7 +254,7 @@ def _extend(h: BranchedMajorant, x: np.ndarray, n_paths: int, cfg: PathConfig,
         handed: dict = {}
         for group_idx, (node, idx) in enumerate(groups):
             gen = rngmod.stream(cfg.seed, *stream, round_idx, group_idx)
-            exits, values = walk_exits(node, pos[idx], frames[idx], wos, gen)
+            exits, values = walk_exits(node, pos[idx], frames[idx], gen)
             pos[idx] = exits
             on_sphere = np.linalg.norm(exits, axis=1) >= sphere
             at_gstar = ~on_sphere & (values >= gstar * (1.0 - 1e-9))
@@ -316,9 +309,7 @@ def payoff_estimate(x, rule: StoppingRule, gain: GainField, n_paths: int,
     if deadline is None and dom is not None:
         if signed_distance(dom, x) >= 0.0:
             return float(gain(x)), 0.0
-        gen = rngmod.stream(cfg.seed, 93, stream_key)
-        wos = WosConfig(shell=cfg.shell, max_steps=1_000_000, walks=n_paths, seed=cfg.seed)
-        stops = wos_exit_batch(dom, x, wos, generator=gen)
+        stops = wos_exit_batch(dom, x, rngmod.stream(cfg.seed, 93, stream_key), n=n_paths)
     elif isinstance(rule, FixedTime) and rule.t == 0.0:
         return float(gain(x)), 0.0
     else:
@@ -339,8 +330,8 @@ def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
     path with the Brownian-bridge probability exp(-2 d_n d_{n+1} / dt) of a
     crossing in between, d being the distance to the boundary, at the step's
     midpoint projected onto the boundary; this makes the scheme weak order 1
-    (Gobet 2000).  Paths also stop at the rule's deadline or at
-    ``cfg.max_time``.  A start on the unit sphere or outside the rule's
+    (Gobet 2000).  Paths take steps of ``DT`` and also stop at the rule's
+    deadline or at ``MAX_TIME``.  A start on the unit sphere or outside the rule's
     domain stops where it is.  Each step draws its normals, then one uniform
     per live path, from the batch's ``(seed, 94, stream_key, batch)`` stream.
     """
@@ -355,9 +346,9 @@ def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
     d = x.shape[0]
     region = FullBall(d) if dom is None else Intersection((FullBall(d), dom))
     deadline = _fixed_deadline(rule)
-    horizon = min(cfg.max_time, deadline if deadline is not None else cfg.max_time)
-    n_steps = int(math.ceil(horizon / cfg.dt))
-    sqdt = math.sqrt(cfg.dt)
+    horizon = min(MAX_TIME, deadline if deadline is not None else MAX_TIME)
+    n_steps = int(math.ceil(horizon / DT))
+    sqdt = math.sqrt(DT)
     for b0 in range(0, n_paths, BATCH):
         b1 = min(b0 + BATCH, n_paths)
         m = b1 - b0
@@ -377,7 +368,7 @@ def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,
             next_dist = -signed_distance(region, pos[idx] + step)
             crossed = next_dist <= 0.0
             # A crossed step has bridge probability 1, so it always stops.
-            stopped = u < np.exp(-2.0 / cfg.dt * prev_dist * np.maximum(next_dist, 0.0))
+            stopped = u < np.exp(-2.0 / DT * prev_dist * np.maximum(next_dist, 0.0))
             if stopped.any():
                 frac = np.full(idx.size, 0.5)
                 frac[crossed] = prev_dist[crossed] / (prev_dist[crossed] - next_dist[crossed])

@@ -2,8 +2,8 @@
 
 Every stochastic routine in the package draws from a Philox generator keyed
 by (seed, *stream key).  Streams with distinct keys are statistically
-independent and reproducible regardless of execution order, so batches can
-be farmed out to threads and reduced in fixed index order.
+independent and reproducible regardless of execution order, so each batch's
+draws depend only on its own key, not on which batches ran before it.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from scipy import ndimage
 
 from lsmlab.envelope import balayage_step, cartesian_field, contact_set, gain_on_grid
 from lsmlab.gain import GainField
-from lsmlab.grids import (CSV_BLOCK, bilinear, cartesian_grid, disc_stencil, label_components,
+from lsmlab.grids import (CSV_BLOCK, bilinear, cartesian_grid, label_components,
                           radial_grid, scale_coordinate, write_csv)
 from lsmlab.oracle import neg_laplacian
 
@@ -98,8 +98,8 @@ class TestLabelComponents:
 
 @pytest.mark.parametrize("n", [65, 129, 257])
 def test_disc_stencil_exact_on_quadratics_and_harmonics(n):
-    coords, spacing = cartesian_grid(n)
-    stencil = disc_stencil(coords, spacing)
+    fld = cartesian_field(n, np.zeros((n, n)), "grid")
+    coords, spacing, stencil = fld.coords, fld.spacing, fld.stencil
     x, y = coords[..., 0], coords[..., 1]
     # 1 - x^2 - y^2 vanishes on the circle, so the cut arms see its true
     # boundary value, and Shortley-Weller is exact for quadratics.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lsmlab import rng as rngmod
+from lsmlab import harmonic, rng as rngmod
 from lsmlab.geometry import (Annulus, Ball, Cap, FullBall, GeometryError, Intersection,
                              rasterize, signed_distance)
 from lsmlab.harmonic import (INF, BoundaryData, NonTerminationError, WosConfig,
@@ -118,29 +118,29 @@ class TestAffine:
 
 class TestWos:
     def test_center_exit_is_uniform(self):
-        cfg = WosConfig(walks=100_000, seed=2)
-        exits = wos_exit_batch(FullBall(2), np.zeros(2), cfg)
+        n = 100_000
+        exits = wos_exit_batch(FullBall(2), np.zeros(2), rngmod.stream(2, 0), n=n)
         # Oracle: direct uniform sphere sampling has coordinate mean 0 with
         # sigma = sqrt(1/2)/sqrt(n).
-        sigma = np.sqrt(0.5) / np.sqrt(cfg.walks)
+        sigma = np.sqrt(0.5) / np.sqrt(n)
         assert abs(exits[:, 0].mean()) <= 3 * sigma
         assert abs(exits[:, 1].mean()) <= 3 * sigma
         assert np.allclose(np.linalg.norm(exits, axis=1), 1.0, atol=1e-9)
 
     def test_shell_point_projects_immediately(self):
         # The shell is a walked domain's: the start lies in the lens's shell,
-        # 5e-5 inside its outer disc of radius 0.8.
-        cfg = WosConfig(shell=1e-4, walks=1, seed=0)
-        x = np.array([0.8 - 5e-5, 0.0])
-        out = wos_exit_batch(LENS, x, cfg, n=1)[0]
+        # half a shell inside its outer disc of radius 0.8.
+        x = np.array([0.8 - 0.5 * harmonic.SHELL, 0.0])
+        out = wos_exit_batch(LENS, x, rngmod.stream(0, 0), n=1)[0]
         assert np.linalg.norm(out) == pytest.approx(0.8, abs=1e-12)
 
     def test_annulus_exit_matches_closed_form(self):
-        cfg = WosConfig(walks=100_000, seed=4)
-        exits = wos_exit_batch(Annulus((0.0, 0.0), 0.3, 0.8), np.array([0.5, 0.0]), cfg)
+        n = 100_000
+        exits = wos_exit_batch(Annulus((0.0, 0.0), 0.3, 0.8), np.array([0.5, 0.0]),
+                               rngmod.stream(4, 0), n=n)
         p_outer = float(np.mean(np.linalg.norm(exits, axis=1) > 0.55))
         expect = radial_annulus_harmonic(0.3, 0.8, 0.0, 1.0, 0.5, 2)
-        sigma = np.sqrt(expect * (1 - expect) / cfg.walks)
+        sigma = np.sqrt(expect * (1 - expect) / n)
         assert abs(p_outer - expect) <= 3 * sigma
 
     def test_harmonic_eval_matches_poisson(self):
@@ -164,18 +164,18 @@ class TestWos:
         exact = poisson_ball_eval(np.zeros(2), 0.5, data, np.array([0.2, 0.0]))
         assert abs(mean - exact) <= 3 * sem + 2 * region.spacing
 
-    def test_nontermination_reported(self):
-        cfg = WosConfig(walks=16, seed=0, max_steps=2)
+    def test_nontermination_reported(self, monkeypatch):
+        monkeypatch.setattr(harmonic, "MAX_STEPS", 2)
         with pytest.raises(NonTerminationError):
-            wos_exit_batch(LENS, np.array([0.3, 0.2]), cfg)
+            wos_exit_batch(LENS, np.array([0.3, 0.2]), rngmod.stream(0, 0), n=16)
 
     def test_lens_exit_mean_is_the_start(self):
         # Two discs that are not concentric have no exact sampler: this walks.
         assert planar_sampler(LENS) is None
         x = np.array([0.3, 0.2])
-        cfg = WosConfig(walks=100_000, seed=5)
-        exits = wos_exit_batch(LENS, x, cfg)
-        sigma = exits[:, 0].std() / np.sqrt(cfg.walks)
+        n = 100_000
+        exits = wos_exit_batch(LENS, x, rngmod.stream(5, 0), n=n)
+        sigma = exits[:, 0].std() / np.sqrt(n)
         assert abs(exits[:, 0].mean() - x[0]) <= 4 * sigma
         assert np.max(np.abs(signed_distance(LENS, exits))) <= 1e-12
 
@@ -221,7 +221,7 @@ class TestExactExits:
         x = np.array(x)
         assert planar_sampler(dom) is not None
         assert signed_distance(dom, np.array([pole.real, pole.imag])) > 0.0
-        exits = wos_exit_batch(dom, x, WosConfig(walks=self.N), generator=rngmod.stream(7, 1))
+        exits = wos_exit_batch(dom, x, rngmod.stream(7, 1), n=self.N)
         return dom, x, pole, exits
 
     def test_harmonic_means_are_the_start_values(self, case):
@@ -238,7 +238,7 @@ class TestExactExits:
 
     def test_annulus_side_probability(self):
         a, b, x = 0.1, 0.5, np.array([0.2, 0.15])
-        exits = wos_exit_batch(Annulus((0.0, 0.0), a, b), x, WosConfig(walks=self.N, seed=3))
+        exits = wos_exit_batch(Annulus((0.0, 0.0), a, b), x, rngmod.stream(3, 0), n=self.N)
         p_outer = np.log(np.linalg.norm(x) / a) / np.log(b / a)
         outer = np.mean(np.linalg.norm(exits, axis=1) > np.sqrt(a * b))
         assert abs(outer - p_outer) <= 4 * np.sqrt(p_outer * (1 - p_outer) / self.N)
@@ -246,14 +246,15 @@ class TestExactExits:
     @pytest.mark.parametrize("name", sorted(EXACT))
     def test_boundary_start_returns_itself(self, name):
         dom, x = EXACT[name][:2]
-        exits = wos_exit_batch(dom, np.array(x), WosConfig(walks=64, seed=1))
+        exits = wos_exit_batch(dom, np.array(x), rngmod.stream(1, 0), n=64)
         edges = exits[signed_distance(dom, exits) >= 0.0][:4]
         assert edges.size
-        cfg = WosConfig(walks=8, seed=1)
         for edge in edges:
-            assert np.allclose(wos_exit_batch(dom, edge, cfg), edge, rtol=0.0, atol=1e-15)
+            assert np.allclose(wos_exit_batch(dom, edge, rngmod.stream(1, 0), n=8), edge,
+                               rtol=0.0, atol=1e-15)
         # As rows among inside starts, boundary starts keep their places.
-        out = wos_exit_batch(dom, np.concatenate([np.tile(x, (4, 1)), edges]), cfg)
+        out = wos_exit_batch(dom, np.concatenate([np.tile(x, (4, 1)), edges]),
+                             rngmod.stream(1, 0))
         assert np.allclose(out[4:], edges, rtol=0.0, atol=1e-15)
         assert np.max(np.abs(signed_distance(dom, out))) <= 1e-12
 
@@ -264,24 +265,23 @@ class TestExactExits:
         (Cap((1.0, 0.0), 0.99), (0.99 + 1e-13, 0.14)),
     ])
     def test_narrow_domains_give_finite_exits(self, dom, x):
-        exits = wos_exit_batch(dom, np.array(x), WosConfig(walks=100_000, seed=2))
+        exits = wos_exit_batch(dom, np.array(x), rngmod.stream(2, 0), n=100_000)
         assert np.all(np.isfinite(exits))
         assert np.max(np.abs(signed_distance(dom, exits))) <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(EXACT))
     def test_identical_stream_gives_identical_bits(self, name):
         dom, x = EXACT[name][:2]
-        cfg = WosConfig(walks=64)
-        a = wos_exit_batch(dom, np.array(x), cfg, generator=rngmod.stream(4, 2))
-        b = wos_exit_batch(dom, np.array(x), cfg, generator=rngmod.stream(4, 2))
+        a = wos_exit_batch(dom, np.array(x), rngmod.stream(4, 2), n=64)
+        b = wos_exit_batch(dom, np.array(x), rngmod.stream(4, 2), n=64)
         assert np.array_equal(a, b)
         rows = np.tile(np.array(x), (64, 1))
-        c = wos_exit_batch(dom, rows, cfg, generator=rngmod.stream(4, 2))
+        c = wos_exit_batch(dom, rows, rngmod.stream(4, 2))
         assert np.array_equal(a, c)
 
     def test_start_outside_the_shell_raises(self):
         with pytest.raises(GeometryError):
-            wos_exit_batch(Cap((1.0, 0.0), 0.3), np.array([0.2, 0.0]), WosConfig(walks=4))
+            wos_exit_batch(Cap((1.0, 0.0), 0.3), np.array([0.2, 0.0]), rngmod.stream(0, 0), n=4)
 
 
 class TestStreams:

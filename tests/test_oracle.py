@@ -13,7 +13,8 @@ import lsmlab as L
 from lsmlab import oracle
 from lsmlab.cli import main
 from lsmlab.gain import spiked_gain, mollify
-from lsmlab.grids import cartesian_grid, disc_stencil, upper_concave_hull
+from lsmlab.envelope import cartesian_field
+from lsmlab.grids import upper_concave_hull
 from lsmlab.oracle import (OracleConvergenceError, OracleError, complementarity_residual,
                            cross_validate, psor_obstacle_solve, radial_value_oracle)
 
@@ -149,8 +150,8 @@ def pdas_obstacle_solve(gain, n: int, max_steps: int = 50) -> np.ndarray:
     rows exactly (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002).  Shares
     only the stencil with the red-black SOR kernel: a reference for it.
     """
-    coords, spacing = cartesian_grid(n)
-    stencil = disc_stencil(coords, spacing)
+    fld = cartesian_field(n, np.zeros((n, n)), "grid")
+    coords, stencil = fld.coords, fld.stencil
     idx = np.flatnonzero(stencil.inside)
     a = (sparse.diags_array(stencil.diag.ravel()) - stencil.offdiag).tocsr()[idx][:, idx]
     phi = gain(coords.reshape(-1, 2)[idx])

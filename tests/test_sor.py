@@ -6,9 +6,9 @@ from scipy import sparse
 from scipy.sparse.linalg import eigs
 
 import lsmlab as L
-from lsmlab.envelope import (RELAX_TOL, contact_set, gain_on_grid, iterate_envelopes,
-                             unbranched_envelope)
-from lsmlab.grids import SOR_OMEGA, RedBlackSOR, disc_stencil
+from lsmlab.envelope import (RELAX_TOL, cartesian_field, contact_set, gain_on_grid,
+                             iterate_envelopes, unbranched_envelope)
+from lsmlab.grids import SOR_OMEGA, RedBlackSOR
 
 
 class GatherSOR:
@@ -152,8 +152,7 @@ def test_a_component_below_the_start_keeps_it():
 
 
 def test_a_settled_ratio_at_or_below_omega_minus_one_keeps_watching():
-    coords, spacing = L.cartesian_grid(9)
-    stencil = disc_stencil(coords, spacing)
+    stencil = cartesian_field(9, np.zeros((9, 9)), "grid").stencil
     sor = RedBlackSOR(np.zeros((9, 9)), stencil.inside, stencil, None)
     for k in range(40):  # settled at q = 0.85 <= omega - 1: a transient or past the optimum
         sor._watch(0.85 ** k)
