@@ -9,7 +9,7 @@ from .geometry import (Annulus, Ball, Cap, FullBall, GridRegion, Intersection,
                        boundary_samples, hausdorff_distance, signed_distance,
                        smooth_inner_approximation)
 from .grids import cartesian_grid, radial_grid, scale_coordinate
-from .harmonic import (BoundaryData, WosConfig, poisson_ball_eval, radial_annulus_harmonic,
+from .harmonic import (BoundaryData, poisson_ball_eval, radial_annulus_harmonic,
                        wos_harmonic_eval)
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, cap_patch, constant_patch,

@@ -396,8 +396,7 @@ def cmd_selftest() -> int:
     """Fast internal consistency checks; prints one line per check."""
     from .gain import spiked_gain, mollify
     from .geometry import Ball, Intersection, hausdorff_distance, boundary_samples
-    from .harmonic import (BoundaryData, WosConfig, poisson_ball_eval, wos_exit_batch,
-                           wos_harmonic_eval)
+    from .harmonic import BoundaryData, poisson_ball_eval, wos_exit_batch, wos_harmonic_eval
     from .grids import upper_concave_hull
     from .rng import stream
 
@@ -413,7 +412,7 @@ def cmd_selftest() -> int:
     check("poisson closed form h(0.3,0)=0.3", abs(v - 0.3) < 1e-8)
 
     mean, sem = wos_harmonic_eval(Ball((0.0, 0.0), 1.0), BoundaryData(lambda p: p[:, 0]),
-                                  np.array([0.3, 0.0]), WosConfig(walks=20_000, seed=1))
+                                  np.array([0.3, 0.0]), stream(1, 0), n=20_000)
     check("exact disc exits match Poisson within 4 sigma", abs(mean - 0.3) <= 4 * sem + 1e-9)
 
     lens = Intersection((Ball((0.0, 0.0), 0.8), Ball((0.4, 0.3), 0.6)))

@@ -23,8 +23,8 @@ primitives live in ``lsmlab.grids`` and are shared with the oracles.
 ``contact_set`` labels the non-contact components with
 ``grids.label_components``, and witnesses on a Cartesian grid
 (``build_branched_witness``) shrink a grid region with numpy only (see
-``lsmlab.geometry``), so no run loads a scipy module beyond the
-``scipy.sparse`` of the SOR kernel.
+``lsmlab.geometry``) and solve for its base patch with the same SOR kernel,
+so no run loads a scipy module beyond the ``scipy.sparse`` of that kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
 from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid, disc_stencil,
                     label_components, radial_grid, scale_coordinate, upper_concave_hull,
                     write_csv)
-from .harmonic import BoundaryData, WosConfig
+from .harmonic import BoundaryData
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, ball_patch, branched, cap_patch,
                        constant_patch, grid_patch, identity_frames, leaf, matching_error)
@@ -354,11 +354,7 @@ def unbranched_envelope(gain: GainField, grid) -> EnvelopeRun:
                 ann = gstar * (scale_coordinate(1.0, d) - scale_coordinate(r, d)) / psi[j0]
             better = (r >= ann_inner) & (ann < values)
             values[better], family[better], index[better] = ann[better], FAMILY_ANNULUS, 0
-            if d == 2:
-                lip = gstar / (np.log(1.0 / ann_inner) * ann_inner)
-            else:
-                p = 2.0 - d
-                lip = gstar * abs(p) * ann_inner ** (p - 1.0) / abs(1.0 - ann_inner ** p)
+            lip = annulus_to_boundary_patch(ann_inner, gstar, dim=d).lipschitz_bound
             class_lip = max(class_lip, lip)
 
     # Dictionary patches clear the gain; the maximum kills rounding slack.
@@ -524,7 +520,6 @@ class EnvelopeSequence:
     converged: bool
     summary: list
     run: EnvelopeRun
-    gain: GainField
 
 
 def iterate_envelopes(gain: GainField, run: EnvelopeRun, max_iter: int = 32, tol: float = 1e-9,
@@ -553,7 +548,7 @@ def iterate_envelopes(gain: GainField, run: EnvelopeRun, max_iter: int = 32, tol
             converged = True
             break
     return EnvelopeSequence(levels=levels, contacts=contacts, converged=converged,
-                            summary=summary, run=run, gain=gain)
+                            summary=summary, run=run)
 
 
 def _level_summary(level: int, sup_change: float, contact: ContactSet) -> dict:
@@ -579,6 +574,13 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
     it (hence the gain) while matching its value up to the reported error.
     Interior boundary points extend to dictionary patches achieving the
     unbranched envelope.
+
+    On a Cartesian grid the shrunk component is a ball (Poisson quadrature),
+    an annulus (closed form) or a grid region.  A grid region's base is the
+    balayage's Dirichlet solve: the level is relaxed by red-black SOR on the
+    region's nodes, with its own values as data on every other node, and the
+    patch reads the solved table's bilinear interpolant.  At the last level,
+    which is already discretely harmonic there, the solve returns the level.
     """
     if not 0 <= level < len(seq.levels):
         raise EnvelopeError(f"level {level} outside the computed sequence")
@@ -586,7 +588,7 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
     nxt_idx = min(level + 1, len(seq.levels) - 1)
     nxt = seq.levels[nxt_idx]
     contact = seq.contacts[nxt_idx]
-    gain, run = seq.gain, seq.run
+    run, gain = seq.run, seq.run.gain
     x = np.asarray(x, dtype=float)
 
     leaves: dict[tuple[int, int], BranchedMajorant] = {}
@@ -657,7 +659,10 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
             vb = float(fld.interpolate(np.array([dom.outer, 0.0]) + np.asarray(dom.center)))
             base = annulus_patch(dom.inner, dom.outer, va, vb, gain.gstar)
         else:
-            base = grid_patch(dom, data, gain.gstar, WosConfig(walks=4000, seed=11),
+            values = fld.values.copy()
+            _relax_component(values, dom.mask, fld.stencil, obstacle=None)
+            solved = fld.copy_with(values, "witness-grid")
+            base = grid_patch(dom, data, gain.gstar, solved.interpolate,
                               lipschitz_bound=run.class_lipschitz, label="witness-grid")
         if float(signed_distance(base.domain, x)) >= 0.0:
             raise NoWitnessError("point too close to the component boundary for the shrink width")

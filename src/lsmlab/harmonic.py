@@ -65,18 +65,6 @@ SHELL = 1e-4
 MAX_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class WosConfig:
-    """Walks per ``wos_harmonic_eval`` and the seed of their streams."""
-
-    walks: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.walks < 1:
-            raise HarmonicError("need at least one walk")
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -349,12 +337,14 @@ def _sampled_exits(dom: Domain, sampler: Sampler, x: np.ndarray, n: int | None,
     return exits
 
 
-def wos_harmonic_eval(dom: Domain, f: BoundaryData | Callable, x, cfg: WosConfig,
-                      generator: np.random.Generator | None = None) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of the harmonic extension of f at x."""
+def wos_harmonic_eval(dom: Domain, f: BoundaryData | Callable, x,
+                      generator: np.random.Generator, n: int) -> tuple[float, float]:
+    """Monte Carlo estimate (mean, standard error) of the harmonic extension of f
+    at x, from n exits drawn with the caller's generator."""
+    if n < 1:
+        raise HarmonicError("need at least one walk")
     data = f if isinstance(f, BoundaryData) else BoundaryData(evaluator=f)
-    gen = generator if generator is not None else rngmod.stream(cfg.seed, 0)
-    exits = wos_exit_batch(dom, x, gen, n=cfg.walks)
+    exits = wos_exit_batch(dom, x, generator, n=n)
     vals = data(exits)
     mean = float(vals.mean())
     sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0

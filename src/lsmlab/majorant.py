@@ -20,8 +20,8 @@ from . import rng as rngmod
 from .gain import GainField
 from .geometry import (Annulus, Ball, Cap, Domain, FullBall, GridRegion, boundary_samples,
                        domain_dim, ray_exit, signed_distance)
-from .harmonic import (INF, BoundaryData, WosConfig, constant_data,
-                       poisson_ball_eval, radial_annulus_harmonic, wos_harmonic_eval)
+from .harmonic import (INF, BoundaryData, constant_data, poisson_ball_eval,
+                       radial_annulus_harmonic)
 
 GEOM_TOL = 1e-9
 
@@ -85,7 +85,7 @@ class HarmonicPatch:
     def boundary_value(self, x) -> float | np.ndarray:
         """Effective data at boundary points: min(data + shift, gstar).
 
-        Exact and cheap where value() would need a Monte Carlo evaluation.
+        Reads the data itself, not its harmonic extension.
         """
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         single = np.asarray(x).ndim == 1
@@ -187,11 +187,10 @@ def ball_patch(center, radius: float, data: BoundaryData, gstar: float,
     def raw(pts: np.ndarray) -> np.ndarray:
         return np.atleast_1d(poisson_ball_eval(center, radius, data, pts, nodes=nodes))
 
+    bvals = data(boundary_samples(dom, 64))
     if lipschitz_bound is None:
         # Gradient bound for bounded harmonic functions, d * osc / radius.
-        samples = data(boundary_samples(dom, 64))
-        lipschitz_bound = len(center) * float(samples.max() - samples.min() + 1e-12) / radius
-    bvals = data(boundary_samples(dom, 64))
+        lipschitz_bound = len(center) * float(bvals.max() - bvals.min() + 1e-12) / radius
     if np.any(bvals < -1e-12) or np.any(bvals > gstar + 1e-12):
         raise MajorantError("boundary data must lie in [0, gstar]")
     touches = np.linalg.norm(center) + radius >= 1.0 - 1e-12
@@ -209,25 +208,18 @@ def ball_patch(center, radius: float, data: BoundaryData, gstar: float,
 
 
 def grid_patch(region: GridRegion, data: BoundaryData, gstar: float,
-               wos: WosConfig, lipschitz_bound: float,
+               harmonic: Callable[[np.ndarray], np.ndarray], lipschitz_bound: float,
                label: str = "grid") -> HarmonicPatch:
-    """Walk-on-spheres patch on a grid region; evaluations are seeded per point."""
-
-    def raw(pts: np.ndarray) -> np.ndarray:
-        out = np.empty(pts.shape[0])
-        for i, p in enumerate(pts):
-            key = hash(tuple(np.round(p, 9))) & 0x7FFFFFFF
-            gen = rngmod.stream(wos.seed, key)
-            out[i] = wos_harmonic_eval(region, data, p, wos, generator=gen)[0]
-        return out
-
+    """Patch on a grid region whose raw value is ``harmonic``, the caller's
+    harmonic extension of ``data`` into the region (a solved grid table's
+    interpolant, say)."""
     return HarmonicPatch(
         domain=region,
         data=data,
         gstar=gstar,
         klass="H1" if data.gstar_on_interior else "H0",
         lipschitz_bound=lipschitz_bound,
-        raw_value=raw,
+        raw_value=harmonic,
         label=label,
     )
 
@@ -331,9 +323,7 @@ def interior_boundary_samples(h: BranchedMajorant, count: int) -> np.ndarray:
     if not off_sphere.any():
         return np.zeros((0, pts.shape[1]))
     pts = pts[off_sphere]
-    vals = np.minimum(np.atleast_1d(np.asarray(base.data(pts), dtype=float)) + base.shift,
-                      base.gstar)
-    open_data = vals < base.gstar - 1e-12
+    open_data = base.boundary_value(pts) < base.gstar - 1e-12
     pts = pts[open_data]
     if pts.shape[0] > count:
         idx = np.linspace(0, pts.shape[0] - 1, count).astype(int)

@@ -17,7 +17,7 @@ from lsmlab.envelope import (balayage_step, contact_set, iterate_envelopes,
 from lsmlab.gain import mollify, spiked_gain
 from lsmlab.geometry import (Annulus, Ball, FullBall, GridRegion, boundary_samples,
                              hausdorff_distance, rasterize, smooth_inner_approximation)
-from lsmlab.harmonic import BoundaryData, WosConfig, poisson_ball_eval, wos_harmonic_eval
+from lsmlab.harmonic import BoundaryData, poisson_ball_eval, wos_harmonic_eval
 from lsmlab.majorant import (annulus_patch, annulus_to_boundary_patch, ball_patch, branched,
                              cap_patch, constant_patch, continuous_regularisation, leaf,
                              majorises_gain, matching_error)
@@ -51,14 +51,14 @@ class TestAC1HarmonicCore:
             x = c + gen.uniform(-0.5, 0.5, size=2) * r / np.sqrt(2.0)
             exact = poisson_ball_eval(c, r, data, x)
             mean, sem = wos_harmonic_eval(Ball(tuple(c), r), data, x,
-                                          WosConfig(walks=100_000, seed=300 + k))
+                                          rngmod.stream(300 + k, 0), n=100_000)
             z = abs(mean - exact) / max(sem, 1e-12)
             worst = max(worst, z)
             assert abs(mean - exact) <= 3.0 * sem, f"fixture {k}: z={z:.2f}"
 
         data = BoundaryData(lambda p: p[:, 0])
         mean, _ = wos_harmonic_eval(FullBall(2), data, np.array([0.3, 0.0]),
-                                    WosConfig(walks=100_000, seed=299))
+                                    rngmod.stream(299, 0), n=100_000)
         assert abs(mean - 0.3) <= 5e-3
         elapsed = time.time() - t0
         assert elapsed < 60.0, f"AC-1 took {elapsed:.1f}s"

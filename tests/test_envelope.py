@@ -435,6 +435,10 @@ class TestBestPatches:
         self._agrees_with_best_patch(run, pts, family, param)
 
 
+# 257-node fixtures and probes whose witness base is a shrunk grid region.
+GRID_WITNESSES = [("cap_cart_seq", (0.1, 0.0)), ("annulus_cart_seq", (0.6, 0.0))]
+
+
 class TestWitness:
     def test_level0_shape_and_value(self, spiked_seq):
         x = np.array([0.3, 0.0])
@@ -495,6 +499,33 @@ class TestWitness:
         assert abs(val - float(lim.interpolate(x))) <= w.error_bound + 0.02
         ok, worst = majorises_gain(w, cap_gain, probes=256, tol=2e-2)
         assert ok, f"worst gap {worst}"
+
+    @pytest.mark.parametrize("seq_name, x", GRID_WITNESSES)
+    def test_grid_base_is_the_last_level(self, request, seq_name, x):
+        # The last level is discretely harmonic on its non-contact set, so the
+        # Dirichlet solve on the shrunk region returns it, and two builds agree
+        # bit for bit.
+        seq = request.getfixturevalue(seq_name)
+        last = len(seq.levels) - 1
+        builds = [build_branched_witness(seq, last, np.array(x)) for _ in range(2)]
+        region = builds[0].base.domain
+        assert isinstance(region, L.GridRegion)
+        nodes = seq.levels[last].coords[region.mask]
+        values = [w.base.value(nodes) for w in builds]
+        assert np.max(np.abs(values[0] - seq.levels[last].values[region.mask])) <= 1e-10
+        assert np.array_equal(values[0], values[1])
+        assert builds[0].error_bound == builds[1].error_bound
+
+    @pytest.mark.parametrize("seq_name, x", GRID_WITNESSES)
+    def test_grid_base_dominates_the_next_level(self, request, seq_name, x):
+        # At level 0 the base solves with the larger data of w1, so by the
+        # discrete maximum principle it lies above level 1 on the region.
+        seq = request.getfixturevalue(seq_name)
+        w = build_branched_witness(seq, 0, np.array(x))
+        region = w.base.domain
+        assert isinstance(region, L.GridRegion)
+        base = w.base.value(seq.levels[0].coords[region.mask])
+        assert np.all(base >= seq.levels[1].values[region.mask])
 
 
 class TestDimensionThree:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lsmlab import harmonic, rng as rngmod
 from lsmlab.geometry import (Annulus, Ball, Cap, FullBall, GeometryError, Intersection,
                              rasterize, signed_distance)
-from lsmlab.harmonic import (INF, BoundaryData, NonTerminationError, WosConfig,
+from lsmlab.harmonic import (INF, BoundaryData, HarmonicError, NonTerminationError,
                              constant_data, planar_sampler, poisson_ball_eval,
                              radial_annulus_harmonic, wos_exit_batch, wos_harmonic_eval)
 from lsmlab.majorant import MajorantError, cap_patch
@@ -144,23 +144,27 @@ class TestWos:
         assert abs(p_outer - expect) <= 3 * sigma
 
     def test_harmonic_eval_matches_poisson(self):
-        cfg = WosConfig(walks=100_000, seed=6)
         data = BoundaryData(lambda p: p[:, 0])
-        mean, sem = wos_harmonic_eval(FullBall(2), data, np.array([0.3, 0.0]), cfg)
+        mean, sem = wos_harmonic_eval(FullBall(2), data, np.array([0.3, 0.0]),
+                                      rngmod.stream(6, 0), n=100_000)
         assert abs(mean - 0.3) <= 3 * sem
 
     def test_constant_data_exact(self):
-        cfg = WosConfig(walks=500, seed=1)
         mean, sem = wos_harmonic_eval(Ball((0.0, 0.0), 0.6), constant_data(0.8),
-                                      np.array([0.1, 0.1]), cfg)
+                                      np.array([0.1, 0.1]), rngmod.stream(1, 0), n=500)
         assert mean == pytest.approx(0.8)
         assert sem == pytest.approx(0.0, abs=1e-15)
+
+    def test_eval_needs_a_walk(self):
+        with pytest.raises(HarmonicError):
+            wos_harmonic_eval(Ball((0.0, 0.0), 0.6), constant_data(0.8),
+                              np.array([0.1, 0.1]), rngmod.stream(1, 0), n=0)
 
     def test_grid_region_matches_disc(self):
         region = rasterize(Ball((0.0, 0.0), 0.5), n=512)
         data = BoundaryData(lambda p: p[:, 0] + 0.5)
-        cfg = WosConfig(walks=40_000, seed=8)
-        mean, sem = wos_harmonic_eval(region, data, np.array([0.2, 0.0]), cfg)
+        mean, sem = wos_harmonic_eval(region, data, np.array([0.2, 0.0]),
+                                      rngmod.stream(8, 0), n=40_000)
         exact = poisson_ball_eval(np.zeros(2), 0.5, data, np.array([0.2, 0.0]))
         assert abs(mean - exact) <= 3 * sem + 2 * region.spacing
 
