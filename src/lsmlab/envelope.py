@@ -22,9 +22,10 @@ primitives live in ``lsmlab.grids`` and are shared with the oracles.
 
 ``contact_set`` labels the non-contact components with
 ``grids.label_components``, and witnesses on a Cartesian grid
-(``build_branched_witness``) shrink a grid region with numpy only (see
+(``build_branched_witness``) shrink a component with numpy only (see
 ``lsmlab.geometry``) and solve for its base patch with the same SOR kernel,
-so no run loads a scipy module beyond the ``scipy.sparse`` of that kernel.
+whether the shrunk component is a ball, an annulus or a grid region, so no
+run loads a scipy module beyond the ``scipy.sparse`` of that kernel.
 """
 
 from __future__ import annotations
@@ -35,18 +36,18 @@ from typing import Optional
 import numpy as np
 
 from .gain import ConfigError, GainError, GainField, outer_running_max
-from .geometry import (Annulus, Ball, DegenerateApproximationError, GridRegion,
-                       signed_distance, smooth_inner_approximation)
+from .geometry import (DegenerateApproximationError, GridRegion, signed_distance,
+                       smooth_inner_approximation)
 from .grids import (DiscStencil, RedBlackSOR, bilinear, cartesian_grid, disc_stencil,
                     label_components, radial_grid, scale_coordinate, upper_concave_hull,
                     write_csv)
 from .harmonic import BoundaryData
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
-                       annulus_to_boundary_patch, ball_patch, branched, cap_patch,
-                       constant_patch, grid_patch, identity_frames, leaf, matching_error)
+                       annulus_to_boundary_patch, branched, cap_patch, constant_patch,
+                       grid_patch, identity_frames, leaf, matching_error)
 
 CONTACT_TOL = 1e-9
-RELAX_TOL = 1e-11
+RELAX_TOL = 2e-11
 MAX_SWEEPS = 200_000   # per-component SOR sweep budget
 
 
@@ -493,15 +494,18 @@ def _relax_component(values: np.ndarray, comp: np.ndarray, stencil: DiscStencil,
     """(Projected) SOR on one component until the update is tiny against the field on the disc.
 
     ``values`` is updated in place; nodes off the component are Dirichlet data.
-    The kernel chooses its own relaxation factor (``grids.RedBlackSOR``).  A
-    non-finite update ends the loop at once with ``ConvergenceError``, whose
-    message names the sweeps done and the final factor.
+    The stop, an update of at most RELAX_TOL times the field's largest size on
+    the disc, scales with the field: a field scaled by a power of two stops at
+    the same sweep with every value scaled.  The kernel chooses its own
+    relaxation factor (``grids.RedBlackSOR``).  A non-finite update ends the
+    loop at once with ``ConvergenceError``, whose message names the sweeps
+    done and the final factor.
     """
-    scale = float(np.max(np.abs(values[stencil.inside]))) + 1.0
+    scale = float(np.max(np.abs(values[stencil.inside])))
     sor = RedBlackSOR(values, comp, stencil, obstacle)
     for _ in range(MAX_SWEEPS):
         biggest = sor.sweep()
-        if biggest < RELAX_TOL * scale:
+        if biggest <= RELAX_TOL * scale:
             sor.store(values)
             return
         if not np.isfinite(biggest):
@@ -575,12 +579,16 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
     Interior boundary points extend to dictionary patches achieving the
     unbranched envelope.
 
-    On a Cartesian grid the shrunk component is a ball (Poisson quadrature),
-    an annulus (closed form) or a grid region.  A grid region's base is the
-    balayage's Dirichlet solve: the level is relaxed by red-black SOR on the
-    region's nodes, with its own values as data on every other node, and the
-    patch reads the solved table's bilinear interpolant.  At the last level,
-    which is already discretely harmonic there, the solve returns the level.
+    On a radial grid the base is the closed-form annulus between the shrunk
+    run's ends.  On a Cartesian grid it is the balayage's Dirichlet solve,
+    whatever shape the shrunk component takes (a centred ball, an annulus or
+    a grid region): the level is relaxed by red-black SOR on the nodes inside
+    the shrunk domain, with its own values as data on every other node, and
+    the patch reads the solved table's bilinear interpolant on that domain.
+    At the last level, which is already discretely harmonic there, the solve
+    returns the level.  On either grid the reported error carries the largest
+    gap between the base and the next level over every component node strictly
+    inside the base's domain.
     """
     if not 0 <= level < len(seq.levels):
         raise EnvelopeError(f"level {level} outside the computed sequence")
@@ -615,65 +623,46 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
 
     extension = ExtensionMap(query=query, batch=batch)
 
+    i = fld.nearest_node(x)
+    if contact.labels[i] == 0:
+        raise NoWitnessError(f"point {x} lies in the contact set")
+    comp = contact.labels == contact.labels[i]
     if fld.kind == "radial":
-        r = float(np.linalg.norm(x))
-        i = fld.nearest_node(x)
-        if contact.labels[i] == 0:
-            raise NoWitnessError(f"point at radius {r:.4g} lies in the contact set")
-        label = contact.labels[i]
-        nodes = np.nonzero(contact.labels == label)[0]
-        i0, i1 = int(nodes[0]), int(nodes[-1])
+        i0, i1 = (int(k) for k in np.flatnonzero(comp)[[0, -1]])
         if shrink is None:
             shrink = 2.0 * (fld.radii[min(i1 + 1, len(fld.radii) - 1)] - fld.radii[i1])
         inner = float(fld.radii[i0]) + shrink
         touches_sphere = (i1 + 1 >= len(fld.radii) - 1) or fld.radii[i1 + 1] >= 1.0 - 1e-12
         outer = 1.0 if touches_sphere else float(fld.radii[i1]) - shrink
-        if not inner < r < outer:
-            raise NoWitnessError("point too close to the component boundary for the shrink width")
+        if not inner < outer:
+            raise NoWitnessError("the shrink width leaves no annulus in the component")
         va = float(fld.interpolate(inner))
         vb = 0.0 if touches_sphere else float(fld.interpolate(outer))
         base = annulus_patch(inner, outer, va, vb, gain.gstar, dim=gain.dim,
                              label=f"witness-annulus[{inner:.4g},{outer:.4g}]")
-        sel = (fld.radii > inner) & (fld.radii < outer)
-        base_profile = np.atleast_1d(base.value(np.outer(fld.radii[sel], np.eye(gain.dim)[0])))
-        value_gap = float(np.max(np.abs(base_profile - nxt.values[sel]))) if sel.any() else 0.0
+        points = np.outer(fld.radii, np.eye(gain.dim)[0])
     else:
-        # Cartesian: smooth inner approximation of the component mask.
-        i = fld.nearest_node(x)
-        if contact.labels[i] == 0:
-            raise NoWitnessError(f"point {x} lies in the contact set")
-        label = contact.labels[i]
-        comp_mask = contact.labels == label
-        region = GridRegion(mask=comp_mask, spacing=fld.spacing)
+        # Cartesian: the level's Dirichlet solve on a smooth inner
+        # approximation of the component, whatever shape it takes.
         if shrink is None:
             shrink = 6.0 * fld.spacing  # room for the grid mollifier at this resolution
         try:
-            dom = smooth_inner_approximation(region, shrink)
+            dom = smooth_inner_approximation(GridRegion(mask=comp, spacing=fld.spacing), shrink)
         except DegenerateApproximationError as exc:
             raise NoWitnessError(str(exc)) from None
+        points = fld.coords
+        solve = signed_distance(dom, points.reshape(-1, 2)).reshape(comp.shape) < 0.0
+        values = fld.values.copy()
+        _relax_component(values, solve, fld.stencil, obstacle=None)
         data = BoundaryData(evaluator=lambda pts: np.asarray(fld.interpolate(pts)))
-        if isinstance(dom, Ball):
-            base = ball_patch(dom.center, dom.radius, data, gain.gstar)
-        elif isinstance(dom, Annulus):
-            va = float(fld.interpolate(np.array([dom.inner, 0.0]) + np.asarray(dom.center)))
-            vb = float(fld.interpolate(np.array([dom.outer, 0.0]) + np.asarray(dom.center)))
-            base = annulus_patch(dom.inner, dom.outer, va, vb, gain.gstar)
-        else:
-            values = fld.values.copy()
-            _relax_component(values, dom.mask, fld.stencil, obstacle=None)
-            solved = fld.copy_with(values, "witness-grid")
-            base = grid_patch(dom, data, gain.gstar, solved.interpolate,
-                              lipschitz_bound=run.class_lipschitz, label="witness-grid")
-        if float(signed_distance(base.domain, x)) >= 0.0:
-            raise NoWitnessError("point too close to the component boundary for the shrink width")
-        probe_idx = np.argwhere(comp_mask)[:: max(1, comp_mask.sum() // 12)]
-        gaps = []
-        for pi, pj in probe_idx:
-            p = fld.coords[pi, pj]
-            bv = float(base.value(p))
-            if np.isfinite(bv):
-                gaps.append(abs(bv - float(nxt.values[pi, pj])))
-        value_gap = max(gaps) if gaps else 0.0
+        base = grid_patch(dom, data, gain.gstar, fld.copy_with(values, "witness-grid").interpolate,
+                          lipschitz_bound=run.class_lipschitz, label="witness-grid")
+    if float(signed_distance(base.domain, x)) >= 0.0:
+        raise NoWitnessError("point too close to the component boundary for the shrink width")
+    # The value gap: every component node strictly inside the base domain.
+    pts, nxt_vals = points[comp], nxt.values[comp]
+    held = signed_distance(base.domain, pts) < 0.0
+    value_gap = float(np.max(np.abs(base.value(pts[held]) - nxt_vals[held]), initial=0.0))
     err = (matching_error(branched(base, extension, depth=2, error_bound=0.0))[0] + value_gap
            + run.class_lipschitz * shrink)
     return branched(base, extension, depth=max(2, level + 2), error_bound=err)

@@ -80,8 +80,13 @@ def poisson_ball_eval(center, radius: float, f: BoundaryData | Callable, x,
                       nodes: int = 512) -> float | np.ndarray:
     """Harmonic extension of boundary data f, evaluated by Poisson quadrature.
 
-    Returns the +inf sentinel for points outside the closed ball.  Points on
-    the sphere evaluate the data directly (the kernel is singular there).
+    The weighted kernel sum is divided by the quadrature's own kernel mass
+    (the sum of kernel times weight), not by its exact value (2 pi, or 4 pi / R
+    on a sphere of radius R), so every value is an average of the data and
+    stays inside the data's range even where the kernel peaks too sharply for
+    the nodes, right up to the sphere.  Returns the +inf sentinel for points
+    outside the closed ball.  Points on the sphere evaluate the data directly
+    (the kernel is singular there).
     """
     center = np.asarray(center, dtype=float)
     d = center.shape[0]
@@ -99,8 +104,7 @@ def poisson_ball_eval(center, radius: float, f: BoundaryData | Callable, x,
         diff = pts[:, None, :] - ys[None, :, :]
         dist2 = np.sum(diff * diff, axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            kernel = (radius * radius - rho2)[:, None] / dist2
-        vals = (kernel * fy[None, :] * w[None, :]).sum(axis=1) / (2.0 * np.pi)
+            kernel = (radius * radius - rho2)[:, None] / dist2 * w[None, :]
     elif d == 3:
         n_mu = max(8, nodes // 16)
         n_az = 2 * n_mu
@@ -120,11 +124,11 @@ def poisson_ball_eval(center, radius: float, f: BoundaryData | Callable, x,
         diff = pts[:, None, :] - ys[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            kernel = (radius * radius - rho2)[:, None] / (dist ** 3)
-        # Poisson kernel in d=3 carries 1/(4 pi R); surface measure R^2 restores R.
-        vals = (kernel * fy[None, :] * wq[None, :]).sum(axis=1) * radius / (4.0 * np.pi)
+            kernel = (radius * radius - rho2)[:, None] / (dist ** 3) * wq[None, :]
     else:
         raise HarmonicError("Poisson quadrature supports d = 2 and d = 3")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = (kernel * fy[None, :]).sum(axis=1) / kernel.sum(axis=1)
 
     rho = np.sqrt(rho2)
     on_sphere = np.abs(rho - radius) <= 1e-12 * max(radius, 1.0)

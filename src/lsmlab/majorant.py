@@ -18,8 +18,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .gain import GainField
-from .geometry import (Annulus, Ball, Cap, Domain, FullBall, GridRegion, boundary_samples,
-                       domain_dim, ray_exit, signed_distance)
+from .geometry import (Annulus, Ball, Cap, Domain, FullBall, boundary_samples, domain_dim,
+                       ray_exit, signed_distance)
 from .harmonic import (INF, BoundaryData, constant_data, poisson_ball_eval,
                        radial_annulus_harmonic)
 
@@ -207,14 +207,15 @@ def ball_patch(center, radius: float, data: BoundaryData, gstar: float,
     )
 
 
-def grid_patch(region: GridRegion, data: BoundaryData, gstar: float,
+def grid_patch(domain: Domain, data: BoundaryData, gstar: float,
                harmonic: Callable[[np.ndarray], np.ndarray], lipschitz_bound: float,
                label: str = "grid") -> HarmonicPatch:
-    """Patch on a grid region whose raw value is ``harmonic``, the caller's
-    harmonic extension of ``data`` into the region (a solved grid table's
-    interpolant, say)."""
+    """Patch on any domain whose raw value is ``harmonic``, the caller's
+    harmonic extension of ``data`` into it (a grid table solved on the nodes
+    inside the domain and read by interpolation, say).  The domain is kept as
+    given, so a ball or an annulus keeps its exact exits."""
     return HarmonicPatch(
-        domain=region,
+        domain=domain,
         data=data,
         gstar=gstar,
         klass="H1" if data.gstar_on_interior else "H0",

@@ -69,10 +69,10 @@ class PathConfig:
 
 @dataclass(eq=False)
 class PathRecord:
-    times: np.ndarray
+    """One path's start and hop exits, one per row, with the patch each lies in."""
+
     points: np.ndarray
-    absorbed: bool
-    patch_trace: list
+    labels: list
     termination: str
 
 
@@ -202,13 +202,9 @@ def run_algorithm1(h: BranchedMajorant, x, cfg: PathConfig,
     x = np.asarray(x, dtype=float)
     hops: list[tuple[str, np.ndarray]] = []
     _, causes = _extend(h, x, 1, cfg, (91, path_index), hops)
-    termination = TERMINATIONS[causes[0]]
-    trace = [(h.base.label, 0.0, x.copy())]
-    trace += [(label, float(k), pt) for k, (label, pt) in enumerate(hops, start=1)]
-    return PathRecord(times=np.arange(len(hops) + 1, dtype=float),
-                      points=np.array([x] + [pt for _, pt in hops]),
-                      absorbed=termination == "hit_boundary", patch_trace=trace,
-                      termination=termination)
+    return PathRecord(points=np.array([x] + [pt for _, pt in hops]),
+                      labels=[h.base.label] + [label for label, _ in hops],
+                      termination=TERMINATIONS[causes[0]])
 
 
 def run_algorithm1_batch(h: BranchedMajorant, x, n_paths: int, cfg: PathConfig,
@@ -434,14 +430,8 @@ def _describe(rule) -> str:
 
 
 def trace_to_csv(record: PathRecord, path) -> None:
-    """Write the record as ``t,x,y[,z],patch`` rows, each with the patch it is in."""
+    """Write the record as ``t,x,y[,z],patch`` rows, t counting the hops."""
     axes = ["x", "y", "z"][:record.points.shape[1]]
-    patch_at = {float(t): label for label, t, _pt in record.patch_trace}
-    current = record.patch_trace[0][0] if record.patch_trace else ""
-    labels = []
-    for t in record.times.tolist():
-        current = patch_at.get(t, current)
-        labels.append(current)
     write_csv(path, f"t in time units (wos traces count patch hops), {','.join(axes)} "
               "in unit-ball lengths", ["t", *axes, "patch"],
-              record.times, *record.points.T, labels)
+              np.arange(len(record.points), dtype=float), *record.points.T, record.labels)

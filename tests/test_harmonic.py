@@ -51,6 +51,20 @@ class TestPoisson:
             v = poisson_ball_eval(c, r, data, x)
             assert a - abs(b) - 1e-10 <= v <= a + abs(b) + 1e-10
 
+    @pytest.mark.parametrize("d, tol", [(2, 1e-3), (3, 1e-2)])
+    @pytest.mark.parametrize("depth", [1e-3, 1e-4])
+    def test_stays_in_the_data_range_near_the_sphere(self, d, tol, depth):
+        # Dividing by the quadrature's kernel mass keeps each value an average
+        # of the data where the kernel is too sharp for the nodes: 512 nodes
+        # read within 6.7e-4 of the exact value in d = 2 and 7.7e-3 in d = 3
+        # at these depths.
+        data = BoundaryData(lambda p: 0.3 + p[:, 0])
+        for u in (np.eye(d)[-1], np.ones(d) / np.sqrt(d)):
+            x = (0.5 - depth) * u
+            v = poisson_ball_eval(np.zeros(d), 0.5, data, x)
+            assert -0.2 <= v <= 0.8
+            assert v == pytest.approx(0.3 + x[0], abs=tol)
+
     def test_d3_linear_data(self):
         v = poisson_ball_eval(np.zeros(3), 1.0, BoundaryData(lambda p: p[:, 2]),
                               np.array([0.0, 0.0, 0.4]), nodes=1024)

@@ -139,26 +139,26 @@ class TestAlgorithm1:
         seen_child = False
         for k in range(32):
             rec = run_algorithm1(tree, np.array([0.3, 0.0]), cfg, path_index=k)
-            labels = [t[0] for t in rec.patch_trace]
-            assert labels[0].startswith("annulus[0.15")
-            if any(lab.startswith("annulus[0.05") for lab in labels):
+            assert len(rec.labels) == len(rec.points)
+            assert rec.labels[0].startswith("annulus[0.15")
+            if any(lab.startswith("annulus[0.05") for lab in rec.labels):
                 seen_child = True
             # Every point recorded for a patch lies in (or on) that patch domain.
-            for label, _t, pt in rec.patch_trace:
+            for label, pt in zip(rec.labels, rec.points):
                 dom = kid.base.domain if label.startswith("annulus[0.05") else base.domain
                 assert signed_distance(dom, pt) <= SHELL
         assert seen_child
 
     def test_trace_csv_of_a_3d_record(self, tmp_path):
         pts = np.array([[0.1, 0.0, 0.0], [0.5, 0.0, 0.0], [0.9, 0.1, 0.0]])
-        rec = PathRecord(times=np.array([0.0, 1.0, 2.0]), points=pts, absorbed=False,
-                         patch_trace=[("annulus[0.05,1]*", 0.0, pts[0]), ("ball", 1.0, pts[1])],
+        rec = PathRecord(points=pts, labels=["annulus[0.05,1]*", "ball", "ball"],
                          termination="exhausted")
         trace_to_csv(rec, tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[1] == "t,x,y,z,patch"
         rows = list(csv.reader(lines[2:]))
         assert rows[0] == ["0", "0.1", "0", "0", "annulus[0.05,1]*"]
+        assert [row[0] for row in rows] == ["0", "1", "2"]
         assert [row[-1] for row in rows] == ["annulus[0.05,1]*", "ball", "ball"]
 
     def test_structural_error_on_bad_extension(self):

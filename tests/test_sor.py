@@ -74,9 +74,9 @@ def level0(request):
 
 def solve(sweep, values):
     """Sweeps until the refinement's stop rule holds; returns their count."""
-    scale = float(np.max(np.abs(values))) + 1.0
+    scale = float(np.max(np.abs(values)))
     for count in range(1, 5001):
-        if sweep() < RELAX_TOL * scale:
+        if sweep() <= RELAX_TOL * scale:
             return count
     raise AssertionError("no convergence in 5000 sweeps")
 
