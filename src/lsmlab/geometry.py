@@ -6,8 +6,8 @@ dispatching on the descriptor type, so concurrent use is safe:
 - ``signed_distance``, the one signed-distance dispatch (the walks, patches
   and stopping rules all call it);
 - ``project_to_boundary_batch``, the nearest-boundary landing of walk exits;
-- ``boundary_samples``, ``ray_exit``, ``rasterize`` and the Hausdorff
-  distance between sampled boundaries.
+- ``boundary_samples``, ``ray_exit`` and the Hausdorff distance between
+  sampled boundaries.
 
 ``Intersection`` composes continuation domains (a path stops at the first exit
 from any part): its signed distance is the max over the parts, and a point
@@ -379,22 +379,8 @@ def hausdorff_distance(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Rasterisation and smooth inner approximation
+# Inradius and smooth inner approximation
 # ---------------------------------------------------------------------------
-
-def rasterize(dom: Domain, n: int = 512) -> GridRegion:
-    """Boolean mask of dom on an n-by-n grid covering [-1, 1]^2."""
-    if domain_dim(dom) != 2:
-        raise GeometryError("rasterisation implemented for d = 2")
-    spacing = 2.0 / n
-    xs = (np.arange(n) - (n - 1) / 2.0) * spacing
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    inside = signed_distance(dom, pts).reshape(n, n) < 0.0
-    # Keep the described set strictly inside the unit ball.
-    inside &= (np.hypot(xx, yy) < 1.0 - spacing)
-    return GridRegion(mask=inside, spacing=spacing)
-
 
 def inradius(region: GridRegion) -> float:
     """Largest distance from an inside cell centre to the region's boundary

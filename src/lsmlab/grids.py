@@ -8,10 +8,12 @@ mask (the non-contact components of every level), ``disc_stencil``, the
 Shortley-Weller cut-cell -Laplacian of the disc as one diagonal and one CSR
 off-diagonal operator, ``RedBlackSOR``, the one red-black (projected)
 SOR kernel on it (the Cartesian obstacle and Dirichlet solver of both the
-envelope refinement and the PSOR oracle; one matvec of the operator's rows
-per colour, and a relaxation factor each solve takes from its own update
-ratios), and ``write_csv``, the one writer of every CSV table the package
-emits.  The PSOR residual reads the same operator.
+envelope refinement and the PSOR oracle; a solve's work vector holds its red
+nodes, its black nodes and then the halo of Dirichlet nodes their rows read,
+so each colour is one matvec of its rows and one contiguous slice relaxed in
+place, and ``store`` scatters the result once; a relaxation factor each solve
+takes from its own update ratios), and ``write_csv``, the one writer of every
+CSV table the package emits.  The PSOR residual reads the same operator.
 
 ``scipy.sparse`` is the one scipy module lsmlab loads: it is imported here,
 at the top, because the disc stencil is a CSR matrix.
@@ -232,11 +234,17 @@ class RedBlackSOR:
 
     Nodes off the mask hold their ``values`` as Dirichlet data, arms that leave
     the disc read the circle's zero (they have no entry in the operator), and
-    an ``obstacle`` clips each update from below.  Each colour's neighbour
-    sums are one CSR matvec of its rows of ``stencil.offdiag`` against a flat
-    copy of ``values``.  The matvec adds a row's products from zero in E, W,
-    N, S order, so each sum is bit for bit the one of four gathers and
-    multiply-adds.
+    an ``obstacle`` clips each update from below.
+
+    The solve's work vector holds the red mask nodes, then the black ones, then
+    the halo: the nodes off the mask that their rows read (Adams & Ortega,
+    Proc. ICPP 1982, on colour-ordered unknowns).  Each colour's rows of
+    ``stencil.offdiag`` are one CSR matrix whose columns are positions in the
+    work vector, so a colour's neighbour sums are one matvec against it and
+    its nodes are one contiguous slice, relaxed in place.  The columns keep
+    each row's E, W, N, S order, and the matvec adds a row's products from zero
+    in that order, so each sum is bit for bit the one of four gathers and
+    multiply-adds.  ``store`` scatters the mask nodes back into a field once.
 
     The kernel owns its relaxation factor ``omega``; ``sweeps`` counts the
     sweeps done.  A solve starts at SOR_OMEGA.  Once the ratio q of successive
@@ -252,15 +260,33 @@ class RedBlackSOR:
 
     def __init__(self, values: np.ndarray, nodes: np.ndarray, stencil: DiscStencil,
                  obstacle: np.ndarray | None):
-        ii, jj = np.nonzero(nodes)
-        flat = ii * values.shape[1] + jj
-        red = (ii + jj) % 2 == 0
-        self._work = values.ravel().copy()
-        diag = stencil.diag.ravel()
-        phi = obstacle.ravel() if obstacle is not None else None
-        self._colours = [(idx, stencil.offdiag[idx], diag[idx],
-                          phi[idx] if phi is not None else None)
-                         for idx in (flat[red], flat[~red])]
+        red = nodes.copy()  # the mask nodes with i + j even
+        red[::2, 1::2] = red[1::2, ::2] = False
+        # The halo: the disc nodes off the mask that a mask node's arm reaches.
+        # The mask lies in the disc, off the grid's edge, so no roll wraps it round.
+        halo = np.zeros_like(nodes)
+        for step in ARMS.values():
+            halo |= np.roll(nodes, step, axis=(0, 1))
+        halo &= stencil.inside & ~nodes
+        order = np.concatenate([np.flatnonzero(m) for m in (red, nodes & ~red, halo)],
+                               dtype=np.int32)
+        split, size = np.count_nonzero(red), np.count_nonzero(nodes)
+        self._flat = order[:size]
+        position = np.empty(values.size, dtype=np.int32)
+        position[order] = np.arange(order.size, dtype=np.int32)
+        self._work = np.take(values, order)
+        diag, phi = stencil.diag.ravel(), None if obstacle is None else obstacle.ravel()
+        self._colours = []
+        for colour in (slice(0, split), slice(split, size)):
+            idx = order[colour]
+            rows = stencil.offdiag[idx]
+            # Reindexed in place, unsorted: each row keeps its E, W, N, S order.
+            # Every column is in range, and "clip" writes to out without a buffer.
+            np.take(position, rows.indices, out=rows.indices, mode="clip")
+            sums = sparse.csr_array((rows.data, rows.indices, rows.indptr),
+                                    shape=(idx.size, order.size))
+            self._colours.append((colour, sums, diag[idx], None if phi is None else phi[idx]))
+        self._new = np.empty(max(split, size - split))
         self.omega = SOR_OMEGA
         self.sweeps = 0
         self._watching = True
@@ -271,14 +297,21 @@ class RedBlackSOR:
         """One red-black sweep; returns the largest absolute update, NaN if any update is."""
         work, omega = self._work, self.omega
         biggest = 0.0
-        for idx, sums, diag, phi in self._colours:
+        for colour, sums, diag, phi in self._colours:
+            old = work[colour]
+            new = self._new[:old.size]
+            # new = (1 - omega) * old + omega * (s / diag), then clipped by phi.
             s = sums @ work
-            old = work[idx]
-            new = (1.0 - omega) * old + omega * (s / diag)
+            np.divide(s, diag, out=s)
+            np.multiply(omega, s, out=s)
+            np.multiply(1.0 - omega, old, out=new)
+            np.add(new, s, out=new)
             if phi is not None:
-                new = np.maximum(phi, new)
-            biggest = float(np.max(np.abs(new - old), initial=biggest))
-            work[idx] = new
+                np.maximum(phi, new, out=new)
+            np.subtract(new, old, out=s)
+            np.abs(s, out=s)
+            biggest = float(np.max(s, initial=biggest))
+            old[...] = new
         self.sweeps += 1
         self._watch(biggest)
         return biggest
@@ -302,9 +335,8 @@ class RedBlackSOR:
         return f"after {self.sweeps} sweeps at omega {self.omega:.4f}"
 
     def store(self, values: np.ndarray) -> None:
-        """Write the relaxed nodes back into ``values``."""
-        for idx, *_ in self._colours:
-            values.flat[idx] = self._work[idx]
+        """Write the relaxed mask nodes back into ``values``."""
+        values.flat[self._flat] = self._work[:self._flat.size]
 
 
 # Values become Python objects and text CSV_BLOCK rows at a time: a numeric

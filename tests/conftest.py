@@ -1,6 +1,7 @@
 """Shared fixtures: the expensive envelope/oracle runs are built once per session.
 
-Also the brute-force reference that the concave-hull tests compare against.
+Also the brute-force reference that the concave-hull tests compare against,
+and ``rasterize``, the builder of the grid-region fixtures.
 """
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import lsmlab as L
 from lsmlab.envelope import iterate_envelopes, unbranched_envelope
+from lsmlab.geometry import GeometryError, GridRegion, domain_dim, signed_distance
 from lsmlab.grids import RedBlackSOR
 from lsmlab.oracle import psor_obstacle_solve, radial_value_oracle
 
@@ -106,3 +108,17 @@ def highest_chords(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             chords = yj + (yk - yj) * (xs[i] - xj) / (xk - xj)
         out[i] = max(ys[i], chords[pair].max(initial=-np.inf))
     return out
+
+
+def rasterize(dom, n: int = 512) -> GridRegion:
+    """Boolean mask of dom on an n-by-n grid covering [-1, 1]^2."""
+    if domain_dim(dom) != 2:
+        raise GeometryError("rasterisation implemented for d = 2")
+    spacing = 2.0 / n
+    xs = (np.arange(n) - (n - 1) / 2.0) * spacing
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    inside = signed_distance(dom, pts).reshape(n, n) < 0.0
+    # Keep the described set strictly inside the unit ball.
+    inside &= (np.hypot(xx, yy) < 1.0 - spacing)
+    return GridRegion(mask=inside, spacing=spacing)

@@ -8,6 +8,7 @@ the timed criteria so the runtime limits are honest.
 import time
 
 import numpy as np
+from conftest import rasterize
 from scipy import ndimage
 
 import lsmlab as L
@@ -16,7 +17,7 @@ from lsmlab.envelope import (balayage_step, contact_set, iterate_envelopes,
                              unbranched_envelope)
 from lsmlab.gain import mollify, spiked_gain
 from lsmlab.geometry import (Annulus, Ball, FullBall, GridRegion, boundary_samples,
-                             hausdorff_distance, rasterize, smooth_inner_approximation)
+                             hausdorff_distance, smooth_inner_approximation)
 from lsmlab.harmonic import BoundaryData, poisson_ball_eval, wos_harmonic_eval
 from lsmlab.majorant import (annulus_patch, annulus_to_boundary_patch, ball_patch, branched,
                              cap_patch, constant_patch, continuous_regularisation, leaf,

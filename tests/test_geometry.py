@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import rasterize
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
@@ -11,7 +12,7 @@ from lsmlab import geometry
 from lsmlab.geometry import (Annulus, Ball, Cap, DegenerateApproximationError, FullBall,
                              GeometryError, GridRegion, Intersection, boundary_samples,
                              hausdorff_distance, inradius, project_to_boundary_batch,
-                             rasterize, ray_exit, save_mask_csv, signed_distance,
+                             ray_exit, save_mask_csv, signed_distance,
                              smooth_inner_approximation)
 from lsmlab.grids import cartesian_grid
 

@@ -3,11 +3,12 @@ exits and walk on spheres."""
 
 import numpy as np
 import pytest
+from conftest import rasterize
 from hypothesis import given, settings, strategies as st
 
 from lsmlab import harmonic, rng as rngmod
 from lsmlab.geometry import (Annulus, Ball, Cap, FullBall, GeometryError, Intersection,
-                             rasterize, signed_distance)
+                             signed_distance)
 from lsmlab.harmonic import (INF, BoundaryData, HarmonicError, NonTerminationError,
                              constant_data, planar_sampler, poisson_ball_eval,
                              radial_annulus_harmonic, wos_exit_batch, wos_harmonic_eval)

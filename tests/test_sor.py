@@ -1,5 +1,7 @@
 """The red-black SOR kernel: its CSR sweep and its per-solve relaxation factor."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -60,16 +62,53 @@ GAINS = {"annulus": (L.radial_bump_gain(0.3, 0.15), 129),
          "cap": (L.offset_bump_gain((0.4, 0.0), 0.15), 97)}
 
 
-@pytest.fixture(scope="module", params=sorted(GAINS))
-def level0(request):
-    """The level-0 solve of the benchmark's two Cartesian cases: its largest
-    non-contact component, the dictionary envelope and the gain on the grid."""
-    gain, n = GAINS[request.param]
+@functools.cache
+def level0_case(kind):
+    """The level-0 solve of one of the benchmark's two Cartesian cases: its
+    largest non-contact component, the dictionary envelope and the gain on
+    the grid."""
+    gain, n = GAINS[kind]
     w = unbranched_envelope(gain, n).field
     contact = contact_set(w, gain)
     sizes = np.bincount(contact.labels.ravel())[1:]
     comp = contact.labels == 1 + int(np.argmax(sizes))
-    return request.param, w, comp, gain_on_grid(gain, w)
+    return kind, w, comp, gain_on_grid(gain, w)
+
+
+@pytest.fixture(scope="module", params=sorted(GAINS))
+def level0(request):
+    return level0_case(request.param)
+
+
+@pytest.fixture(scope="module")
+def inner_disc():
+    """The annulus case's level 1, its non-contact inner disc, and a start that
+    is zero there and level 1 elsewhere (level 1 is already harmonic there)."""
+    gain, n = GAINS["annulus"]
+    seq = iterate_envelopes(gain, unbranched_envelope(gain, n), max_iter=1)
+    level1, contact = seq.levels[1], seq.contacts[1]
+    comp = contact.labels == contact.labels[n // 2, n // 2]
+    assert contact.n_components == 2 and comp.sum() < 2000
+    return level1, comp, np.where(comp, 0.0, level1.values), gain_on_grid(gain, level1)
+
+
+@pytest.fixture(scope="module", params=["annulus", "cap", "annulus-disc", "cap-disc",
+                                        "inner-disc"])
+def node_set(request, inner_disc):
+    """Its name, a start, a node mask, the stencil and the gain on the grid: a
+    level-0 component, the PSOR oracle's whole disc from max(g, 0), or the
+    small component of ``inner_disc``."""
+    name = request.param
+    if name in GAINS:
+        _, w, comp, gvals = level0_case(name)
+        return name, w.values, comp, w.stencil, gvals
+    if name == "inner-disc":
+        level1, comp, start, gvals = inner_disc
+        return name, start, comp, level1.stencil, gvals
+    gain, n = GAINS[name.removesuffix("-disc")]
+    fld = cartesian_field(n, np.zeros((n, n)), "psor")
+    phi = np.where(fld.inside, gain_on_grid(gain, fld), 0.0)
+    return name, np.maximum(phi, 0.0), fld.inside, fld.stencil, phi
 
 
 def solve(sweep, values):
@@ -90,24 +129,36 @@ def young_omega(comp, stencil):
 
 
 @pytest.mark.parametrize("projected", [False, True], ids=["dirichlet", "obstacle"])
-def test_csr_sweep_matches_the_gather_sweep(level0, projected):
-    _, w, comp, gvals = level0
-    stencil = w.stencil
+def test_csr_sweep_matches_the_gather_sweep(node_set, projected):
+    name, values, nodes, stencil, gvals = node_set
     obstacle = gvals if projected else None
-    new = RedBlackSOR(w.values, comp, stencil, obstacle)
-    old = GatherSOR(w.values, comp, stencil, obstacle)
+    new = RedBlackSOR(values, nodes, stencil, obstacle)
+    old = GatherSOR(values, nodes, stencil, obstacle)
     omegas = set()
     for _ in range(600):
         omegas.add(new.omega)
         omega = new.omega
         assert new.sweep() == old.sweep(omega)
-    got, expect = w.values.copy(), w.values.copy()
+    got, expect = values.copy(), values.copy()
     new.store(got)
     old.store(expect)
     assert np.array_equal(got, expect)
     assert new.sweeps == 600
-    if level0[0] == "cap":
+    if name == "cap":
         assert len(omegas) == 2  # the switch happened inside the compared sweeps
+
+
+def test_store_leaves_every_node_off_the_mask(node_set):
+    _, values, nodes, stencil, gvals = node_set
+    sor = RedBlackSOR(values, nodes, stencil, gvals)
+    for _ in range(20):
+        sor.sweep()
+    field = np.random.default_rng(7).standard_normal(values.shape)
+    field[::3, ::5] = -0.0  # told from 0.0 only by the bitwise compare below
+    before = field.copy()
+    sor.store(field)
+    assert np.array_equal(field.view(np.int64)[~nodes], before.view(np.int64)[~nodes])
+    assert not np.array_equal(field[nodes], before[nodes])
 
 
 def test_switched_omega_matches_the_spectrum(level0):
@@ -135,16 +186,11 @@ def test_sweeps_against_a_fixed_start(level0, projected):
         assert adaptive <= baseline + 2
 
 
-def test_a_component_below_the_start_keeps_it():
-    gain, n = GAINS["annulus"]
-    seq = iterate_envelopes(gain, unbranched_envelope(gain, n), max_iter=1)
-    level1, contact = seq.levels[1], seq.contacts[1]
-    comp = contact.labels == contact.labels[n // 2, n // 2]
-    assert contact.n_components == 2 and comp.sum() < 2000  # the inner disc
+def test_a_component_below_the_start_keeps_it(inner_disc):
+    level1, comp, start, _ = inner_disc
     stencil = level1.stencil
     assert young_omega(comp, stencil) < SOR_OMEGA - 0.05
     # Level 1 is already harmonic there; relax it again from zero.
-    start = np.where(comp, 0.0, level1.values)
     sor = RedBlackSOR(start, comp, stencil, None)
     solve(sor.sweep, start)
     assert sor.sweeps > 50
