@@ -5,9 +5,10 @@ distance s from ``center``, and ``g(x)`` is ``profile(|x - center|)``.  The
 spiked family (a high plateau of small radius on top of a hemispherical dome)
 and the radial bump sit at the origin; the offset bump is the same bump about
 an off-origin centre.  ``mollify`` convolves any of them with a radial bump
-kernel by one radial quadrature about the centre.  Each ``GainField`` carries
-the constants the majorant machinery needs (max gain, truncation level,
-support gap, Lipschitz bound).
+kernel by one radial quadrature about the centre, whose radius blocks run on
+the process's CPUs with the same bits whatever their number.  Each
+``GainField`` carries the constants the majorant machinery needs (max gain,
+truncation level, support gap, Lipschitz bound).
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ class DegenerateGainError(GainError):
 
 
 PROBE_POINTS = 4096
-# Radius nodes per block of the radial mollification quadrature.  A block sizes
-# the one reused (MOLLIFY_BLOCK, 32, 64) float buffer, 512 KiB at 32, so the
-# buffer and the profile's own output stay in L2 cache.
+# Radius nodes held at once by the radial mollification quadrature: one reused
+# (MOLLIFY_BLOCK, 32, 64) float buffer, 512 KiB at 32, so the buffer and the
+# profile's own output stay in L2 cache.  The buffer is split across the
+# threads, a block of MOLLIFY_BLOCK // threads nodes each, and a block is never
+# below MOLLIFY_MIN_BLOCK nodes (smaller blocks ran slower than one thread).
 MOLLIFY_BLOCK = 32
+MOLLIFY_MIN_BLOCK = 16
 
 
 def _pts(x, d: int) -> tuple[np.ndarray, bool]:
@@ -54,6 +58,8 @@ class GainField:
 
     ``profile_fn`` maps distances from ``center`` (the origin when not given)
     to gain values; ``support_radius`` bounds the support about the origin.
+    It must be a pure function of its input array: ``mollify`` calls it from
+    several threads at once.
     """
 
     profile_fn: Callable[[np.ndarray], np.ndarray]
@@ -195,6 +201,16 @@ def offset_bump_gain(center, radius: float, height: float = 1.0,
 # Mollification
 # ---------------------------------------------------------------------------
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _bump_kernel(s: np.ndarray, width: float) -> np.ndarray:
     t = s / width
     out = np.zeros_like(t)
@@ -210,18 +226,28 @@ def mollify(g: GainField, width: float, profile_points: int = 4096) -> GainField
     convolution is a profile about the same centre: a one-dimensional radial
     quadrature carrying the full d-dimensional kernel weight, on
     ``profile_points`` distances.  The support radius grows by exactly width.
-    The quadrature runs ``MOLLIFY_BLOCK`` distance nodes at a time in one
-    reused buffer sized to fit in cache, so its peak memory does not grow with
-    ``profile_points``; each node's value is the same bits as on whole arrays.
+    The quadrature stops at the first distance node at or past the new
+    support, the last one the profile reads.  Its nodes run in blocks on one
+    thread per CPU the process may use, the caller's among them, up to
+    ``MOLLIFY_BLOCK // MOLLIFY_MIN_BLOCK`` threads.  Each thread reuses its
+    ``MOLLIFY_BLOCK // threads`` nodes of one buffer, so the buffer grows
+    neither with ``profile_points`` nor with the threads.  Each node's value
+    is the same bits as on whole arrays, whatever the number of threads.  An
+    error raised in a block is raised here once every thread has stopped.
     """
     if width <= 0.0:
         raise GainError("mollification width must be positive")
     if width >= (1.0 - g.support_radius) / 2.0:
         raise GainError("mollification width pushes the support out of the ball")
 
+    import threading
+
     d = g.dim
     reach = g.support_radius - float(np.linalg.norm(g.center)) + width
     r_nodes = np.linspace(0.0, min(reach * 1.01, 1.0), profile_points)
+    # The profile reads no node past the first one at or beyond reach; their
+    # values stay zero.
+    active = r_nodes[:int(np.searchsorted(r_nodes, reach)) + 1]
 
     # Gauss-Legendre in kernel radius and angle.
     s_x, s_w = np.polynomial.legendre.leggauss(32)
@@ -246,24 +272,49 @@ def mollify(g: GainField, width: float, profile_points: int = 4096) -> GainField
     ss = s[None, :, None]
     s2 = ss * ss
     cos_t = np.cos(theta)[None, None, :]
-    values = np.empty(profile_points)
+    values = np.zeros(profile_points)
     # Each radius node's reduction is independent, so a block gives the same
-    # bits as the whole (profile_points, 32, 64) array; the ufuncs write into
-    # one reused block buffer.
-    block = min(MOLLIFY_BLOCK, profile_points)
-    buf = np.empty((block, s.size, theta.size))
-    for start in range(0, profile_points, block):
-        rr = r_nodes[start:start + block, None, None]
-        dist = buf[:rr.shape[0]]
-        # |x - y| for x at radius r and kernel offset (s, theta), in the
-        # whole-array order: sqrt(max((r r + s s) - ((2 r) s) cos(theta), 0)).
-        np.multiply(2.0 * rr * ss, cos_t, out=dist)
-        np.subtract(rr * rr + s2, dist, out=dist)
-        np.maximum(dist, 0.0, out=dist)
-        np.sqrt(dist, out=dist)
-        gv = g.profile(dist.ravel()).reshape(dist.shape)
-        np.multiply(gv, weights, out=dist)
-        values[start:start + block] = dist.sum(axis=(1, 2)) / norm
+    # bits as the whole (profile_points, 32, 64) array, whichever thread runs
+    # it.  Thread k runs blocks k, k + threads, ... in its own part of one
+    # buffer and writes only their slices of values; the caller's thread is
+    # thread 0.  The caller allocates the buffer: memory a worker thread
+    # allocates stays with the process after the thread ends.
+    threads = max(1, min(_cpus(), MOLLIFY_BLOCK // MOLLIFY_MIN_BLOCK))
+    block = min(MOLLIFY_BLOCK // threads, active.size)
+    threads = min(threads, -(-active.size // block))
+    buf = np.empty((threads, block, s.size, theta.size))
+    errors: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for start in range(first * block, active.size, threads * block):
+                if errors:
+                    return
+                rr = active[start:start + block, None, None]
+                dist = buf[first, :rr.shape[0]]
+                # |x - y| for x at radius r and kernel offset (s, theta), in the
+                # whole-array order: sqrt(max((r r + s s) - ((2 r) s) cos(theta), 0)).
+                np.multiply(2.0 * rr * ss, cos_t, out=dist)
+                np.subtract(rr * rr + s2, dist, out=dist)
+                np.maximum(dist, 0.0, out=dist)
+                np.sqrt(dist, out=dist)
+                gv = g.profile(dist.ravel()).reshape(dist.shape)
+                np.multiply(gv, weights, out=dist)
+                values[start:start + rr.shape[0]] = dist.sum(axis=(1, 2)) / norm
+        except BaseException as exc:  # raised again in the caller after every join
+            errors.append(exc)
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, threads)]
+    try:
+        for worker in workers:
+            worker.start()
+        run(0)
+    finally:
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
+    if errors:
+        raise errors[0]
     values = np.clip(values, 0.0, None)
 
     def profile(r: np.ndarray) -> np.ndarray:

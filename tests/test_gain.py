@@ -1,11 +1,13 @@
 """Gain fields: spiked family, mollification, derived constants."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lsmlab.gain import (MOLLIFY_BLOCK, DegenerateGainError, GainError, _bump_kernel,
+import lsmlab.gain as gain_module
+from lsmlab.gain import (MOLLIFY_BLOCK, DegenerateGainError, GainError, GainField, _bump_kernel,
                          gain_from_config, mollify, offset_bump_gain, outer_running_max,
                          radial_bump_gain, spiked_gain)
 
@@ -62,8 +64,8 @@ def _mollify_oracle_at_origin(eps, width):
 
 def _mollify_full_arrays(g, width, profile_points, r):
     """The radial quadrature on whole (profile_points, 32, 64) arrays, evaluated at r."""
-    new_support = g.support_radius + width
-    r_nodes = np.linspace(0.0, min(new_support * 1.01, 1.0), profile_points)
+    reach = g.support_radius - float(np.linalg.norm(g.center)) + width
+    r_nodes = np.linspace(0.0, min(reach * 1.01, 1.0), profile_points)
     s_x, s_w = np.polynomial.legendre.leggauss(32)
     s = 0.5 * width * (s_x + 1.0)
     s_w = 0.5 * width * s_w
@@ -82,17 +84,50 @@ def _mollify_full_arrays(g, width, profile_points, r):
     gv = g.profile(dist.ravel()).reshape(dist.shape)
     weights = radial_weight[None, :, None] * ang_weight[None, None, :]
     values = np.clip((gv * weights).sum(axis=(1, 2)) / float(weights.sum()), 0.0, None)
-    return np.where(r >= new_support, 0.0, np.interp(r, r_nodes, values))
+    return np.where(r >= reach, 0.0, np.interp(r, r_nodes, values))
+
+
+class _ProfileError(RuntimeError):
+    pass
 
 
 class TestMollify:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("points", [2 * MOLLIFY_BLOCK, 1000, 3])
-    def test_blocks_match_the_full_array_quadrature(self, dim, points):
-        g = spiked_gain(0.05, dim=dim)
-        r = np.linspace(0.0, 0.6, 4001)
-        expected = _mollify_full_arrays(g, 0.01, points, r)
-        assert np.array_equal(mollify(g, 0.01, profile_points=points).profile(r), expected)
+    def test_blocks_match_the_full_array_quadrature(self, monkeypatch, dim, points):
+        # On one CPU the caller runs every block; on two each thread runs every
+        # other one.  Three points make one block, fewer than the threads.
+        gains = {"spike": spiked_gain(0.05, dim=dim),
+                 "radial-bump": radial_bump_gain(0.3, 0.15, dim=dim)}
+        if dim == 2:
+            gains["offset-bump"] = offset_bump_gain((0.4, 0.0), 0.15)
+        r = np.linspace(0.0, 0.99, 4001)
+        for kind, g in gains.items():
+            expected = _mollify_full_arrays(g, 0.01, points, r)
+            for cpus in (1, 2):
+                monkeypatch.setattr(gain_module, "_cpus", lambda: cpus)
+                got = mollify(g, 0.01, profile_points=points).profile(r)
+                assert np.array_equal(got, expected), (kind, cpus)
+
+    @pytest.mark.parametrize("where,cpus", [("some-distances", 1), ("some-distances", 2),
+                                            ("worker-thread", 2)])
+    def test_a_profile_error_is_raised_once_every_thread_stops(self, monkeypatch, where, cpus):
+        monkeypatch.setattr(gain_module, "_cpus", lambda: cpus)
+        spike = spiked_gain(0.05)
+
+        def profile(s):
+            if where == "some-distances" and np.any((0.2 < s) & (s < 0.21)):
+                raise _ProfileError("bad distance")
+            if where == "worker-thread" and threading.current_thread() is not threading.main_thread():
+                raise _ProfileError("bad thread")
+            return spike.profile(s)
+
+        g = GainField(profile_fn=profile, support_radius=0.5, max_gain=1.0, gstar=1.25,
+                      lipschitz=np.inf)
+        before = threading.active_count()
+        with pytest.raises(_ProfileError):
+            mollify(g, 0.01)
+        assert threading.active_count() == before
 
     def test_quadrature_memory_does_not_grow_with_the_profile(self):
         # Whole (4096, 32, 64) float arrays take 64 MiB each; one reused block

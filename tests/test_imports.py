@@ -1,7 +1,10 @@
 """What an lsmlab process loads: scipy.sparse at import, and no scipy.ndimage,
 scipy.spatial or scipy.signal for a CLI import, an envelope run, a Cartesian
 contact-hit rule or a Cartesian paths run (each would cost start-up time; the
-grid geometry is numpy only)."""
+grid geometry is numpy only).  Nor does a CLI import or a mollified envelope
+run load the thread-pool executor: ``mollify`` runs its threads with
+``threading``.  (``concurrent.futures`` itself comes with numpy.testing, which
+scipy loads; its executor module ``concurrent.futures.thread`` does not.)"""
 
 import json
 import os
@@ -74,17 +77,22 @@ def run_probe(tmp_path, source: str, *argv) -> list[str]:
     return proc.stdout.split()
 
 
-def loaded_after(tmp_path, *configs, command: str = "envelope") -> list[str]:
+def loaded_after(tmp_path, *configs, command: str = "envelope", unused=UNUSED) -> list[str]:
     argv = []
     for k, config in enumerate(configs):
         path = tmp_path / f"config-{k}.json"
         path.write_text(json.dumps(config))
         argv += [str(path), str(tmp_path / f"out-{k}")]
-    return run_probe(tmp_path, PROBE.format(unused=UNUSED), command, *argv)
+    return run_probe(tmp_path, PROBE.format(unused=unused), command, *argv)
 
 
 def test_cli_import_loads_no_unused_scipy_module(tmp_path):
     assert loaded_after(tmp_path) == []
+
+
+def test_cli_import_and_mollify_load_no_thread_pool_executor(tmp_path):
+    # The radial config's gain is mollified.
+    assert loaded_after(tmp_path, RADIAL, unused=("concurrent.futures.thread",)) == []
 
 
 @pytest.mark.parametrize("config", [RADIAL, CARTESIAN, CARTESIAN_MOLLIFIED],
