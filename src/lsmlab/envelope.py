@@ -154,7 +154,22 @@ class GridField:
                       self.radii, self.values)
         else:
             write_csv(path, "x,y in unit-ball lengths, value in payoff units",
-                      ["x", "y", "value"], *self.coords.reshape(-1, 2).T, self.values.ravel())
+                      ["x", "y", "value"], *self._axes(), self.values)
+
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The axes x, y of a Cartesian grid whose node [i, j] is (x[i], y[j]).
+
+        Every node must hold its row's x and its column's y bit for bit, so
+        that the grid form of ``write_csv`` writes the bytes of the flat
+        columns; any other ``coords`` raise ValueError.
+        """
+        coords = np.asarray(self.coords, dtype=np.float64)
+        if coords.ndim != 3 or coords.shape[2] != 2:
+            raise ValueError(f"Cartesian coords must have shape (nx, ny, 2), not {coords.shape}")
+        bits = coords.view(np.uint64)
+        if not (np.all(bits[..., 0] == bits[:, :1, 0]) and np.all(bits[..., 1] == bits[:1, :, 1])):
+            raise ValueError("Cartesian coords are not the tensor grid of their axes")
+        return coords[:, 0, 0], coords[0, :, 1]
 
 
 def radial_field(radii: np.ndarray, values: np.ndarray, tag: str, dim: int = 2) -> GridField:

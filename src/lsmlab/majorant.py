@@ -20,8 +20,7 @@ from . import rng as rngmod
 from .gain import GainField
 from .geometry import (Annulus, Ball, Cap, Domain, FullBall, boundary_samples, domain_dim,
                        ray_exit, signed_distance)
-from .harmonic import (INF, BoundaryData, constant_data, poisson_ball_eval,
-                       radial_annulus_harmonic)
+from .harmonic import INF, BoundaryData, constant_data, radial_annulus_harmonic
 
 GEOM_TOL = 1e-9
 
@@ -174,36 +173,6 @@ def cap_patch(direction, z: float, gstar: float, c: float = 1.0,
         lipschitz_bound=1.0 / z,
         raw_value=raw,
         label=label or f"cap[z={z:.4g}]",
-    )
-
-
-def ball_patch(center, radius: float, data: BoundaryData, gstar: float,
-               lipschitz_bound: float | None = None, nodes: int = 256,
-               label: str | None = None) -> HarmonicPatch:
-    """Poisson-quadrature patch on a ball with general boundary data."""
-    center = np.asarray(center, dtype=float)
-    dom = Ball(center=tuple(center), radius=radius)
-
-    def raw(pts: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(poisson_ball_eval(center, radius, data, pts, nodes=nodes))
-
-    bvals = data(boundary_samples(dom, 64))
-    if lipschitz_bound is None:
-        # Gradient bound for bounded harmonic functions, d * osc / radius.
-        lipschitz_bound = len(center) * float(bvals.max() - bvals.min() + 1e-12) / radius
-    if np.any(bvals < -1e-12) or np.any(bvals > gstar + 1e-12):
-        raise MajorantError("boundary data must lie in [0, gstar]")
-    touches = np.linalg.norm(center) + radius >= 1.0 - 1e-12
-    h1 = bool(data.gstar_on_interior or (touches and radius >= 1.0 - 1e-12)
-              or np.all(np.abs(bvals - gstar) < 1e-12))
-    return HarmonicPatch(
-        domain=dom,
-        data=data,
-        gstar=gstar,
-        klass="H1" if h1 else "H0",
-        lipschitz_bound=float(lipschitz_bound),
-        raw_value=raw,
-        label=label or f"ball[r={radius:.4g}]",
     )
 
 

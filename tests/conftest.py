@@ -1,7 +1,9 @@
 """Shared fixtures: the expensive envelope/oracle runs are built once per session.
 
 Also the brute-force reference that the concave-hull tests compare against,
-and ``rasterize``, the builder of the grid-region fixtures.
+``rasterize``, the builder of the grid-region fixtures, and
+``constant_disc_patch``, the constant patch on a centred disc that the
+majorant fixtures branch from.
 """
 
 import numpy as np
@@ -9,8 +11,10 @@ import pytest
 
 import lsmlab as L
 from lsmlab.envelope import iterate_envelopes, unbranched_envelope
-from lsmlab.geometry import GeometryError, GridRegion, domain_dim, signed_distance
+from lsmlab.geometry import Ball, GeometryError, GridRegion, domain_dim, signed_distance
 from lsmlab.grids import RedBlackSOR
+from lsmlab.harmonic import constant_data
+from lsmlab.majorant import grid_patch
 from lsmlab.oracle import psor_obstacle_solve, radial_value_oracle
 
 
@@ -122,3 +126,15 @@ def rasterize(dom, n: int = 512) -> GridRegion:
     # Keep the described set strictly inside the unit ball.
     inside &= (np.hypot(xx, yy) < 1.0 - spacing)
     return GridRegion(mask=inside, spacing=spacing)
+
+
+def constant_disc_patch(radius: float, level: float, gstar: float):
+    """The patch on Ball(0, radius) with constant data ``level`` below ``gstar``.
+
+    Its harmonic extension is the constant, its class H0 and its Lipschitz
+    bound d * (osc + 1e-12) / radius with d = 2 and osc = 0, the bound a
+    gradient estimate of bounded harmonic functions gives constant data.
+    """
+    return grid_patch(Ball((0.0, 0.0), radius), constant_data(level), gstar,
+                      lambda pts: np.full(pts.shape[0], float(level)), 2e-12 / radius,
+                      label=f"ball[r={radius:.4g}]")

@@ -8,7 +8,7 @@ the timed criteria so the runtime limits are honest.
 import time
 
 import numpy as np
-from conftest import rasterize
+from conftest import constant_disc_patch, rasterize
 from scipy import ndimage
 
 import lsmlab as L
@@ -19,10 +19,9 @@ from lsmlab.gain import mollify, spiked_gain
 from lsmlab.geometry import (Annulus, Ball, FullBall, GridRegion, boundary_samples,
                              hausdorff_distance, smooth_inner_approximation)
 from lsmlab.harmonic import BoundaryData, poisson_ball_eval, wos_harmonic_eval
-from lsmlab.majorant import (annulus_patch, annulus_to_boundary_patch, ball_patch, branched,
+from lsmlab.majorant import (annulus_patch, annulus_to_boundary_patch, branched,
                              cap_patch, constant_patch, continuous_regularisation, leaf,
                              majorises_gain, matching_error)
-from lsmlab.harmonic import constant_data
 from lsmlab.oracle import cross_validate, psor_obstacle_solve, radial_value_oracle
 from lsmlab.pathsim import (ContactHit, FirstExit, FixedTime, PathConfig, optimality_test,
                             payoff_estimate)
@@ -246,7 +245,7 @@ class TestAC7Regularisation:
     def test_sandwich_and_zero_norm(self):
         fixtures = []
         for parent, child in ((1.0, 0.9), (1.0, 0.85), (0.8, 0.95)):
-            base = ball_patch((0.0, 0.0), 0.5, constant_data(parent), GSTAR)
+            base = constant_disc_patch(0.5, parent, GSTAR)
             kid = leaf(constant_patch(child, GSTAR))
             fixtures.append(branched(base, lambda u, kid=kid: kid, depth=2,
                                      error_bound=abs(parent - child)))

@@ -245,3 +245,74 @@ def test_cartesian_field_csv_matches_a_per_node_loop(tmp_path):
     expected = [f"{fld.coords[i, j, 0]:.12g},{fld.coords[i, j, 1]:.12g},{fld.values[i, j]:.12g}"
                 for i in range(n) for j in range(n)]
     assert (tmp_path / "f.csv").read_text().splitlines()[2:] == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 33, 128, 129, 257])
+def test_cartesian_field_csv_bytes_match_the_flat_columns(n, tmp_path):
+    rng = np.random.default_rng(n)
+    wide = rng.choice([-1.0, 1.0], n * n) * 10.0 ** rng.uniform(-300, 300, n * n)
+    draws = np.concatenate([rng.random(n * n), wide])
+    special = [-0.0, 5e-324, 1e16, 0.1, 123456789012.5]
+    values = np.concatenate([special, rng.permutation(draws)])[:n * n].reshape(n, n)
+    fld = cartesian_field(n, values, "level")
+    fld.to_csv(tmp_path / "grid.csv")
+    reference_csv(tmp_path / "flat.csv", "x,y in unit-ball lengths, value in payoff units",
+                  ["x", "y", "value"], *fld.coords.reshape(-1, 2).T, fld.values.ravel())
+    text = (tmp_path / "grid.csv").read_bytes()
+    assert text == (tmp_path / "flat.csv").read_bytes()
+    assert text.split(b"\n")[2] == b"-1,-1,-0"
+
+
+GRID_TABLES = {
+    "wide-floats": lambda rng: (np.sort(rng.random(5)), wide_floats(rng, 7),
+                                wide_floats(rng, 35).reshape(5, 7)),
+    "float32": lambda rng: (np.linspace(-1, 1, 4, dtype=np.float32), rng.random(3),
+                            wide_floats(rng, 12, 38.0).astype(np.float32).reshape(4, 3)),
+    "int-values": lambda rng: (np.arange(3), np.linspace(0, 1, 5),
+                               int_extremes(np.int64, 15).reshape(3, 5)),
+    "no-columns": lambda rng: (np.arange(3.0), np.zeros(0), np.zeros((3, 0))),
+    "no-rows": lambda rng: (np.zeros(0), np.arange(3.0), np.zeros((0, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_TABLES))
+def test_write_csv_grid_form_matches_the_flat_columns(name, tmp_path):
+    x, y, values = GRID_TABLES[name](np.random.default_rng(13))
+    write_csv(tmp_path / "grid.csv", "payoff units", ["x", "y", "v"], x, y, values)
+    reference_csv(tmp_path / "flat.csv", "payoff units", ["x", "y", "v"],
+                  np.repeat(x, len(y)), np.tile(y, len(x)), values.ravel())
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns", [
+    (np.arange(4.0), np.arange(3.0), np.zeros((3, 4))),
+    (np.arange(3.0), np.zeros((3, 4))),
+    (np.zeros((3, 1)), np.arange(4.0), np.zeros((3, 4))),
+    (np.arange(3.0), np.arange(4.0), np.zeros((3, 4), dtype=bool)),
+    (np.arange(3.0), np.array(list("abcd")), np.zeros((3, 4))),
+])
+def test_write_csv_rejects_a_malformed_grid_table(columns, tmp_path):
+    with pytest.raises(ValueError, match="grid table"):
+        write_csv(tmp_path / "t.csv", None, ["x", "y", "v"], *columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("bend", ["swapped-axes", "one-node-moved", "signed-zero", "nan"])
+def test_cartesian_field_csv_rejects_coords_off_a_tensor_grid(bend, tmp_path):
+    n = 5
+    fld = cartesian_field(n, np.random.default_rng(4).random((n, n)), "level")
+    coords = fld.coords.copy()
+    if bend == "swapped-axes":
+        coords = coords[..., ::-1]
+    elif bend == "one-node-moved":
+        coords[3, 1, 1] = np.nextafter(coords[3, 1, 1], 2.0)
+    elif bend == "signed-zero":
+        # x[2] is 0.0; a -0.0 at one node compares equal but is written "-0".
+        assert coords[2, 0, 0] == 0.0 and not np.signbit(coords[2, 0, 0])
+        coords[2, 3, 0] = -0.0
+    else:
+        coords[1, 1, 0] = coords[1, 2, 0] = coords[1, 0, 0] = np.nan
+    fld.coords = coords
+    with pytest.raises(ValueError, match="tensor grid"):
+        fld.to_csv(tmp_path / "f.csv")
+    assert not (tmp_path / "f.csv").exists()

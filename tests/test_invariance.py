@@ -10,9 +10,12 @@ refinement and the oracles are positively homogeneous in the gain, so a
 height change by a power of two scales a radial run and every level of a
 Cartesian run bit for bit: each SOR solve stops once its largest update is at
 most RELAX_TOL * max|value|, a threshold that scales with the gain, so both
-runs stop at the same sweeps."""
+runs stop at the same sweeps.  A pointwise larger gain of the same cap g* (a
+wider spike, or a bump with a second bump beside it) has fewer majorants, so
+its ``w1`` and its refinement limit are pointwise larger, on both grids."""
 
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,9 @@ from lsmlab.oracle import psor_obstacle_solve
 CENTRES = st.tuples(st.floats(0.25, 0.45), st.floats(0.0, 2.0 * np.pi))
 GRIDS = st.sampled_from([33, 49, 65])
 HEIGHTS = st.sampled_from([2.0, 0.5])
+RUN_GRIDS = st.sampled_from(["radial", 33, 49, 65])
+# iterate_envelopes stops once a level moves by less than this in sup norm.
+REFINE_TOL = 1e-9
 
 
 def _offset_bump(centre, height=1.0):
@@ -143,3 +149,29 @@ def test_height_scales_a_cartesian_run(polar, height):
                                               scaled.levels, scaled.contacts):
         assert np.array_equal(got.values, height * fld.values)
         assert np.array_equal(got_contact.contact_mask, contact.contact_mask)
+
+
+def _assert_ordered(lower, upper, grid):
+    """``w1`` and the refinement limit of ``upper`` lie above those of ``lower``."""
+    grid = L.radial_grid(512) if grid == "radial" else grid
+    low, high = _refine(lower, grid), _refine(upper, grid)
+    for k in (0, -1):
+        assert np.min(high.levels[k].values - low.levels[k].values) >= -REFINE_TOL
+
+
+@given(st.floats(0.03, 0.08), st.floats(0.01, 0.05), RUN_GRIDS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_a_wider_spike_gives_larger_fields(eps, wider, grid):
+    _assert_ordered(L.spiked_gain(eps), L.spiked_gain(eps + wider), grid)
+
+
+@given(st.floats(0.2, 0.35), st.floats(0.6, 0.75), st.floats(0.3, 1.0), RUN_GRIDS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_a_second_bump_gives_larger_fields(centre, other, height, grid):
+    # The bump covers radii (centre - 0.1, centre + 0.1) and the second bump
+    # (other - 0.08, other + 0.08), outside it and no taller, so g* stays.
+    bump, extra = L.radial_bump_gain(centre, 0.1), L.radial_bump_gain(other, 0.08, height=height)
+    both = replace(bump, profile_fn=lambda r: bump.profile_fn(r) + extra.profile_fn(r),
+                   support_radius=max(bump.support_radius, extra.support_radius),
+                   lipschitz=max(bump.lipschitz, extra.lipschitz))
+    _assert_ordered(bump, both, grid)

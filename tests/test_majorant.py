@@ -3,13 +3,14 @@ translation, regularisation, Lipschitz extension, gain domination."""
 
 import numpy as np
 import pytest
+from conftest import constant_disc_patch
 
 from lsmlab.gain import mollify, spiked_gain
 from lsmlab.geometry import signed_distance
-from lsmlab.harmonic import INF, constant_data
+from lsmlab.harmonic import INF
 from lsmlab.majorant import (BranchedMajorant, ContiguityError, ExtensionInfeasibleError,
                              MajorantError, annulus_patch, annulus_to_boundary_patch,
-                             ball_patch, branched, cap_patch, constant_patch,
+                             branched, cap_patch, constant_patch,
                              continuous_regularisation, interior_boundary_samples, leaf,
                              lipschitz_extension, majorises_gain, matching_error,
                              tree_json, upward_translate)
@@ -23,8 +24,8 @@ def gain():
 
 
 def two_level_tree(parent_level=1.0, child_level=0.9):
-    """Ball patch at a constant level whose children sit at another level."""
-    base = ball_patch((0.0, 0.0), 0.5, constant_data(parent_level), GSTAR)
+    """Disc patch at a constant level whose children sit at another level."""
+    base = constant_disc_patch(0.5, parent_level, GSTAR)
     child = leaf(constant_patch(child_level, GSTAR))
     return branched(base, lambda u: child, depth=2,
                     error_bound=abs(parent_level - child_level))
@@ -53,7 +54,7 @@ class TestInteriorBoundary:
         assert pts.shape[0] == 0
 
     def test_low_data_ball_samples_full_sphere(self):
-        patch = ball_patch((0.0, 0.0), 0.5, constant_data(0.3 * GSTAR), GSTAR)
+        patch = constant_disc_patch(0.5, 0.3 * GSTAR, GSTAR)
         pts = interior_boundary_samples(leaf(patch), 64)
         assert pts.shape[0] == 64
         assert np.allclose(np.linalg.norm(pts, axis=1), 0.5, atol=1e-12)
@@ -71,7 +72,7 @@ class TestMatchingError:
         assert matching_error(leaf(constant_patch(0.5, GSTAR))) == (0.0, 0.0)
 
     def test_exact_match_two_level(self):
-        base = ball_patch((0.0, 0.0), 0.5, constant_data(0.9), GSTAR)
+        base = constant_disc_patch(0.5, 0.9, GSTAR)
         child = leaf(constant_patch(0.9, GSTAR))
         tree = branched(base, lambda u: child, depth=2, error_bound=0.0)
         delta, norm = matching_error(tree)
@@ -85,16 +86,16 @@ class TestMatchingError:
 
     def test_three_level_accumulates(self):
         grandchild = leaf(constant_patch(0.7, GSTAR))
-        mid_patch = ball_patch((0.0, 0.0), 0.7, constant_data(0.85), GSTAR)
+        mid_patch = constant_disc_patch(0.7, 0.85, GSTAR)
         mid = branched(mid_patch, lambda u: grandchild, depth=2, error_bound=0.15)
-        base = ball_patch((0.0, 0.0), 0.4, constant_data(1.0), GSTAR)
+        base = constant_disc_patch(0.4, 1.0, GSTAR)
         tree = branched(base, lambda u: mid, depth=3, error_bound=0.3)
         delta, norm = matching_error(tree)
         assert delta == pytest.approx(0.15, abs=1e-12)
         assert norm == pytest.approx(0.30, abs=1e-12)
 
     def test_contiguity_enforced(self):
-        base = ball_patch((0.0, 0.0), 0.5, constant_data(0.9), GSTAR)
+        base = constant_disc_patch(0.5, 0.9, GSTAR)
         stray = leaf(annulus_patch(0.8, 0.9, GSTAR, GSTAR, GSTAR))
         tree = branched(base, lambda u: stray, depth=2, error_bound=0.0)
         with pytest.raises(ContiguityError):
@@ -138,7 +139,7 @@ class TestRegularisation:
         assert n0 <= 1e-12
 
     def test_already_continuous_unchanged(self):
-        base = ball_patch((0.0, 0.0), 0.5, constant_data(0.9), GSTAR)
+        base = constant_disc_patch(0.5, 0.9, GSTAR)
         child = leaf(constant_patch(0.9, GSTAR))
         tree = branched(base, lambda u: child, depth=2, error_bound=0.0)
         reg = continuous_regularisation(tree)
