@@ -14,7 +14,7 @@ from .harmonic import (BoundaryData, poisson_ball_eval, radial_annulus_harmonic,
 from .majorant import (BranchedMajorant, ExtensionMap, HarmonicPatch, annulus_patch,
                        annulus_to_boundary_patch, cap_patch, constant_patch,
                        continuous_regularisation, interior_boundary_samples, leaf,
-                       lipschitz_extension, majorises_gain, matching_error, upward_translate)
+                       majorises_gain, matching_error, upward_translate)
 from .envelope import (ContactSet, EnvelopeSequence, GridField, balayage_step,
                        build_branched_witness, contact_set, envelope_step,
                        iterate_envelopes, unbranched_envelope)

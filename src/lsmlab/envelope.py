@@ -30,6 +30,7 @@ run loads a scipy module beyond the ``scipy.sparse`` of that kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -370,7 +371,12 @@ def unbranched_envelope(gain: GainField, grid) -> EnvelopeRun:
                 ann = gstar * (scale_coordinate(1.0, d) - scale_coordinate(r, d)) / psi[j0]
             better = (r >= ann_inner) & (ann < values)
             values[better], family[better], index[better] = ann[better], FAMILY_ANNULUS, 0
-            lip = annulus_to_boundary_patch(ann_inner, gstar, dim=d).lipschitz_bound
+            # The annulus patch's gradient peaks on its inner sphere.
+            if d == 2:
+                lip = gstar / (math.log(1.0 / ann_inner) * ann_inner)
+            else:
+                p = 2.0 - d
+                lip = gstar * abs(p) * ann_inner ** (p - 1.0) / abs(1.0 - ann_inner ** p)
             class_lip = max(class_lip, lip)
 
     # Dictionary patches clear the gain; the maximum kills rounding slack.
@@ -583,8 +589,7 @@ def _level_summary(level: int, sup_change: float, contact: ContactSet) -> dict:
 # Branched witnesses
 # ---------------------------------------------------------------------------
 
-def build_branched_witness(seq: EnvelopeSequence, level: int, x,
-                           shrink: float | None = None) -> BranchedMajorant:
+def build_branched_witness(seq: EnvelopeSequence, level: int, x) -> BranchedMajorant:
     """Realise the level's refinement at x as an explicit branched majorant.
 
     The base patch carries the level's field as boundary data on a smooth
@@ -644,8 +649,7 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
     comp = contact.labels == contact.labels[i]
     if fld.kind == "radial":
         i0, i1 = (int(k) for k in np.flatnonzero(comp)[[0, -1]])
-        if shrink is None:
-            shrink = 2.0 * (fld.radii[min(i1 + 1, len(fld.radii) - 1)] - fld.radii[i1])
+        shrink = 2.0 * (fld.radii[min(i1 + 1, len(fld.radii) - 1)] - fld.radii[i1])
         inner = float(fld.radii[i0]) + shrink
         touches_sphere = (i1 + 1 >= len(fld.radii) - 1) or fld.radii[i1 + 1] >= 1.0 - 1e-12
         outer = 1.0 if touches_sphere else float(fld.radii[i1]) - shrink
@@ -659,8 +663,7 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
     else:
         # Cartesian: the level's Dirichlet solve on a smooth inner
         # approximation of the component, whatever shape it takes.
-        if shrink is None:
-            shrink = 6.0 * fld.spacing  # room for the grid mollifier at this resolution
+        shrink = 6.0 * fld.spacing  # room for the grid mollifier at this resolution
         try:
             dom = smooth_inner_approximation(GridRegion(mask=comp, spacing=fld.spacing), shrink)
         except DegenerateApproximationError as exc:
@@ -671,7 +674,7 @@ def build_branched_witness(seq: EnvelopeSequence, level: int, x,
         _relax_component(values, solve, fld.stencil, obstacle=None)
         data = BoundaryData(evaluator=lambda pts: np.asarray(fld.interpolate(pts)))
         base = grid_patch(dom, data, gain.gstar, fld.copy_with(values, "witness-grid").interpolate,
-                          lipschitz_bound=run.class_lipschitz, label="witness-grid")
+                          label="witness-grid")
     if float(signed_distance(base.domain, x)) >= 0.0:
         raise NoWitnessError("point too close to the component boundary for the shrink width")
     # The value gap: every component node strictly inside the base domain.

@@ -6,8 +6,8 @@ dispatching on the descriptor type, so concurrent use is safe:
 - ``signed_distance``, the one signed-distance dispatch (the walks, patches
   and stopping rules all call it);
 - ``project_to_boundary_batch``, the nearest-boundary landing of walk exits;
-- ``boundary_samples``, ``ray_exit`` and the Hausdorff distance between
-  sampled boundaries.
+- ``boundary_samples`` and the Hausdorff distance between sampled
+  boundaries.
 
 ``Intersection`` composes continuation domains (a path stops at the first exit
 from any part): its signed distance is the max over the parts, and a point
@@ -349,6 +349,7 @@ def boundary_samples(dom: Domain, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 HAUSDORFF_BLOCK = 1 << 20   # pair distances held at once
+HAUSDORFF_SAMPLES = 512     # boundary samples on each side of an inner approximation's check
 
 
 def hausdorff_distance(a, b) -> float:
@@ -434,8 +435,7 @@ def _recognise_radial(region: GridRegion) -> Ball | Annulus | None:
     return Annulus(center=(0.0, 0.0), inner=lo, outer=hi)
 
 
-def smooth_inner_approximation(region: GridRegion, delta: float,
-                               check_samples: int = 512) -> Domain:
+def smooth_inner_approximation(region: GridRegion, delta: float) -> Domain:
     """Shrink a grid region to a smoothly bounded subset within Hausdorff distance delta.
 
     The result is the sublevel set {mollified signed distance < -delta/2}; the
@@ -451,7 +451,7 @@ def smooth_inner_approximation(region: GridRegion, delta: float,
         raise DegenerateApproximationError(
             f"shrink width {delta} is not below half the inradius ({delta0:.4g})")
 
-    boundary_a = boundary_samples(region, check_samples)
+    boundary_a = boundary_samples(region, HAUSDORFF_SAMPLES)
 
     radial = _recognise_radial(region)
     if radial is not None:
@@ -460,7 +460,7 @@ def smooth_inner_approximation(region: GridRegion, delta: float,
         else:
             shrunk = Annulus(center=radial.center, inner=radial.inner + delta / 2.0,
                              outer=radial.outer - delta / 2.0)
-        if hausdorff_distance(boundary_a, boundary_samples(shrunk, check_samples)) < delta:
+        if hausdorff_distance(boundary_a, boundary_samples(shrunk, HAUSDORFF_SAMPLES)) < delta:
             return shrunk
         # Raster offsets spoiled the exact shrink; fall through to the grid path.
 
@@ -472,7 +472,7 @@ def smooth_inner_approximation(region: GridRegion, delta: float,
         raise DegenerateApproximationError("inner approximation is empty")
     shrunk = GridRegion(mask=new_mask, spacing=region.spacing)
 
-    dh = hausdorff_distance(boundary_a, boundary_samples(shrunk, check_samples))
+    dh = hausdorff_distance(boundary_a, boundary_samples(shrunk, HAUSDORFF_SAMPLES))
     if dh >= delta:
         raise DegenerateApproximationError(
             f"inner approximation violates the Hausdorff bound: {dh:.4g} >= {delta}")
@@ -480,91 +480,8 @@ def smooth_inner_approximation(region: GridRegion, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# Rays and projections
+# Projections
 # ---------------------------------------------------------------------------
-
-def _sphere_exit_t(x: np.ndarray, u: np.ndarray, center: np.ndarray, radius: float) -> float:
-    """Positive t with |x + t u - center| = radius, for x inside the sphere."""
-    p = x - center
-    b = float(p @ u)
-    c = float(p @ p) - radius * radius
-    disc = b * b - c
-    if disc < 0.0:
-        return np.inf
-    return -b + np.sqrt(disc)
-
-
-def _sphere_entry_t(x: np.ndarray, u: np.ndarray, center: np.ndarray, radius: float) -> float:
-    """Smallest positive t with |x + t u - center| = radius, inf if the ray misses."""
-    p = x - center
-    b = float(p @ u)
-    c = float(p @ p) - radius * radius
-    disc = b * b - c
-    if disc < 0.0:
-        return np.inf
-    root = np.sqrt(disc)
-    t1 = -b - root
-    t2 = -b + root
-    if t1 > 1e-14:
-        return t1
-    if t2 > 1e-14:
-        return t2
-    return np.inf
-
-
-def ray_exit(dom: Domain, x, direction) -> tuple[float, np.ndarray]:
-    """First boundary hit (t, point) of the ray x + t*direction, t > 0, from inside dom."""
-    d = domain_dim(dom)
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(direction, dtype=float)
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
-        raise GeometryError("ray direction must be nonzero")
-    u = u / nu
-    if signed_distance(dom, x) >= 0.0:
-        raise GeometryError("ray origin must lie inside the domain")
-    if isinstance(dom, Ball):
-        t = _sphere_exit_t(x, u, np.asarray(dom.center), dom.radius)
-    elif isinstance(dom, FullBall):
-        t = _sphere_exit_t(x, u, np.zeros(d), 1.0)
-    elif isinstance(dom, Annulus):
-        c = np.asarray(dom.center)
-        t = min(_sphere_exit_t(x, u, c, dom.outer), _sphere_entry_t(x, u, c, dom.inner))
-    elif isinstance(dom, Cap):
-        v = np.asarray(dom.direction)
-        t_sphere = _sphere_exit_t(x, u, np.zeros(d), 1.0)
-        uv = float(u @ v)
-        t_plane = (dom.threshold - float(x @ v)) / uv if uv < 0.0 else np.inf
-        t = min(t_sphere, t_plane)
-    elif isinstance(dom, GridRegion):
-        t = _ray_exit_grid(dom, x, u)
-    else:
-        raise GeometryError(f"unknown domain descriptor {dom!r}")
-    if not np.isfinite(t):
-        raise GeometryError("ray does not leave the domain")
-    return float(t), x + t * u
-
-
-def _ray_exit_grid(region: GridRegion, x: np.ndarray, u: np.ndarray) -> float:
-    step = 0.45 * region.spacing
-    t = 0.0
-    phi_prev = signed_distance(region, x)
-    limit = 4.0  # ray cannot travel further inside the unit ball
-    while t < limit:
-        t_next = t + max(step, -0.5 * phi_prev)
-        phi_next = signed_distance(region, x + t_next * u)
-        if phi_next >= 0.0:
-            lo, hi = t, t_next
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if signed_distance(region, x + mid * u) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return hi
-        t, phi_prev = t_next, phi_next
-    return np.inf
-
 
 def project_to_boundary_batch(dom: Domain, pts: np.ndarray) -> np.ndarray:
     """Nearest boundary point of dom for each of a batch of points (lands walk exits)."""

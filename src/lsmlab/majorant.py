@@ -10,7 +10,6 @@ value mismatches at the interfaces down the tree.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -19,10 +18,14 @@ import numpy as np
 from . import rng as rngmod
 from .gain import GainField
 from .geometry import (Annulus, Ball, Cap, Domain, FullBall, boundary_samples, domain_dim,
-                       ray_exit, signed_distance)
+                       signed_distance)
 from .harmonic import INF, BoundaryData, constant_data, radial_annulus_harmonic
 
 GEOM_TOL = 1e-9
+MATCHING_SAMPLES = 64     # interface samples at a tree's root; halved per level, at least 8
+GAIN_TOL = 1e-9           # slack of majorises_gain's verdict
+REGULARISE_SAMPLES = 256  # continuous_regularisation: interface samples per node, and gain probes
+TREE_SAMPLES = 8          # attachment points per node in the tree JSON
 
 
 class MajorantError(ValueError):
@@ -31,10 +34,6 @@ class MajorantError(ValueError):
 
 class ContiguityError(MajorantError):
     """An extension map returned a majorant that does not contain its query point."""
-
-
-class ExtensionInfeasibleError(MajorantError):
-    """Lipschitz extension preconditions do not hold at the requested point."""
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +53,6 @@ class HarmonicPatch:
     data: BoundaryData
     gstar: float
     klass: str
-    lipschitz_bound: float
     raw_value: Callable[[np.ndarray], np.ndarray]
     shift: float = 0.0
     label: str = "patch"
@@ -104,7 +102,6 @@ def constant_patch(level: float, gstar: float, dim: int = 2, label: str | None =
         data=constant_data(level),
         gstar=gstar,
         klass="H1",  # no free boundary inside the ball
-        lipschitz_bound=0.0,
         raw_value=lambda pts: np.full(pts.shape[0], float(level)),
         label=label or f"const[{level:.4g}]",
     )
@@ -127,19 +124,12 @@ def annulus_patch(a: float, b: float, va: float, vb: float, gstar: float, dim: i
         r = np.linalg.norm(pts, axis=1)
         return np.where(np.abs(r - a) < np.abs(r - b), va, vb)
 
-    # |grad| peaks at the inner sphere.
-    if dim == 2:
-        lip = abs(vb - va) / (math.log(b / a) * a)
-    else:
-        p = 2.0 - dim
-        lip = abs(vb - va) * abs(p) * a ** (p - 1.0) / abs(b ** p - a ** p)
     interior_gstar = (abs(va - gstar) < 1e-12) and (b >= 1.0 - 1e-12 or abs(vb - gstar) < 1e-12)
     return HarmonicPatch(
         domain=dom,
         data=BoundaryData(evaluator=data_eval, gstar_on_interior=interior_gstar),
         gstar=gstar,
         klass="H1" if interior_gstar else "H0",
-        lipschitz_bound=lip,
         raw_value=raw,
         label=label or f"annulus[{a:.4g},{b:.4g}]",
     )
@@ -150,35 +140,32 @@ def annulus_to_boundary_patch(a: float, gstar: float, dim: int = 2) -> HarmonicP
     return annulus_patch(a, 1.0, gstar, 0.0, gstar, dim=dim, label=f"annulus[{a:.4g},1]*")
 
 
-def cap_patch(direction, z: float, gstar: float, c: float = 1.0,
-              label: str | None = None) -> HarmonicPatch:
-    """Affine harmonic (c - u.v)/z on its natural domain {value < gstar}."""
+def cap_patch(direction, z: float, gstar: float, label: str | None = None) -> HarmonicPatch:
+    """Affine harmonic (1 - u.v)/z on its natural domain {value < gstar}."""
     v = np.asarray(direction, dtype=float)
-    threshold = c - z * gstar
+    threshold = 1.0 - z * gstar
     if not -1.0 < threshold < 1.0:
         raise MajorantError("cap parameters leave no domain inside the ball")
     dom = Cap(direction=tuple(v), threshold=threshold)
 
     def raw(pts: np.ndarray) -> np.ndarray:
-        return (c - pts @ v) / z
+        return (1.0 - pts @ v) / z
 
     def data_eval(pts: np.ndarray) -> np.ndarray:
-        return np.clip((c - pts @ v) / z, 0.0, gstar)
+        return np.clip((1.0 - pts @ v) / z, 0.0, gstar)
 
     return HarmonicPatch(
         domain=dom,
         data=BoundaryData(evaluator=data_eval, gstar_on_interior=True),
         gstar=gstar,
         klass="H1",  # the flat boundary portion sits exactly at the gstar level set
-        lipschitz_bound=1.0 / z,
         raw_value=raw,
         label=label or f"cap[z={z:.4g}]",
     )
 
 
 def grid_patch(domain: Domain, data: BoundaryData, gstar: float,
-               harmonic: Callable[[np.ndarray], np.ndarray], lipschitz_bound: float,
-               label: str = "grid") -> HarmonicPatch:
+               harmonic: Callable[[np.ndarray], np.ndarray], label: str = "grid") -> HarmonicPatch:
     """Patch on any domain whose raw value is ``harmonic``, the caller's
     harmonic extension of ``data`` into it (a grid table solved on the nodes
     inside the domain and read by interpolation, say).  The domain is kept as
@@ -188,7 +175,6 @@ def grid_patch(domain: Domain, data: BoundaryData, gstar: float,
         data=data,
         gstar=gstar,
         klass="H1" if data.gstar_on_interior else "H0",
-        lipschitz_bound=lipschitz_bound,
         raw_value=harmonic,
         label=label,
     )
@@ -301,7 +287,7 @@ def interior_boundary_samples(h: BranchedMajorant, count: int) -> np.ndarray:
     return pts
 
 
-def matching_error(h: BranchedMajorant, samples_per_level: int = 64) -> tuple[float, float]:
+def matching_error(h: BranchedMajorant) -> tuple[float, float]:
     """(sup interface mismatch, accumulated norm) measured on boundary samples.
 
     Exactly (0, 0) for depth-1 majorants.
@@ -332,7 +318,7 @@ def matching_error(h: BranchedMajorant, samples_per_level: int = 64) -> tuple[fl
         memo[node] = (delta, delta + worst_child)
         return memo[node]
 
-    return rec(h, samples_per_level)
+    return rec(h, MATCHING_SAMPLES)
 
 
 def upward_translate(h: BranchedMajorant, c: float) -> BranchedMajorant:
@@ -354,8 +340,7 @@ def upward_translate(h: BranchedMajorant, c: float) -> BranchedMajorant:
 
 
 def majorises_gain(h: BranchedMajorant | HarmonicPatch, gain: GainField, probes: int = 512,
-                   seed: int = 7, tol: float = 1e-9,
-                   _depth_budget: int = 3) -> tuple[bool, float]:
+                   seed: int = 7, _depth_budget: int = 3) -> tuple[bool, float]:
     """Check h >= gain on domain probes, recursing into sampled children.
 
     Returns (ok, worst signed gap); a negative gap is the deepest violation found.
@@ -374,10 +359,10 @@ def majorises_gain(h: BranchedMajorant | HarmonicPatch, gain: GainField, probes:
         for p in interior_boundary_samples(h, 16):
             child = h.extension(p)
             _, child_worst = majorises_gain(child, gain, probes=max(probes // 4, 32),
-                                            seed=seed + 1, tol=tol,
+                                            seed=seed + 1,
                                             _depth_budget=_depth_budget - 1)
             worst = min(worst, child_worst)
-    return worst >= -tol, worst
+    return worst >= -GAIN_TOL, worst
 
 
 def _domain_probes(dom: Domain, count: int, gen: np.random.Generator, d: int) -> np.ndarray:
@@ -400,8 +385,8 @@ def _domain_probes(dom: Domain, count: int, gen: np.random.Generator, d: int) ->
 # Continuous regularisation
 # ---------------------------------------------------------------------------
 
-def continuous_regularisation(h: BranchedMajorant, gain: GainField | None = None,
-                              samples: int = 256) -> BranchedMajorant:
+def continuous_regularisation(h: BranchedMajorant,
+                              gain: GainField | None = None) -> BranchedMajorant:
     """Upward-translate the patches of h so interface mismatches vanish.
 
     The base is lifted by the measured sup mismatch against regularised
@@ -410,7 +395,7 @@ def continuous_regularisation(h: BranchedMajorant, gain: GainField | None = None
     h + |h| and has (sampled) zero matching error.
     """
     if gain is not None:
-        ok, worst = majorises_gain(h, gain, probes=min(samples, 256))
+        ok, worst = majorises_gain(h, gain, probes=REGULARISE_SAMPLES)
         if not ok:
             raise MajorantError(f"regularisation requires h >= gain (worst gap {worst:.3g})")
     memo: dict[BranchedMajorant, BranchedMajorant] = {}   # keyed on nodes, as in matching_error
@@ -421,7 +406,7 @@ def continuous_regularisation(h: BranchedMajorant, gain: GainField | None = None
         if node.extension is None:
             memo[node] = node
             return node
-        pts = interior_boundary_samples(node, samples)
+        pts = interior_boundary_samples(node, REGULARISE_SAMPLES)
         old_ext = node.extension
         if pts.shape[0] == 0:
             delta0 = 0.0
@@ -449,101 +434,10 @@ def continuous_regularisation(h: BranchedMajorant, gain: GainField | None = None
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz extension along half-lines
-# ---------------------------------------------------------------------------
-
-def ray_patch_sequence(h: BranchedMajorant, x: np.ndarray, u: np.ndarray,
-                       gstar: float) -> BranchedMajorant:
-    """Walk the extension structure along the segment from x to u.
-
-    Deterministic version of the pathwise extension procedure: whenever the
-    half-line exits the current patch domain through an interior boundary
-    point, the extension map supplies the successor; stops as soon as the
-    current domain contains u.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    direction = u - x
-    dist = float(np.linalg.norm(direction))
-    if dist == 0.0:
-        return h
-    direction = direction / dist
-    current = h
-    pos = x
-    for _ in range(64):
-        if float(signed_distance(current.base.domain, u)) < -GEOM_TOL:
-            return current
-        t, exit_pt = ray_exit(current.base.domain, pos, direction)
-        value = float(current.base.boundary_value(exit_pt))
-        if value >= gstar * (1.0 - 1e-9) or np.linalg.norm(exit_pt) >= 1.0 - 1e-9:
-            raise ExtensionInfeasibleError(
-                "half-line reached a terminal boundary before covering the target")
-        if current.extension is None:
-            raise ExtensionInfeasibleError("ran out of branching depth along the half-line")
-        nxt = current.extension(exit_pt)
-        if not np.isfinite(float(nxt.value(exit_pt))):
-            raise ContiguityError(f"successor patch does not contain {exit_pt}")
-        current = nxt
-        pos = exit_pt + direction * GEOM_TOL
-    raise ExtensionInfeasibleError("half-line walk did not stabilise")
-
-
-def tree_lipschitz_bound(h: BranchedMajorant, samples: int = 16) -> float:
-    """Max patch Lipschitz bound over the (sampled) tree."""
-    bound = h.base.lipschitz_bound
-    if h.extension is not None:
-        for p in interior_boundary_samples(h, samples):
-            bound = max(bound, tree_lipschitz_bound(h.extension(p), max(samples // 2, 4)))
-    return bound
-
-
-def lipschitz_extension(h: BranchedMajorant, x, eps: float, eps1: float,
-                        gain: GainField, check_norm: bool = True) -> ExtensionMap:
-    """Extension map on the ball B(x, eps1), built along half-lines from x.
-
-    Preconditions: x in the open base domain, h(x) < g*, measured |h| < eps,
-    eps < g* - h(x), and eps1 < min(dist(x, unit sphere), (g* - h(x) - eps)/M).
-    """
-    x = np.asarray(x, dtype=float)
-    gstar = h.base.gstar
-    hx = float(h.value(x))
-    if float(signed_distance(h.base.domain, x)) >= 0.0:
-        raise ExtensionInfeasibleError("x must lie in the open base domain")
-    if not hx < gstar:
-        raise ExtensionInfeasibleError("h(x) must sit strictly below gstar")
-    if check_norm:
-        _, norm = matching_error(h)
-        if not norm < eps:
-            raise ExtensionInfeasibleError(f"matching norm {norm:.3g} is not below eps={eps}")
-    if not eps < gstar - hx:
-        raise ExtensionInfeasibleError("eps must be smaller than gstar - h(x)")
-    m = tree_lipschitz_bound(h)
-    limit = min(1.0 - float(np.linalg.norm(x)), (gstar - hx - eps) / m if m > 0 else np.inf)
-    if not eps1 < limit:
-        raise ExtensionInfeasibleError(
-            f"eps1={eps1} is not below min(dist to sphere, (gstar-h(x)-eps)/M)={limit:.4g}")
-
-    def query(u: np.ndarray) -> BranchedMajorant:
-        u = np.asarray(u, dtype=float)
-        if np.linalg.norm(u - x) > eps1 + GEOM_TOL:
-            raise ExtensionInfeasibleError("query point outside the extension ball")
-        if np.allclose(u, x, atol=1e-15):
-            return h
-        if h.extension is None:
-            # Unbranched case: the whole ball B(x, eps1) sits inside d(h).
-            if float(signed_distance(h.base.domain, u)) >= GEOM_TOL:
-                raise ContiguityError("unbranched patch does not cover the extension ball")
-            return h
-        return ray_patch_sequence(h, x, u, gstar)
-
-    return ExtensionMap(query=query)
-
-
-# ---------------------------------------------------------------------------
 # Tree serialisation
 # ---------------------------------------------------------------------------
 
-def tree_json(h: BranchedMajorant, samples: int = 8) -> dict:
+def tree_json(h: BranchedMajorant) -> dict:
     """Nodes and attachment edges of the (sampled) majorant tree."""
     nodes: list[dict] = []
     edges: list[dict] = []
@@ -558,7 +452,7 @@ def tree_json(h: BranchedMajorant, samples: int = 8) -> dict:
             "error_bound": node.error_bound,
         })
         if node.extension is not None:
-            for p in interior_boundary_samples(node, samples):
+            for p in interior_boundary_samples(node, TREE_SAMPLES):
                 child = node.extension(p)
                 cid = rec(child)
                 edges.append({"parent": nid, "child": cid,
@@ -569,6 +463,6 @@ def tree_json(h: BranchedMajorant, samples: int = 8) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
-def dump_tree_json(h: BranchedMajorant, path, samples: int = 8) -> None:
+def dump_tree_json(h: BranchedMajorant, path) -> None:
     with open(path, "w") as fh:
-        json.dump(tree_json(h, samples=samples), fh, indent=2, sort_keys=True)
+        json.dump(tree_json(h), fh, indent=2, sort_keys=True)

@@ -28,6 +28,7 @@ from .grids import (DiscStencil, RedBlackSOR, scale_coordinate, upper_concave_hu
 
 MAX_SWEEPS = 300_000   # PSOR sweep budget
 CHECK_EVERY = 50       # sweeps between complementarity residual checks
+ANCHOR_GAP = 50.0      # scale-coordinate distance of the radial hull's far-left anchor
 
 
 class OracleError(ValueError):
@@ -71,8 +72,7 @@ class RadialProfile:
 # Radial concave-majorant oracle
 # ---------------------------------------------------------------------------
 
-def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray,
-                        anchor_gap: float = 50.0) -> RadialProfile:
+def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray) -> RadialProfile:
     """Value function of the radial problem via the smallest concave majorant.
 
     Works in the scale coordinate, where radial harmonic functions are affine.
@@ -94,11 +94,11 @@ def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray,
 
     peak = float(prof.max())
     if d == 2:
-        s_anchor = s[0] - anchor_gap
+        s_anchor = s[0] - ANCHOR_GAP
     else:
         # In d >= 3 the scale coordinate is bounded below by -inf as well
         # (s = -r**(2-d) -> -inf as r -> 0), so a plain gap works the same way.
-        s_anchor = s[0] - anchor_gap * max(1.0, abs(s[0]))
+        s_anchor = s[0] - ANCHOR_GAP * max(1.0, abs(s[0]))
     xs = np.concatenate([[s_anchor], s])
     ys = np.concatenate([[peak], prof])
     hx, hy = upper_concave_hull(xs, ys)

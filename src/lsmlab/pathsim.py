@@ -392,10 +392,13 @@ class OptimalityReport:
         return all(row["truncation_ok"] for row in self.rows)
 
 
+SIGMAS = 3.0   # standard errors of slack in each optimality comparison
+
+
 def optimality_test(x, contact_rule: ContactHit, rivals: list, gain: GainField,
-                    n_paths: int, cfg: PathConfig, sigmas: float = 3.0) -> OptimalityReport:
+                    n_paths: int, cfg: PathConfig) -> OptimalityReport:
     """Check the contact-hit rule dominates each rival, and that truncating a
-    rival at the contact hit never hurts, all within the given sigma band."""
+    rival at the contact hit never hurts, all within ``SIGMAS`` standard errors."""
     x = np.asarray(x, dtype=float)
     base_mean, base_sem = payoff_estimate(x, contact_rule, gain, n_paths, cfg, stream_key=1000)
     rows = []
@@ -405,8 +408,8 @@ def optimality_test(x, contact_rule: ContactHit, rivals: list, gain: GainField,
         t_mean, t_sem = payoff_estimate(x, truncated, gain, n_paths, cfg, stream_key=3000 + k)
         # The 1e-12 floor keeps degenerate (deterministic) comparisons from
         # failing on machine-epsilon noise.
-        dominated = base_mean >= r_mean - sigmas * math.hypot(base_sem, r_sem) - 1e-12
-        trunc_ok = t_mean >= r_mean - sigmas * math.hypot(t_sem, r_sem) - 1e-12
+        dominated = base_mean >= r_mean - SIGMAS * math.hypot(base_sem, r_sem) - 1e-12
+        trunc_ok = t_mean >= r_mean - SIGMAS * math.hypot(t_sem, r_sem) - 1e-12
         rows.append({
             "rival": _describe(rival),
             "mean": r_mean, "stderr": r_sem,

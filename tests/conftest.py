@@ -129,12 +129,8 @@ def rasterize(dom, n: int = 512) -> GridRegion:
 
 
 def constant_disc_patch(radius: float, level: float, gstar: float):
-    """The patch on Ball(0, radius) with constant data ``level`` below ``gstar``.
-
-    Its harmonic extension is the constant, its class H0 and its Lipschitz
-    bound d * (osc + 1e-12) / radius with d = 2 and osc = 0, the bound a
-    gradient estimate of bounded harmonic functions gives constant data.
-    """
+    """The patch on Ball(0, radius) with constant data ``level`` below ``gstar``:
+    its harmonic extension is the constant, and its class is H0."""
     return grid_patch(Ball((0.0, 0.0), radius), constant_data(level), gstar,
-                      lambda pts: np.full(pts.shape[0], float(level)), 2e-12 / radius,
+                      lambda pts: np.full(pts.shape[0], float(level)),
                       label=f"ball[r={radius:.4g}]")

@@ -260,7 +260,7 @@ class TestAC7Regularisation:
         worst_norm = 0.0
         for k, tree in enumerate(fixtures):
             _, norm = matching_error(tree)
-            reg = continuous_regularisation(tree, samples=256)
+            reg = continuous_regularisation(tree)
             _, norm0 = matching_error(reg)
             worst_norm = max(worst_norm, norm0)
             assert norm0 <= 1e-9, f"fixture {k}: regularised norm {norm0}"
@@ -293,7 +293,7 @@ class TestAC8Geometry:
         results = []
         for name, region in shapes.items():
             for delta in (0.05, 0.02):
-                out = smooth_inner_approximation(region, delta, check_samples=512)
+                out = smooth_inner_approximation(region, delta)
                 dh = hausdorff_distance(boundary_samples(region, 512),
                                         boundary_samples(out, 512))
                 assert dh < delta, f"{name} at delta={delta}: {dh}"

@@ -11,7 +11,7 @@ from scipy import ndimage
 
 import lsmlab as L
 from lsmlab import envelope
-from lsmlab.cli import main
+from lsmlab.cli import load_config, main, parse_config
 from lsmlab.envelope import (ContactSet, ConvergenceError, NoWitnessError, balayage_step,
                              build_branched_witness, cartesian_field, contact_set,
                              envelope_step, gain_on_grid, iterate_envelopes, radial_field,
@@ -68,6 +68,20 @@ class TestAnnulusRule:
             patch = annulus_to_boundary_patch(run.annulus_inner, g.gstar)
             r = fine[fine >= run.annulus_inner]
             assert np.all(patch.value(np.outer(r, [1.0, 0.0])) >= g.profile(r))
+
+    @pytest.mark.parametrize("dim, want", [(2, "0x1.a9269e2c06648p+3"),
+                                           (3, "0x1.4a6f57b65f89cp+3")])
+    def test_class_lipschitz_is_the_annulus_gradient_on_its_inner_sphere(self, dim, want):
+        # The spiked-ball preset's radial run in d = 2, and a d = 3 spike: in
+        # both the annulus family is present and its bound exceeds the caps'.
+        if dim == 2:
+            cfg = parse_config(load_config("spiked-ball"))
+            gain, radii = cfg.gain, cfg.grid.radii()
+        else:
+            gain, radii = L.mollify(L.spiked_gain(0.05, dim=3), 0.01), L.radial_grid(512, 5e-3)
+        run = unbranched_envelope(gain, radii)
+        assert run.annulus_inner is not None and run.class_lipschitz > np.max(1.0 / run.slopes)
+        assert run.class_lipschitz.hex() == want
 
 
 class TestContactSet:

@@ -1,4 +1,4 @@
-"""Geometry: signed distances, Hausdorff, smooth inner approximation, rays."""
+"""Geometry: signed distances, Hausdorff, smooth inner approximation, projections."""
 
 import numpy as np
 import numpy.testing as npt
@@ -12,8 +12,7 @@ from lsmlab import geometry
 from lsmlab.geometry import (Annulus, Ball, Cap, DegenerateApproximationError, FullBall,
                              GeometryError, GridRegion, Intersection, boundary_samples,
                              hausdorff_distance, inradius, project_to_boundary_batch,
-                             ray_exit, save_mask_csv, signed_distance,
-                             smooth_inner_approximation)
+                             save_mask_csv, signed_distance, smooth_inner_approximation)
 from lsmlab.grids import cartesian_grid
 
 
@@ -309,27 +308,6 @@ class TestSmoothInnerApproximation:
 
 
 class TestRaysAndProjection:
-    def test_ray_exit_ball(self):
-        t, pt = ray_exit(Ball((0.0, 0.0), 0.5), np.array([0.1, 0.0]), np.array([1.0, 0.0]))
-        assert t == pytest.approx(0.4)
-        npt.assert_allclose(pt, [0.5, 0.0], atol=1e-12)
-
-    def test_ray_exit_annulus_inner(self):
-        t, pt = ray_exit(Annulus((0.0, 0.0), 0.2, 0.8), np.array([0.5, 0.0]),
-                         np.array([-1.0, 0.0]))
-        assert t == pytest.approx(0.3)
-        npt.assert_allclose(pt, [0.2, 0.0], atol=1e-12)
-
-    def test_ray_exit_cap_plane(self):
-        cap = Cap((1.0, 0.0), 0.3)
-        t, pt = ray_exit(cap, np.array([0.6, 0.0]), np.array([-1.0, 0.0]))
-        assert pt[0] == pytest.approx(0.3)
-
-    def test_ray_exit_grid_region(self):
-        region = rasterize(Ball((0.0, 0.0), 0.5), n=512)
-        t, pt = ray_exit(region, np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.linalg.norm(pt) == pytest.approx(0.5, abs=0.01)
-
     def test_projection_variants(self):
         cases = [
             (Ball((0.0, 0.0), 0.5), np.array([0.3, 0.0]), [0.5, 0.0]),

@@ -1,5 +1,5 @@
 """Harmonic patches and branched majorants: values, matching error,
-translation, regularisation, Lipschitz extension, gain domination."""
+translation, regularisation, gain domination, tree structure."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from conftest import constant_disc_patch
 from lsmlab.gain import mollify, spiked_gain
 from lsmlab.geometry import signed_distance
 from lsmlab.harmonic import INF
-from lsmlab.majorant import (BranchedMajorant, ContiguityError, ExtensionInfeasibleError,
-                             MajorantError, annulus_patch, annulus_to_boundary_patch,
-                             branched, cap_patch, constant_patch,
+from lsmlab.majorant import (BranchedMajorant, ContiguityError, MajorantError, annulus_patch,
+                             annulus_to_boundary_patch, branched, cap_patch, constant_patch,
                              continuous_regularisation, interior_boundary_samples, leaf,
-                             lipschitz_extension, majorises_gain, matching_error,
-                             tree_json, upward_translate)
+                             majorises_gain, matching_error, tree_json, upward_translate)
 
 GSTAR = 1.25
 
@@ -182,46 +180,6 @@ class TestMajorisesGain:
         assert ok, f"worst gap {worst}"
 
 
-class TestLipschitzExtension:
-    def test_query_at_center_returns_h(self, gain):
-        tree = leaf(annulus_to_boundary_patch(0.05, GSTAR))
-        x = np.array([0.4, 0.0])
-        ext = lipschitz_extension(tree, x, eps=0.3, eps1=0.05, gain=gain)
-        assert ext(x) is tree
-
-    def test_depth_one_whole_ball(self, gain):
-        tree = leaf(annulus_to_boundary_patch(0.05, GSTAR))
-        x = np.array([0.4, 0.0])
-        ext = lipschitz_extension(tree, x, eps=0.3, eps1=0.05, gain=gain)
-        for u in ([0.42, 0.03], [0.37, -0.02]):
-            assert ext(np.array(u)) is tree
-
-    def test_two_patch_ray_walk(self, gain):
-        base = annulus_patch(0.15, 0.6, 1.0, 0.35, GSTAR)
-        kid = leaf(annulus_to_boundary_patch(0.05, GSTAR))
-        tree = branched(base, lambda u: kid, depth=2, error_bound=1.0)
-        x = np.array([0.58, 0.0])
-        ext = lipschitz_extension(tree, x, eps=0.3, eps1=0.028, gain=gain)
-        inside = ext(np.array([0.59, 0.0]))
-        assert inside.base.label.startswith("annulus[0.15")
-        beyond = ext(np.array([0.605, 0.0]))
-        assert beyond is kid
-        # Value control at the queried point: within M*eps1 + eps of h(x).
-        hval = tree.value(x)
-        for u in ([0.605, 0.0], [0.59, 0.02]):
-            ku = ext(np.array(u))
-            m = max(base.lipschitz_bound, kid.base.lipschitz_bound)
-            assert abs(ku.value(np.array(u)) - hval) < m * 0.028 + 0.3
-
-    def test_infeasible_preconditions(self, gain):
-        tree = leaf(annulus_to_boundary_patch(0.05, GSTAR))
-        x = np.array([0.4, 0.0])
-        with pytest.raises(ExtensionInfeasibleError):
-            lipschitz_extension(tree, x, eps=2.0, eps1=0.05, gain=gain)
-        with pytest.raises(ExtensionInfeasibleError):
-            lipschitz_extension(tree, x, eps=0.3, eps1=0.9, gain=gain)
-
-
 class TestTreeStructure:
     def test_depth_one_invariants(self):
         with pytest.raises(MajorantError):
@@ -230,7 +188,7 @@ class TestTreeStructure:
 
     def test_json_dump(self):
         tree = two_level_tree()
-        payload = tree_json(tree, samples=4)
+        payload = tree_json(tree)
         assert payload["nodes"][0]["depth"] == 2
         assert len(payload["edges"]) >= 1
         for edge in payload["edges"]:

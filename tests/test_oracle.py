@@ -100,7 +100,7 @@ class TestRadialOracle:
         xs = np.concatenate([[s[0] - 50.0], s])
         ys = np.concatenate([[prof.max()], prof])
         expect = np.maximum(highest_chords(xs, ys)[1:], prof)
-        got = radial_value_oracle(gain, 2, radii, anchor_gap=50.0).values
+        got = radial_value_oracle(gain, 2, radii).values
         assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_rejects_nonradial(self, cap_gain, radii):
