@@ -34,7 +34,7 @@ from .envelope import (ConvergenceError, EnvelopeError, NoWitnessError, balayage
 from .gain import ConfigError, GainError, GainField, config_number, config_point, gain_from_config
 from .geometry import GridRegion, save_mask_csv
 from .grids import radial_grid, write_csv
-from .harmonic import NonTerminationError
+from .harmonic import NonTerminationError, mc_estimate
 from .majorant import MajorantError, dump_tree_json, matching_error
 from .oracle import (OracleConvergenceError, cross_validate, psor_obstacle_solve,
                      radial_value_oracle)
@@ -371,9 +371,7 @@ def cmd_paths(cfg: Config, out: Path) -> int:
         finals[rows], terms = run_algorithm1_batch(witness, probe, rows.stop - rows.start,
                                                    pcfg, stream_key=k)
         tally.update(terms)
-    payoffs = gain(finals)
-    mean = float(np.mean(payoffs))
-    sem = float(np.std(payoffs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    mean, sem = mc_estimate(gain(finals))
     delta, norm = matching_error(witness)
     bound = float(witness.value(probe)) + max(norm, witness.error_bound)
     report = {
@@ -416,10 +414,9 @@ def cmd_selftest() -> int:
     check("exact disc exits match Poisson within 4 sigma", abs(mean - 0.3) <= 4 * sem + 1e-9)
 
     lens = Intersection((Ball((0.0, 0.0), 0.8), Ball((0.4, 0.3), 0.6)))
-    exits = wos_exit_batch(lens, np.array([0.3, 0.2]), stream(1, 0), n=20_000)
-    sem = float(exits[:, 0].std() / np.sqrt(len(exits)))
-    check("walk-on-spheres exit mean on a lens within 4 sigma",
-          abs(float(exits[:, 0].mean()) - 0.3) <= 4 * sem)
+    mean, sem = mc_estimate(wos_exit_batch(lens, np.array([0.3, 0.2]), stream(1, 0),
+                                           n=20_000)[:, 0])
+    check("walk-on-spheres exit mean on a lens within 4 sigma", abs(mean - 0.3) <= 4 * sem)
 
     xs = np.linspace(-3.0, 0.0, 200)
     ys = np.sin(xs) + 1.0

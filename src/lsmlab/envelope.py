@@ -1,5 +1,10 @@
 """Envelopes over patch dictionaries and iterated balayage on non-contact sets.
 
+A field is a ``RadialProfile`` (values on radii ending at the unit sphere,
+affine in the scale coordinate between nodes: ``w1``, each level, each
+balayage and the radial oracle's value function) or a Cartesian
+``GridField``; neither derives from the other, and ``Field`` names either.
+
 The unbranched envelope scans a parametric dictionary of globally majorising
 patches (constants, boundary-tangent caps, annulus-to-boundary patches) and is
 an upper bound on the true infimum.  One scan serves radial and Cartesian
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -73,22 +78,74 @@ class NoWitnessError(EnvelopeError):
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class GridField:
-    """Scalar field on a radial or 2-d Cartesian grid.
+class RadialProfile:
+    """Radial field: values on an increasing radius grid ending at the unit
+    sphere, affine in the scale coordinate between nodes.
 
-    A Cartesian field builds the cut-cell disc stencil of its grid on first
-    use of ``stencil``; ``copy_with`` hands it on, so the levels of a
-    refinement share one operator.
+    ``scale`` is the nodes' scale coordinate, computed once per grid;
+    ``copy_with`` hands it on, so the levels of a refinement share it.
     """
 
-    kind: str
+    kind: ClassVar[str] = "radial"
+    radii: np.ndarray
     values: np.ndarray
     tag: str
     dim: int = 2
-    radii: Optional[np.ndarray] = None
-    spacing: Optional[float] = None
-    coords: Optional[np.ndarray] = None
-    inside: Optional[np.ndarray] = None
+    scale: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.radii = np.asarray(self.radii, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        if np.any(np.diff(self.radii) <= 0.0):
+            raise EnvelopeError("radii must be strictly increasing")
+        if abs(self.radii[-1] - 1.0) > 1e-12:
+            raise EnvelopeError("last radius must be 1")
+        if not np.all(np.isfinite(self.values)):
+            raise EnvelopeError("field values must be finite")
+        if self.scale is None:
+            self.scale = scale_coordinate(self.radii, self.dim)
+
+    def copy_with(self, values: np.ndarray, tag: str) -> "RadialProfile":
+        return replace(self, values=values, tag=tag)
+
+    def interpolate(self, r) -> float | np.ndarray:
+        """Field value at radii of any shape, constant beyond the first and last node."""
+        r = np.asarray(r, dtype=float)
+        s = scale_coordinate(np.clip(r, self.radii[0], self.radii[-1]), self.dim)
+        out = np.interp(s, self.scale, self.values)
+        return float(out) if r.ndim == 0 else out
+
+    def nearest_node(self, points) -> tuple:
+        """Index of the node nearest in radius to each point, given one per row or
+        alone, as a tuple that indexes ``values``; a tie takes the lower node."""
+        pts = np.asarray(points, dtype=float)
+        r = np.linalg.norm(np.atleast_2d(pts), axis=1)
+        hi = np.clip(np.searchsorted(self.radii, r), 1, len(self.radii) - 1)
+        lower = np.abs(self.radii[hi - 1] - r) <= np.abs(self.radii[hi] - r)
+        node = np.where(lower, hi - 1, hi)
+        return (int(node[0]),) if pts.ndim == 1 else (node,)
+
+    def to_csv(self, path) -> None:
+        write_csv(path, "r in unit-ball lengths, value in payoff units", ["r", "value"],
+                  self.radii, self.values)
+
+
+@dataclass(eq=False)
+class GridField:
+    """Scalar field on a 2-d Cartesian grid whose node [i, j] is ``coords[i, j]``.
+
+    The field builds the cut-cell disc stencil of its grid on first use of
+    ``stencil``; ``copy_with`` hands it on, so the levels of a refinement
+    share one operator.
+    """
+
+    kind: ClassVar[str] = "cartesian"
+    dim: ClassVar[int] = 2
+    values: np.ndarray
+    tag: str
+    spacing: float
+    coords: np.ndarray
+    inside: np.ndarray
     _stencil: Optional[DiscStencil] = field(default=None, init=False, repr=False)
 
     def copy_with(self, values: np.ndarray, tag: str) -> "GridField":
@@ -102,24 +159,8 @@ class GridField:
             self._stencil = disc_stencil(self.coords, self.spacing, self.inside)
         return self._stencil
 
-    @property
-    def scale(self) -> np.ndarray:
-        if self.kind != "radial":
-            raise EnvelopeError("scale coordinate is for radial fields")
-        return scale_coordinate(self.radii, self.dim)
-
     def interpolate(self, x) -> float | np.ndarray:
-        """Field value at arbitrary points (linear in the scale coordinate or bilinear)."""
-        if self.kind == "radial":
-            r = np.asarray(x, dtype=float)
-            if r.ndim == 2:
-                r = np.linalg.norm(r, axis=1)
-            single = r.ndim == 0
-            r = np.atleast_1d(r)
-            r = np.clip(r, self.radii[0], self.radii[-1])
-            s = scale_coordinate(r, self.dim)
-            out = np.interp(s, self.scale, self.values)
-            return float(out[0]) if single else out
+        """Bilinear field value at one point or at points given one per row."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         single = np.asarray(x).ndim == 1
         out = bilinear(self.values, self.coords[0, 0], (self.spacing, self.spacing), pts)
@@ -129,33 +170,18 @@ class GridField:
         """Index of the node nearest each point, as a tuple that indexes ``values``.
 
         ``points`` holds one point per row, or is one point, whose index is
-        then a tuple of ints.  A radial grid measures the distance in radius,
-        and a radius halfway between two nodes takes the lower one; on a
-        Cartesian grid a coordinate halfway between two nodes takes the even
-        index.
+        then a tuple of ints.  A coordinate halfway between two nodes takes
+        the even index.
         """
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if self.kind == "radial":
-            radii = self.radii
-            r = np.linalg.norm(pts, axis=1)
-            hi = np.clip(np.searchsorted(radii, r), 1, len(radii) - 1)
-            lower = np.abs(radii[hi - 1] - r) <= np.abs(radii[hi] - r)
-            node = (np.where(lower, hi - 1, hi),)
-        else:
-            n = self.values.shape[0]
-            idx = np.clip(np.rint((pts - self.coords[0, 0]) / self.spacing), 0, n - 1).astype(int)
-            node = (idx[:, 0], idx[:, 1])
-        return tuple(int(k[0]) for k in node) if single else node
+        n = self.values.shape[0]
+        idx = np.clip(np.rint((np.atleast_2d(pts) - self.coords[0, 0]) / self.spacing),
+                      0, n - 1).astype(int)
+        return (int(idx[0, 0]), int(idx[0, 1])) if pts.ndim == 1 else (idx[:, 0], idx[:, 1])
 
     def to_csv(self, path) -> None:
-        if self.kind == "radial":
-            write_csv(path, "r in unit-ball lengths, value in payoff units", ["r", "value"],
-                      self.radii, self.values)
-        else:
-            write_csv(path, "x,y in unit-ball lengths, value in payoff units",
-                      ["x", "y", "value"], *self._axes(), self.values)
+        write_csv(path, "x,y in unit-ball lengths, value in payoff units",
+                  ["x", "y", "value"], *self._axes(), self.values)
 
     def _axes(self) -> tuple[np.ndarray, np.ndarray]:
         """The axes x, y of a Cartesian grid whose node [i, j] is (x[i], y[j]).
@@ -173,12 +199,7 @@ class GridField:
         return coords[:, 0, 0], coords[0, :, 1]
 
 
-def radial_field(radii: np.ndarray, values: np.ndarray, tag: str, dim: int = 2) -> GridField:
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise EnvelopeError("field values must be finite")
-    return GridField(kind="radial", values=values, tag=tag, dim=dim,
-                     radii=np.asarray(radii, dtype=float))
+Field = RadialProfile | GridField
 
 
 def cartesian_field(n: int, values: np.ndarray, tag: str) -> GridField:
@@ -187,8 +208,7 @@ def cartesian_field(n: int, values: np.ndarray, tag: str) -> GridField:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise EnvelopeError("field values must be finite")
-    return GridField(kind="cartesian", values=values, tag=tag, dim=2,
-                     spacing=spacing, coords=coords, inside=inside)
+    return GridField(values=values, tag=tag, spacing=spacing, coords=coords, inside=inside)
 
 
 def _gain_on_radii(gain: GainField, radii: np.ndarray) -> np.ndarray:
@@ -200,7 +220,7 @@ def _gain_on_radii(gain: GainField, radii: np.ndarray) -> np.ndarray:
     return gain.profile(radii)
 
 
-def gain_on_grid(gain: GainField, fld: GridField) -> np.ndarray:
+def gain_on_grid(gain: GainField, fld: Field) -> np.ndarray:
     if fld.kind == "radial":
         return _gain_on_radii(gain, fld.radii)
     pts = fld.coords.reshape(-1, 2)
@@ -218,7 +238,7 @@ class ContactSet:
     tol: float
 
 
-def contact_set(w: GridField, gain: GainField, tol: float = CONTACT_TOL) -> ContactSet:
+def contact_set(w: Field, gain: GainField, tol: float = CONTACT_TOL) -> ContactSet:
     """Components are nearest-neighbour connected: runs of nodes on a radial
     grid (whose inside is every node), the 4-neighbourhood on a Cartesian one."""
     gvals = gain_on_grid(gain, w)
@@ -247,7 +267,7 @@ CAP_DIRECTIONS = 256   # cap directions scanned on a Cartesian grid
 class EnvelopeRun:
     """Unbranched envelope plus the dictionary bookkeeping needed for witnesses."""
 
-    field: GridField
+    field: Field
     gain: GainField
     family: np.ndarray           # per-node best family code
     index: np.ndarray            # per-node cap direction index (0 off the caps)
@@ -344,7 +364,7 @@ def unbranched_envelope(gain: GainField, grid) -> EnvelopeRun:
         slopes = np.array([np.min((1.0 - sp_pts @ u) / sp_g) for u in directions])
         sweep = radial_grid(2048, 1e-3)
     else:
-        fld = radial_field(grid, np.zeros(len(grid)), tag="unbranched-envelope", dim=d)
+        fld = RadialProfile(grid, np.zeros(len(grid)), "unbranched-envelope", d)
         sweep = fld.radii
         gvals = _gain_on_radii(gain, sweep)
         directions = np.eye(d)[:1]
@@ -432,7 +452,7 @@ def _annulus_inner_index(gprof: np.ndarray, psi: np.ndarray, gstar: float) -> Op
 # Balayage (plain harmonic replacement) and obstacle-respecting refinement
 # ---------------------------------------------------------------------------
 
-def balayage_step(w: GridField, contact: ContactSet) -> GridField:
+def balayage_step(w: Field, contact: ContactSet) -> Field:
     """Harmonic replacement of w on each non-contact component, clipped above by w.
 
     This realises the expected gain at the first exit from the non-contact
@@ -455,7 +475,7 @@ def balayage_step(w: GridField, contact: ContactSet) -> GridField:
     return w.copy_with(out, tag="balayage")
 
 
-def envelope_step(w: GridField, contact: ContactSet, gain: GainField) -> GridField:
+def envelope_step(w: Field, contact: ContactSet, gain: GainField) -> Field:
     """Obstacle-respecting replacement on each non-contact component, min with w.
 
     Where the plain interpolant stays above the gain this is exactly the
@@ -484,7 +504,7 @@ def _runs(labels: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(np.flatnonzero(steps > 0).tolist(), (np.flatnonzero(steps < 0) - 1).tolist()))
 
 
-def _pinned_concave_majorant(w: GridField, gvals: np.ndarray, i0: int, i1: int) -> np.ndarray:
+def _pinned_concave_majorant(w: RadialProfile, gvals: np.ndarray, i0: int, i1: int) -> np.ndarray:
     """Smallest concave-in-scale majorant of the gain on the run [i0, i1] with pinned ends.
 
     Radial harmonic functions are affine in the scale coordinate, so the

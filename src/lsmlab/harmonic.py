@@ -20,6 +20,7 @@ for its step radii, stops within ``SHELL`` of the boundary or raises
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -69,11 +70,13 @@ MAX_STEPS = 10_000
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def _disc_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for the angle over [0, 2pi)."""
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [-1, 1], computed once per node count and
+    read-only, so no caller can change another caller's rule."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    theta = np.pi * (x + 1.0)
-    return theta, np.pi * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def poisson_ball_eval(center, radius: float, f: BoundaryData | Callable, x,
@@ -97,7 +100,8 @@ def poisson_ball_eval(center, radius: float, f: BoundaryData | Callable, x,
     data = f if isinstance(f, BoundaryData) else BoundaryData(evaluator=f)
 
     if d == 2:
-        theta, w = _disc_nodes(nodes)
+        x, w = _gauss_legendre(nodes)
+        theta, w = np.pi * (x + 1.0), np.pi * w  # the angle over [0, 2pi)
         ys = center[None, :] + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         fy = data(ys)
         rho2 = np.sum((pts - center) ** 2, axis=1)
@@ -108,7 +112,7 @@ def poisson_ball_eval(center, radius: float, f: BoundaryData | Callable, x,
     elif d == 3:
         n_mu = max(8, nodes // 16)
         n_az = 2 * n_mu
-        mu, w_mu = np.polynomial.legendre.leggauss(n_mu)
+        mu, w_mu = _gauss_legendre(n_mu)
         az = 2.0 * np.pi * (np.arange(n_az) + 0.5) / n_az
         w_az = 2.0 * np.pi / n_az
         sin_phi = np.sqrt(1.0 - mu ** 2)
@@ -349,7 +353,11 @@ def wos_harmonic_eval(dom: Domain, f: BoundaryData | Callable, x,
         raise HarmonicError("need at least one walk")
     data = f if isinstance(f, BoundaryData) else BoundaryData(evaluator=f)
     exits = wos_exit_batch(dom, x, generator, n=n)
-    vals = data(exits)
-    mean = float(vals.mean())
-    sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return mean, sem
+    return mc_estimate(data(exits))
+
+
+def mc_estimate(vals: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean of the values and its sample standard error, 0 for one value."""
+    n = len(vals)
+    sem = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(vals)), sem

@@ -63,10 +63,6 @@ class HarmonicPatch:
         if self.shift < 0.0:
             raise MajorantError("patch shift must be nonnegative")
 
-    @property
-    def dim(self) -> int:
-        return domain_dim(self.domain)
-
     def value(self, x) -> float | np.ndarray:
         """Patch value: min(raw + shift, gstar) on the closed domain, +inf outside."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))

@@ -4,6 +4,8 @@ Two routes to the value function that do not go through the envelope
 refinement: the classical one-dimensional reduction (smallest concave majorant
 of the whole radial profile in the scale coordinate) and a projected-SOR
 solve of the discrete obstacle complementarity system on a disc-masked grid.
+The radial oracle returns an ``envelope.RadialProfile``, the class of every
+radial field, and the PSOR solve an ``envelope.GridField``.
 
 They share the numerical primitives of ``lsmlab.grids`` with the envelope
 module: the upper concave hull, the cut-cell disc stencil and the red-black
@@ -17,14 +19,11 @@ guards the shared SOR kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .envelope import GridField, cartesian_field, gain_on_grid
+from .envelope import Field, GridField, RadialProfile, cartesian_field, gain_on_grid
 from .gain import GainField
-from .grids import (DiscStencil, RedBlackSOR, scale_coordinate, upper_concave_hull,
-                    write_csv)
+from .grids import DiscStencil, RedBlackSOR, scale_coordinate, upper_concave_hull
 
 MAX_SWEEPS = 300_000   # PSOR sweep budget
 CHECK_EVERY = 50       # sweeps between complementarity residual checks
@@ -39,33 +38,6 @@ class OracleConvergenceError(OracleError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
-
-
-@dataclass(eq=False)
-class RadialProfile:
-    """Values on an increasing radius grid ending at the unit sphere."""
-
-    radii: np.ndarray
-    values: np.ndarray
-    scale: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        if np.any(np.diff(self.radii) <= 0.0):
-            raise OracleError("radii must be strictly increasing")
-        if abs(self.radii[-1] - 1.0) > 1e-12:
-            raise OracleError("last radius must be 1")
-
-    def interpolate(self, r) -> float | np.ndarray:
-        rr = np.asarray(r, dtype=float)
-        single = rr.ndim == 0
-        rr = np.clip(np.atleast_1d(rr), self.radii[0], 1.0)
-        out = np.interp(scale_coordinate(rr, self.dim), self.scale, self.values)
-        return float(out[0]) if single else out
-
-    def to_csv(self, path) -> None:
-        write_csv(path, "r in unit-ball lengths, value in payoff units", ["r", "value"],
-                  self.radii, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +58,6 @@ def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray) -> RadialPro
     if d not in (2, 3):
         raise OracleError("radial oracle supports d = 2 and d = 3")
     radii = np.asarray(radii, dtype=float)
-    if abs(radii[-1] - 1.0) > 1e-12:
-        raise OracleError("radius grid must end at 1")
     prof = gain.profile(radii)
     prof = np.clip(prof, 0.0, None)
     s = scale_coordinate(radii, d)
@@ -104,7 +74,7 @@ def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray) -> RadialPro
     hx, hy = upper_concave_hull(xs, ys)
     vals = np.interp(s, hx, hy)
     vals = np.maximum(vals, prof)
-    return RadialProfile(radii=radii, values=vals, scale=s, dim=d)
+    return RadialProfile(radii, vals, "radial-oracle", d)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +132,7 @@ def _residual(fld: GridField, phi: np.ndarray) -> float:
 # Cross validation
 # ---------------------------------------------------------------------------
 
-def cross_validate(limit: GridField, radial: RadialProfile | None = None,
+def cross_validate(limit: Field, radial: RadialProfile | None = None,
                    psor: GridField | None = None) -> dict:
     """Sup and L2 distances between the refinement limit and each oracle.
 
@@ -179,7 +149,7 @@ def cross_validate(limit: GridField, radial: RadialProfile | None = None,
             interp_err = 0.0
         else:
             node_r = np.linalg.norm(limit.coords, axis=-1)
-            ref = radial.interpolate(np.clip(node_r, radial.radii[0], 1.0))
+            ref = radial.interpolate(node_r)
             ref = np.where(limit.inside, ref, 0.0)
             diff = (limit.values - ref)[limit.inside]
             interp_err = _interp_error(radial.values)

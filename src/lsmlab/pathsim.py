@@ -38,12 +38,12 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng as rngmod
-from .envelope import ContactSet, GridField
+from .envelope import ContactSet, Field
 from .gain import GainField
 from .geometry import (Annulus, Ball, Domain, FullBall, GridRegion, Intersection,
                        project_to_boundary_batch, signed_distance)
 from .grids import write_csv
-from .harmonic import SHELL, wos_exit_batch
+from .harmonic import SHELL, mc_estimate, wos_exit_batch
 from .majorant import BranchedMajorant, identity_frames, reflect
 
 BATCH = 4096
@@ -106,7 +106,7 @@ class ContactHit:
     """
 
     contact: ContactSet
-    grid: GridField
+    grid: Field
     region: Optional[GridRegion] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -310,10 +310,7 @@ def payoff_estimate(x, rule: StoppingRule, gain: GainField, n_paths: int,
         return float(gain(x)), 0.0
     else:
         stops = euler_exits(x, rule, n_paths, cfg, stream_key)
-    vals = gain(stops)
-    mean = float(np.mean(vals))
-    sem = float(np.std(vals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return mean, sem
+    return mc_estimate(gain(stops))
 
 
 def euler_exits(x, rule: StoppingRule, n_paths: int, cfg: PathConfig,

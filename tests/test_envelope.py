@@ -12,9 +12,9 @@ from scipy import ndimage
 import lsmlab as L
 from lsmlab import envelope
 from lsmlab.cli import load_config, main, parse_config
-from lsmlab.envelope import (ContactSet, ConvergenceError, NoWitnessError, balayage_step,
-                             build_branched_witness, cartesian_field, contact_set,
-                             envelope_step, gain_on_grid, iterate_envelopes, radial_field,
+from lsmlab.envelope import (ContactSet, ConvergenceError, NoWitnessError, RadialProfile,
+                             balayage_step, build_branched_witness, cartesian_field,
+                             contact_set, envelope_step, gain_on_grid, iterate_envelopes,
                              unbranched_envelope)
 from lsmlab.gain import GainField
 from lsmlab.majorant import (annulus_to_boundary_patch, majorises_gain, matching_error,
@@ -87,14 +87,14 @@ class TestAnnulusRule:
 class TestContactSet:
     def test_all_contact_zero_components(self, spiked, radii):
         gv = spiked.profile(radii)
-        fld = radial_field(radii, gv.copy(), tag="unbranched-envelope")
+        fld = RadialProfile(radii, gv.copy(), tag="unbranched-envelope")
         c = contact_set(fld, spiked)
         assert c.n_components == 0
         assert np.all(c.contact_mask)
 
     def test_uniform_gap_single_component(self, spiked, radii):
         gv = spiked.profile(radii)
-        fld = radial_field(radii, gv + 2e-9, tag="unbranched-envelope")
+        fld = RadialProfile(radii, gv + 2e-9, tag="unbranched-envelope")
         c = contact_set(fld, spiked, tol=1e-9)
         assert c.n_components == 1
         assert np.all(c.noncontact_mask)
@@ -113,7 +113,7 @@ class TestContactSet:
         rng = np.random.default_rng(3)
         for share in rng.uniform(0.05, 0.95, 20):
             gap = rng.random(radii.size) < share
-            c = contact_set(radial_field(radii, gv + 1e-6 * gap, tag="t"), spiked)
+            c = contact_set(RadialProfile(radii, gv + 1e-6 * gap, tag="t"), spiked)
             starts = gap & ~np.concatenate([[False], gap[:-1]])
             assert np.array_equal(c.labels, np.where(gap, np.cumsum(starts), 0))
             assert c.n_components == starts.sum()
@@ -148,7 +148,7 @@ class TestBalayage:
         vals = gv + 1e-6
         sel = (radii > 0.2) & (radii < 0.4)
         vals[sel] += 0.3
-        fld = radial_field(radii, vals, tag="unbranched-envelope")
+        fld = RadialProfile(radii, vals, tag="unbranched-envelope")
         c = contact_set(fld, spiked, tol=1e-5)
         bal = balayage_step(fld, c)
         runs = np.nonzero(sel)[0]
@@ -259,7 +259,7 @@ class TestEnvelopeStep:
         lift[n // 2] = 0.0
         gain = GainField(profile_fn=lambda r: np.interp(r, radii, g),
                          support_radius=0.99, max_gain=1.0, gstar=2.0, lipschitz=1.0)
-        w = radial_field(radii, g + lift, tag="w")
+        w = RadialProfile(radii, g + lift, tag="w")
         contact = contact_set(w, gain)
         stepped = envelope_step(w, contact, gain)
 
@@ -360,12 +360,23 @@ class TestCartesianKernel:
         assert "diverged after 1 sweeps at omega 1.9000" in str(err.value)
 
 
+def test_radial_interpolate_reads_every_array_as_radii(spiked_run, spiked_oracle):
+    """``w1`` and the radial oracle are one class, whose interpolant reads an
+    (n, 2) array as 2n radii, not as n points."""
+    r = np.random.default_rng(11).uniform(0.0, 1.2, (300, 2))
+    for fld in (spiked_run.field, spiked_oracle):
+        got = fld.interpolate(r)
+        assert got.shape == r.shape
+        assert np.array_equal(got, fld.interpolate(r.ravel()).reshape(r.shape))
+    assert type(spiked_run.field) is type(spiked_oracle)
+
+
 class TestNearestNode:
-    """``GridField.nearest_node`` against a brute-force search over every node."""
+    """``nearest_node`` of each field class against a brute-force search over every node."""
 
     def test_radial_matches_argmin_and_ties_to_the_lower_node(self):
         radii = L.radial_grid(2048)
-        fld = radial_field(radii, np.zeros(radii.size), tag="t")
+        fld = RadialProfile(radii, np.zeros(radii.size), tag="t")
         mid = 0.5 * (radii[:-1] + radii[1:])
         r = np.concatenate([radii, mid, np.random.default_rng(8).uniform(0.0, 1.2, 4000)])
         node, = fld.nearest_node(np.stack([r, np.zeros_like(r)], axis=1))

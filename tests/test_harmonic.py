@@ -36,6 +36,13 @@ class TestPoisson:
         mean = (data(ys) * w).sum() / (2 * np.pi)
         assert v == pytest.approx(mean, abs=1e-10)
 
+    def test_quadrature_rule_is_computed_once_and_read_only(self):
+        x, w = harmonic._gauss_legendre(512)
+        assert harmonic._gauss_legendre(512)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_outside_gives_sentinel(self):
         v = poisson_ball_eval(np.zeros(2), 0.5, constant_data(1.0), np.array([0.8, 0.0]))
         assert v == INF
