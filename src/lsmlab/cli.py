@@ -181,6 +181,10 @@ def parse_config(raw, seed: int | None = None) -> Config:
                             for key, value in raw.get(block, {}).items()
                             if not _retired(f"{block}.{key}", value)})
              for block, spec in BLOCKS.items()}
+    radii = specs["grid"].radii()
+    if not np.all(np.diff(radii) > 0.0):
+        raise ConfigError(f"grid.r_min {specs['grid'].r_min!r} gives radii that do not "
+                          f"increase on {radii.size} nodes")
     paths = specs.pop("paths")
     if seed is not None:
         paths = replace(paths, seed=_read(PathsSpec, "seed", seed, "--seed"))

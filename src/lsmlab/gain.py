@@ -5,8 +5,8 @@ distance s from ``center``, and ``g(x)`` is ``profile(|x - center|)``.  The
 spiked family (a high plateau of small radius on top of a hemispherical dome)
 and the radial bump sit at the origin; the offset bump is the same bump about
 an off-origin centre.  ``mollify`` convolves any of them with a radial bump
-kernel by one radial quadrature about the centre, whose radius blocks run on
-the process's CPUs with the same bits whatever their number.  Each
+kernel about the centre: the profile read once on a table of axial offsets
+by transverse radii, contracted with the kernel in one matrix product.  Each
 ``GainField`` carries the constants the majorant machinery needs (max gain,
 truncation level, support gap, Lipschitz bound).
 """
@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class GainError(ValueError):
@@ -33,13 +34,13 @@ class DegenerateGainError(GainError):
 
 
 PROBE_POINTS = 4096
-# Radius nodes held at once by the radial mollification quadrature: one reused
-# (MOLLIFY_BLOCK, 32, 64) float buffer, 512 KiB at 32, so the buffer and the
-# profile's own output stay in L2 cache.  The buffer is split across the
-# threads, a block of MOLLIFY_BLOCK // threads nodes each, and a block is never
-# below MOLLIFY_MIN_BLOCK nodes (smaller blocks ran slower than one thread).
-MOLLIFY_BLOCK = 32
-MOLLIFY_MIN_BLOCK = 16
+# The mollification rule: profile nodes of a mollified gain, the least number
+# of axial trapezoid nodes in a kernel half-width, the Gauss-Legendre nodes in
+# the transverse kernel radius, and the table rows built at once.
+MOLLIFY_POINTS = 4096
+AXIAL_NODES = 64
+TRANSVERSE_NODES = 32
+TABLE_BLOCK = 256
 
 
 def _pts(x, d: int) -> tuple[np.ndarray, bool]:
@@ -58,8 +59,8 @@ class GainField:
 
     ``profile_fn`` maps distances from ``center`` (the origin when not given)
     to gain values; ``support_radius`` bounds the support about the origin.
-    It must be a pure function of its input array: ``mollify`` calls it from
-    several threads at once.
+    It must act elementwise on its input array: ``mollify`` calls it on
+    blocks of a table of distances.
     """
 
     profile_fn: Callable[[np.ndarray], np.ndarray]
@@ -201,16 +202,6 @@ def offset_bump_gain(center, radius: float, height: float = 1.0,
 # Mollification
 # ---------------------------------------------------------------------------
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _bump_kernel(s: np.ndarray, width: float) -> np.ndarray:
     t = s / width
     out = np.zeros_like(t)
@@ -219,102 +210,93 @@ def _bump_kernel(s: np.ndarray, width: float) -> np.ndarray:
     return out
 
 
-def mollify(g: GainField, width: float, profile_points: int = 4096) -> GainField:
+def mollify(g: GainField, width: float) -> GainField:
     """Convolve with a normalised radial bump of the given width.
 
     The gain is a profile about its centre and the kernel is radial, so the
-    convolution is a profile about the same centre: a one-dimensional radial
-    quadrature carrying the full d-dimensional kernel weight, on
-    ``profile_points`` distances.  The support radius grows by exactly width.
-    The quadrature stops at the first distance node at or past the new
-    support, the last one the profile reads.  Its nodes run in blocks on one
-    thread per CPU the process may use, the caller's among them, up to
-    ``MOLLIFY_BLOCK // MOLLIFY_MIN_BLOCK`` threads.  Each thread reuses its
-    ``MOLLIFY_BLOCK // threads`` nodes of one buffer, so the buffer grows
-    neither with ``profile_points`` nor with the threads.  Each node's value
-    is the same bits as on whole arrays, whatever the number of threads.  An
-    error raised in a block is raised here once every thread has stopped.
+    convolution is a profile about the same centre, here on
+    ``MOLLIFY_POINTS`` distances up to the new support; the support radius
+    grows by exactly width.  The rule is a tensor rule in the kernel
+    coordinates (y1, q).  y1 runs along the radius, ``AXIAL_NODES`` to
+    ``2 * AXIAL_NODES`` trapezoid nodes to a half-width, on a lattice of
+    spacing tau = h / p that holds every profile node (h the node spacing):
+    a kernel narrower than ``AXIAL_NODES`` profile steps takes the least p
+    that gives it that many nodes, and a wider one takes every m-th lattice
+    offset with p = 1.  The C-infinity kernel makes the trapezoid rule
+    converge faster than any power of the spacing.  q, the transverse radius,
+    takes ``TRANSVERSE_NODES`` Gauss-Legendre nodes on [0, width] weighted by
+    q^(d - 2).  A node at lattice index i p and the kernel offset (k m tau, q)
+    are at distance sqrt(((i p - k m) tau)^2 + q^2), so the profile is read
+    once on a table of lattice offsets by q, the table meets the half kernel
+    (k >= 0; the kernel is even in k) in one matrix product per block of
+    nodes, and each node's value is the sum of two diagonals of the product.
+    A block builds about ``TABLE_BLOCK`` new table rows and keeps the product
+    rows the next block still reads, so memory grows neither with p nor with
+    the number of nodes.
     """
     if width <= 0.0:
         raise GainError("mollification width must be positive")
     if width >= (1.0 - g.support_radius) / 2.0:
         raise GainError("mollification width pushes the support out of the ball")
-
-    import threading
-
     d = g.dim
-    reach = g.support_radius - float(np.linalg.norm(g.center)) + width
-    r_nodes = np.linspace(0.0, min(reach * 1.01, 1.0), profile_points)
-    # The profile reads no node past the first one at or beyond reach; their
-    # values stay zero.
-    active = r_nodes[:int(np.searchsorted(r_nodes, reach)) + 1]
-
-    # Gauss-Legendre in kernel radius and angle.
-    s_x, s_w = np.polynomial.legendre.leggauss(32)
-    s = 0.5 * width * (s_x + 1.0)
-    s_w = 0.5 * width * s_w
-    t_x, t_w = np.polynomial.legendre.leggauss(64)
-    theta = 0.5 * np.pi * (t_x + 1.0)
-    t_w = 0.5 * np.pi * t_w
-
-    psi = _bump_kernel(s, width)
-    if d == 2:
-        radial_weight = psi * s * s_w          # kernel mass density in radius
-        ang_weight = 2.0 * t_w                 # theta over [0, pi], doubled by symmetry
-    elif d == 3:
-        radial_weight = psi * s * s * s_w
-        ang_weight = np.sin(theta) * t_w  # azimuth integrates out of the normalised ratio
-    else:
+    if d not in (2, 3):
         raise GainError("radial mollification supports d = 2 and d = 3")
 
-    weights = radial_weight[None, :, None] * ang_weight[None, None, :]
-    norm = float(weights.sum())
-    ss = s[None, :, None]
-    s2 = ss * ss
-    cos_t = np.cos(theta)[None, None, :]
-    values = np.zeros(profile_points)
-    # Each radius node's reduction is independent, so a block gives the same
-    # bits as the whole (profile_points, 32, 64) array, whichever thread runs
-    # it.  Thread k runs blocks k, k + threads, ... in its own part of one
-    # buffer and writes only their slices of values; the caller's thread is
-    # thread 0.  The caller allocates the buffer: memory a worker thread
-    # allocates stays with the process after the thread ends.
-    threads = max(1, min(_cpus(), MOLLIFY_BLOCK // MOLLIFY_MIN_BLOCK))
-    block = min(MOLLIFY_BLOCK // threads, active.size)
-    threads = min(threads, -(-active.size // block))
-    buf = np.empty((threads, block, s.size, theta.size))
-    errors: list[BaseException] = []
+    reach = g.support_radius - float(np.linalg.norm(g.center)) + width
+    r_nodes = np.linspace(0.0, min(reach * 1.01, 1.0), MOLLIFY_POINTS)
+    # The profile reads no node past the first one at or beyond reach; their
+    # values stay zero.
+    nodes = int(np.searchsorted(r_nodes, reach)) + 1
+    p = math.ceil(AXIAL_NODES * r_nodes[1] / width)
+    tau = r_nodes[1] / p
+    m = max(1, int(width / (AXIAL_NODES * tau)))    # lattice steps per kernel step
+    half = math.ceil(width / (m * tau))             # kernel steps per half-width
+    span = half * m                                 # lattice steps per half-width
 
-    def run(first: int) -> None:
-        try:
-            for start in range(first * block, active.size, threads * block):
-                if errors:
-                    return
-                rr = active[start:start + block, None, None]
-                dist = buf[first, :rr.shape[0]]
-                # |x - y| for x at radius r and kernel offset (s, theta), in the
-                # whole-array order: sqrt(max((r r + s s) - ((2 r) s) cos(theta), 0)).
-                np.multiply(2.0 * rr * ss, cos_t, out=dist)
-                np.subtract(rr * rr + s2, dist, out=dist)
-                np.maximum(dist, 0.0, out=dist)
-                np.sqrt(dist, out=dist)
-                gv = g.profile(dist.ravel()).reshape(dist.shape)
-                np.multiply(gv, weights, out=dist)
-                values[start:start + rr.shape[0]] = dist.sum(axis=(1, 2)) / norm
-        except BaseException as exc:  # raised again in the caller after every join
-            errors.append(exc)
+    q_x, q_w = np.polynomial.legendre.leggauss(TRANSVERSE_NODES)
+    q = 0.5 * width * (q_x + 1.0)
+    q2 = q * q
+    axial = np.arange(half + 1) * (m * tau)
+    # kernel[l, k]: the weight of offset (k m tau, q_l), the k = 0 column halved
+    # because both diagonals count it; normalised to unit mass.
+    kernel = _bump_kernel(np.sqrt(q2[:, None] + axial * axial), width)
+    kernel *= (0.5 * width * q_w * q ** (d - 2))[:, None]
+    kernel[:, 0] *= 0.5
+    kernel /= 2.0 * kernel.sum()
 
-    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, threads)]
-    try:
-        for worker in workers:
-            worker.start()
-        run(0)
-    finally:
-        for worker in workers:
-            if worker.ident is not None:
-                worker.join()
-    if errors:
-        raise errors[0]
+    # Table row R holds the profile at axial offset (R - span) tau, so node i
+    # reads rows i p .. i p + 2 span: product[i p + span + k m, k] on one
+    # diagonal and product[i p + span - k m, k] on the other.  A block of
+    # nodes reads `rows` product rows; the rows the last block built and this
+    # one reads again move to the top of the buffer (a forward copy within
+    # one flat array, which needs no temporary).
+    values = np.zeros(MOLLIFY_POINTS)
+    step = max(1, TABLE_BLOCK // p)          # nodes per block
+    cols = half + 1
+    rows = (step - 1) * p + 2 * span + 1
+    product = np.empty((rows, cols))
+    flat = product.ravel()
+    size = flat.itemsize
+    # Node a + j of a block starts its rising diagonal at row j p + span,
+    # column 0, and its falling one at row j p, column half; the last ends at
+    # row rows - 1.
+    rising = as_strided(flat[span * cols:], shape=(step, cols),
+                        strides=(p * cols * size, (m * cols + 1) * size))
+    falling = as_strided(flat[half:], shape=(step, cols),
+                         strides=(p * cols * size, (m * cols - 1) * size))
+    built = 0                                # table rows built so far
+    for a in range(0, nodes, step):
+        b = min(a + step, nodes)
+        keep = max(built - a * p, 0)
+        if keep:
+            flat[:keep * cols] = flat[step * p * cols:(step * p + keep) * cols]
+        start, end = a * p + keep, (b - 1) * p + 2 * span + 1
+        offset = (np.arange(start, end) - span) * tau
+        dist = np.sqrt(np.add.outer(offset * offset, q2))
+        np.matmul(g.profile(dist.ravel()).reshape(dist.shape), kernel,
+                  out=product[keep:keep + end - start])
+        built = end
+        values[a:b] = rising[:b - a].sum(axis=1) + falling[:b - a].sum(axis=1)
     values = np.clip(values, 0.0, None)
 
     def profile(r: np.ndarray) -> np.ndarray:

@@ -179,8 +179,7 @@ class TestGridKind:
         assert capsys.readouterr().err.startswith(f"config error: no node of the {nodes}x{nodes}")
 
 
-# Every gain kind on radial and Cartesian grids down to 3 nodes; a mollified
-# gain takes the code paths of its raw gain, so it runs on two of the grids.
+# Every gain kind, raw and mollified, on radial and Cartesian grids down to 3 nodes.
 SWEEP_GAINS = {
     "spiked-raw": {"kind": "spiked", "epsilon": 0.05},
     "spiked-mollified": {"kind": "spiked", "epsilon": 0.05, "mollify": 0.01},
@@ -193,8 +192,7 @@ SWEEP_GAINS = {
 }
 SWEEP_GRIDS = [("radial", 3), ("radial", 17), ("cartesian", 3), ("cartesian", 4),
                ("cartesian", 5), ("cartesian", 9)]
-SWEEP_CASES = [(gain, kind, nodes) for gain in SWEEP_GAINS for kind, nodes in SWEEP_GRIDS
-               if "mollify" not in SWEEP_GAINS[gain] or nodes in (17, 9)]
+SWEEP_CASES = [(gain, kind, nodes) for gain in SWEEP_GAINS for kind, nodes in SWEEP_GRIDS]
 SWEEP_COMMANDS = [["envelope"], ["balayage"], ["paths"], ["oracle"], ["reproduce", "spiked-ball"]]
 
 
@@ -305,6 +303,17 @@ class TestConfigKeys:
         assert main(["--config", cfg, "--out", str(out), command]) == 2
         assert key in capsys.readouterr().err
         # Rejected before any solve: not even the radial oracle's table is written.
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["envelope", "oracle"])
+    def test_r_min_within_rounding_of_one_exits_two(self, command, tmp_path, capsys):
+        # At 3 nodes the log-uniform radii from 1 - 2^-53 to 1 are all 1.
+        payload = dict(FAST_SPIKED, grid={"kind": "radial", "nodes": 3,
+                                          "r_min": 0.9999999999999999})
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), command]) == 2
+        assert capsys.readouterr().err.startswith("config error: grid.r_min")
         assert not any(out.iterdir())
 
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys):

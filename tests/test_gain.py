@@ -1,15 +1,20 @@
 """Gain fields: spiked family, mollification, derived constants."""
 
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lsmlab.gain as gain_module
-from lsmlab.gain import (MOLLIFY_BLOCK, DegenerateGainError, GainError, GainField, _bump_kernel,
+from lsmlab.gain import (MOLLIFY_POINTS, DegenerateGainError, GainError, GainField, _bump_kernel,
                          gain_from_config, mollify, offset_bump_gain, outer_running_max,
                          radial_bump_gain, spiked_gain)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestSpiked:
@@ -62,64 +67,71 @@ def _mollify_oracle_at_origin(eps, width):
     return float((vals * weights).sum() / weights.sum())
 
 
-def _mollify_full_arrays(g, width, profile_points, r):
-    """The radial quadrature on whole (profile_points, 32, 64) arrays, evaluated at r."""
-    reach = g.support_radius - float(np.linalg.norm(g.center)) + width
-    r_nodes = np.linspace(0.0, min(reach * 1.01, 1.0), profile_points)
-    s_x, s_w = np.polynomial.legendre.leggauss(32)
+def _mollify_polar(g, width, r, radius_nodes=256, angle_nodes=512):
+    """The convolution at the distances r by a fine polar (s, theta) Gauss-Legendre rule."""
+    s_x, s_w = np.polynomial.legendre.leggauss(radius_nodes)
     s = 0.5 * width * (s_x + 1.0)
-    s_w = 0.5 * width * s_w
-    t_x, t_w = np.polynomial.legendre.leggauss(64)
+    t_x, t_w = np.polynomial.legendre.leggauss(angle_nodes)
     theta = 0.5 * np.pi * (t_x + 1.0)
-    t_w = 0.5 * np.pi * t_w
-    psi = _bump_kernel(s, width)
-    if g.dim == 2:
-        radial_weight, ang_weight = psi * s * s_w, 2.0 * t_w
-    else:
-        radial_weight, ang_weight = psi * s * s * s_w, np.sin(theta) * t_w
-    rr = r_nodes[:, None, None]
-    ss = s[None, :, None]
-    tt = theta[None, None, :]
-    dist = np.sqrt(np.maximum(rr * rr + ss * ss - 2.0 * rr * ss * np.cos(tt), 0.0))
-    gv = g.profile(dist.ravel()).reshape(dist.shape)
-    weights = radial_weight[None, :, None] * ang_weight[None, None, :]
-    values = np.clip((gv * weights).sum(axis=(1, 2)) / float(weights.sum()), 0.0, None)
-    return np.where(r >= reach, 0.0, np.interp(r, r_nodes, values))
+    radial = _bump_kernel(s, width) * s ** (g.dim - 1) * s_w
+    angular = t_w if g.dim == 2 else np.sin(theta) * t_w
+    weights = radial[:, None] * angular[None, :]
+    weights /= weights.sum()
+    ss, cos_t = s[:, None], np.cos(theta)[None, :]
+    return np.array([(g.profile(np.sqrt(np.maximum(x * x + ss * ss - 2.0 * x * ss * cos_t, 0.0)))
+                      * weights).sum() for x in r])
+
+
+def _profile_nodes(g, width):
+    """The distances at which ``mollify`` computes the profile (it interpolates between them)."""
+    reach = g.support_radius - float(np.linalg.norm(g.center)) + width
+    return np.linspace(0.0, min(reach * 1.01, 1.0), MOLLIFY_POINTS), reach
 
 
 class _ProfileError(RuntimeError):
     pass
 
 
-class TestMollify:
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("points", [2 * MOLLIFY_BLOCK, 1000, 3])
-    def test_blocks_match_the_full_array_quadrature(self, monkeypatch, dim, points):
-        # On one CPU the caller runs every block; on two each thread runs every
-        # other one.  Three points make one block, fewer than the threads.
-        gains = {"spike": spiked_gain(0.05, dim=dim),
-                 "radial-bump": radial_bump_gain(0.3, 0.15, dim=dim)}
-        if dim == 2:
-            gains["offset-bump"] = offset_bump_gain((0.4, 0.0), 0.15)
-        r = np.linspace(0.0, 0.99, 4001)
-        for kind, g in gains.items():
-            expected = _mollify_full_arrays(g, 0.01, points, r)
-            for cpus in (1, 2):
-                monkeypatch.setattr(gain_module, "_cpus", lambda: cpus)
-                got = mollify(g, 0.01, profile_points=points).profile(r)
-                assert np.array_equal(got, expected), (kind, cpus)
+# Sup error bounds against the polar reference.  Each spike bound is 2.3 to
+# 2.8 times the largest error the axial rule measured at that width, d = 2 and
+# 3 together (1.04e-3 at 0.002, 3.8e-4 at 0.006, 3.6e-4 at 0.01, 1.07e-3 at
+# 0.05).  Each bump bound is 2.7 and 2.9 times the largest error of the radial
+# and offset bump at any width up to 0.01 (5.6e-13), and at 0.05 (1.04e-11).
+# At 0.05 the kernel takes every fifth lattice offset or more.  The polar rule
+# of 32 by 64 nodes that mollify used before measured 1.6e-3 to 6.9e-3 on the
+# spike and up to 2.6e-10 on the bumps, and fails 11 of the 16 cases.
+ACCURACY = {"spike": {0.002: 2.5e-3, 0.006: 1e-3, 0.01: 1e-3, 0.05: 2.5e-3},
+            "bump": {0.002: 1.5e-12, 0.006: 1.5e-12, 0.01: 1.5e-12, 0.05: 3e-11}}
 
-    @pytest.mark.parametrize("where,cpus", [("some-distances", 1), ("some-distances", 2),
-                                            ("worker-thread", 2)])
-    def test_a_profile_error_is_raised_once_every_thread_stops(self, monkeypatch, where, cpus):
-        monkeypatch.setattr(gain_module, "_cpus", lambda: cpus)
+
+class TestMollify:
+    @pytest.mark.parametrize("width", [0.002, 0.006, 0.01, 0.05])
+    @pytest.mark.parametrize("kind", ["spike-2", "spike-3", "radial-bump", "offset-bump"])
+    def test_matches_a_fine_polar_reference(self, kind, width):
+        g = {"spike-2": spiked_gain(0.05), "spike-3": spiked_gain(0.05, dim=3),
+             "radial-bump": radial_bump_gain(0.3, 0.15),
+             "offset-bump": offset_bump_gain((0.4, 0.0), 0.15)}[kind]
+        family = "spike" if kind.startswith("spike") else "bump"
+        nodes, reach = _profile_nodes(g, width)
+        if family == "spike":
+            # Profile nodes on both sides of the jump at 0.05, the plateau and the dome.
+            near = nodes[(nodes > 0.05 - width) & (nodes < 0.05 + width)]
+            r = np.concatenate([near[::max(1, near.size // 16)], nodes[[0, 1500, 3000]]])
+        else:
+            r = nodes[:int(np.searchsorted(nodes, reach)):200]
+        error = np.abs(mollify(g, width).profile(r) - _mollify_polar(g, width, r)).max()
+        assert error < ACCURACY[family][width]
+
+    @pytest.mark.parametrize("band", [(0.0, 0.001), (0.2, 0.21)],
+                             ids=["some-distances-1", "some-distances-2"])
+    def test_a_profile_error_is_raised_once_every_thread_stops(self, band):
+        # The profile raises in the first table block, or in a later one; mollify
+        # starts no thread, so none is left behind.
         spike = spiked_gain(0.05)
 
         def profile(s):
-            if where == "some-distances" and np.any((0.2 < s) & (s < 0.21)):
+            if np.any((band[0] < s) & (s < band[1])):
                 raise _ProfileError("bad distance")
-            if where == "worker-thread" and threading.current_thread() is not threading.main_thread():
-                raise _ProfileError("bad thread")
             return spike.profile(s)
 
         g = GainField(profile_fn=profile, support_radius=0.5, max_gain=1.0, gstar=1.25,
@@ -130,16 +142,37 @@ class TestMollify:
         assert threading.active_count() == before
 
     def test_quadrature_memory_does_not_grow_with_the_profile(self):
-        # Whole (4096, 32, 64) float arrays take 64 MiB each; one reused block
-        # buffer and the profile of one block stay near 1.7 MiB.
-        g = spiked_gain(0.05)
-        tracemalloc.start()
-        try:
-            mollify(g, 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        # Built in one block of every node, the table, the profile's temporaries
+        # and the product peak at 5.6 (spike) to 9.2 MiB (offset bump); blocks
+        # of about 256 new rows, plus the product rows the next block reads
+        # again, peak at 0.6 to 1.6 MiB.
+        for g in (spiked_gain(0.05), radial_bump_gain(0.3, 0.15),
+                  offset_bump_gain((0.4, 0.0), 0.15)):
+            tracemalloc.start()
+            try:
+                mollify(g, 0.01)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+
+    def test_profile_has_the_same_bits_at_one_and_two_blas_threads(self):
+        # The matrix product's threads split rows and columns, never a sum.
+        probe = ("import hashlib, numpy as np; import lsmlab as L; "
+                 "r = np.linspace(0.0, 0.99, 20001); h = hashlib.sha256(); "
+                 "[h.update(L.mollify(g, 0.01).profile(r).tobytes()) for g in "
+                 "(L.spiked_gain(0.05), L.spiked_gain(0.05, dim=3), L.radial_bump_gain(0.3, 0.15), "
+                 "L.offset_bump_gain((0.4, 0.0), 0.15))]; print(h.hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in paths if p))
+            proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_zero_region_stays_zero(self):
         g = mollify(spiked_gain(0.05), 0.01)

@@ -2,9 +2,9 @@
 scipy.spatial or scipy.signal for a CLI import, an envelope run, a Cartesian
 contact-hit rule or a Cartesian paths run (each would cost start-up time; the
 grid geometry is numpy only).  Nor does a CLI import or a mollified envelope
-run load the thread-pool executor: ``mollify`` runs its threads with
-``threading``.  (``concurrent.futures`` itself comes with numpy.testing, which
-scipy loads; its executor module ``concurrent.futures.thread`` does not.)"""
+run load the thread-pool executor: lsmlab starts no threads of its own.
+(``concurrent.futures`` itself comes with numpy.testing, which scipy loads;
+its executor module ``concurrent.futures.thread`` does not.)"""
 
 import json
 import os
@@ -29,7 +29,7 @@ CARTESIAN = {
     "grid": {"kind": "cartesian", "nodes": 33},
 }
 
-# An off-centre gain is mollified by the same radial quadrature as a radial one.
+# An off-centre gain is mollified by the same rule about its centre as a radial one.
 CARTESIAN_MOLLIFIED = {
     "gain": {"kind": "offset-bump", "center": [0.4, 0.0], "radius": 0.15, "mollify": 0.01,
              "gstar_margin": 0.25},
