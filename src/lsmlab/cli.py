@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale at the first parse; importing it here keeps
+# that cost in start-up, not in the first command.
+import locale
 import shutil
 import sys
 from collections import Counter

@@ -29,8 +29,8 @@ primitives live in ``lsmlab.grids`` and are shared with the oracles.
 ``grids.label_components``, and witnesses on a Cartesian grid
 (``build_branched_witness``) shrink a component with numpy only (see
 ``lsmlab.geometry``) and solve for its base patch with the same SOR kernel,
-whether the shrunk component is a ball, an annulus or a grid region, so no
-run loads a scipy module beyond the ``scipy.sparse`` of that kernel.
+whether the shrunk component is a ball, an annulus or a grid region.  Both
+the kernel and the geometry are numpy only, so no run loads a scipy module.
 """
 
 from __future__ import annotations

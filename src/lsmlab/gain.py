@@ -18,6 +18,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+# numpy loads ``numpy.polynomial`` on first use; importing it here keeps that cost in
+# start-up, not in the first command that needs it.
+import numpy.polynomial
 from numpy.lib.stride_tricks import as_strided
 
 

@@ -5,22 +5,20 @@ grid (Cartesian fields, grid signed distances, grid-mollified gains), the
 upper concave hull (the radial obstacle primitive in the scale coordinate),
 ``label_components``, the connected components of a radial or Cartesian
 mask (the non-contact components of every level), ``disc_stencil``, the
-Shortley-Weller cut-cell -Laplacian of the disc as one diagonal and one CSR
-off-diagonal operator, ``RedBlackSOR``, the one red-black (projected)
-SOR kernel on it (the Cartesian obstacle and Dirichlet solver of both the
-envelope refinement and the PSOR oracle; a solve's work vector holds its red
-nodes, its black nodes and then the halo of Dirichlet nodes their rows read,
-so each colour is one matvec of its rows and one contiguous slice relaxed in
-place, and ``store`` scatters the result once; a relaxation factor each solve
-takes from its own update ratios), and ``write_csv``, the one writer of every
-CSV table the package emits (a field on a Cartesian grid is given by its two
-axes and its (nx, ny) values, so each coordinate is formatted once and each
-grid row is one ``%``).  The PSOR residual reads the same operator.
+Shortley-Weller cut-cell -Laplacian of the disc as one diagonal and one
+(4, n, n) table of arm coefficients, ``RedBlackSOR``, the one red-black
+(projected) SOR kernel on it (the Cartesian obstacle and Dirichlet solver of
+both the envelope refinement and the PSOR oracle; at an odd row stride a
+node's colour is the parity of its flat index, so a solve's work vector holds
+the red nodes and then the black ones, each arm is a constant offset into the
+other colour, and a colour's neighbour sums are adds of contiguous slices,
+with gathers only on the rows next to the circle; a relaxation factor each
+solve takes from its own update ratios), and ``write_csv``, the one writer of
+every CSV table the package emits (a field on a Cartesian grid is given by
+its two axes and its (nx, ny) values, so each coordinate is formatted once
+and each grid row is one ``%``).  The PSOR residual reads the same tables.
 
-``scipy.sparse`` is the one scipy module lsmlab loads: it is imported here,
-at the top, because the disc stencil is a CSR matrix.
-Imported lazily instead, it would put its import (about 0.16 s on a 2-core
-x86-64 machine) inside the first Cartesian solve.
+Everything here is numpy only: lsmlab loads no scipy module.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
-from scipy import sparse
 
 
 def scale_coordinate(r: np.ndarray | float, d: int) -> np.ndarray | float:
@@ -159,27 +156,27 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labels.reshape(mask.shape), int(np.count_nonzero(first_runs))
 
 
-# Grid offsets (di, dj) of the stencil's arms, in the order of each operator row.
+# Grid offsets (di, dj) of the stencil's arms, in the order of ``DiscStencil.arms``.
 ARMS = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
 
 
 @dataclass(eq=False)
 class DiscStencil:
-    """Shortley-Weller 5-point stencil on the disc-masked grid, as one operator.
+    """Shortley-Weller 5-point stencil on the disc-masked grid, as coefficient tables.
 
-    At an inside node, -Laplacian u = (diag * u - offdiag @ u) / spacing**2,
-    with ``u`` and the matvec on flat node indices.  ``offdiag`` is one
-    ``scipy.sparse.csr_array`` of shape (n*n, n*n): the row of an inside node
-    holds its E, W, N and S coefficients, in that order, against the flat
-    indices of those neighbours; an arm that leaves the disc reads the
-    circle's zero, so it has no entry, and the row of a node outside the disc
-    is empty.  ``diag`` and ``inside`` are (n, n) arrays; ``diag`` is zero off
-    the disc.
+    At an inside node (i, j), with cE, cW, cN, cS = ``arms[:, i, j]``,
+    -Laplacian u = (diag * u[i, j] - (((cE * u[i+1, j] + cW * u[i-1, j])
+    + cN * u[i, j+1]) + cS * u[i, j-1])) / spacing**2.
+    ``arms`` is one (4, n, n) table in the order of ``ARMS``; an arm that
+    leaves the disc reads the circle's zero, so its coefficient is 0, and so
+    is every coefficient of a node off the disc.  A node whose four arms stay
+    in the disc has unit coefficients and ``diag`` 4.  ``diag`` and ``inside``
+    are (n, n) arrays; ``diag`` is zero off the disc.
     """
 
     inside: np.ndarray
     diag: np.ndarray
-    offdiag: sparse.csr_array
+    arms: np.ndarray
 
 
 def disc_stencil(coords: np.ndarray, spacing: float, inside: np.ndarray) -> DiscStencil:
@@ -190,34 +187,24 @@ def disc_stencil(coords: np.ndarray, spacing: float, inside: np.ndarray) -> Disc
     of a cell at which it meets the unit circle (Shortley & Weller 1938),
     where the Dirichlet value is zero.
     """
-    n = coords.shape[0]
-    # The grid's edge lies outside the disc, so every arm of an inside node
-    # ends on the grid.  Each (node, arm) table is in row-major order, so its
-    # kept entries give each row's arms in E, W, N, S order.
-    rows = np.flatnonzero(inside).astype(np.int32)
-    cols = rows[:, None] + np.array([di * n + dj for di, dj in ARMS.values()], dtype=np.int32)
-    keep = inside.ravel()[cols]
-    theta = np.ones((len(ARMS), rows.size))
+    # The grid's edge lies outside the disc, so no roll wraps an inside node's arm.
+    kept = np.stack([np.roll(inside, (-di, -dj), axis=(0, 1)) for di, dj in ARMS.values()])
+    kept &= inside
+    theta = np.ones(kept.shape)
     for k, e in enumerate(np.array(list(ARMS.values()), dtype=float)):
-        cut = ~keep[:, k]
-        p = coords.reshape(-1, 2)[rows[cut]]
+        cut = inside & ~kept[k]
+        p = coords[cut]
         a = spacing * spacing
         b = 2.0 * spacing * (p @ e)
         c = np.sum(p * p, axis=1) - 1.0
         disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-        theta[k, cut] = np.clip((-b + disc) / (2.0 * a), 1e-6, 1.0)
+        theta[k][cut] = np.clip((-b + disc) / (2.0 * a), 1e-6, 1.0)
     te, tw, tn, ts = theta
-    data = np.stack([2.0 / (te * (te + tw)), 2.0 / (tw * (te + tw)),
-                     2.0 / (tn * (tn + ts)), 2.0 / (ts * (tn + ts))], axis=1)
-    diag = np.zeros((n, n))
-    diag.flat[rows] = 2.0 / (te * tw) + 2.0 / (tn * ts)
-    # Row ends: the running count of kept entries at each inside node's last
-    # arm, carried forward over the empty rows of the nodes outside.
-    indptr = np.zeros(n * n + 1, dtype=np.int32)
-    indptr[rows + 1] = np.cumsum(keep.ravel(), dtype=np.int32)[len(ARMS) - 1::len(ARMS)]
-    offdiag = sparse.csr_array((data[keep], cols[keep], np.maximum.accumulate(indptr)),
-                               shape=(n * n, n * n))
-    return DiscStencil(inside=inside, diag=diag, offdiag=offdiag)
+    arms = np.stack([2.0 / (te * (te + tw)), 2.0 / (tw * (te + tw)),
+                     2.0 / (tn * (tn + ts)), 2.0 / (ts * (tn + ts))])
+    arms[~kept] = 0.0
+    diag = np.where(inside, 2.0 / (te * tw) + 2.0 / (tn * ts), 0.0)
+    return DiscStencil(inside=inside, diag=diag, arms=arms)
 
 
 # Every SOR solve starts at this relaxation factor.  The kernel switches once to
@@ -231,22 +218,57 @@ SETTLE_TOL = 0.01
 SETTLE_SWEEPS = 5
 
 
+@dataclass(eq=False)
+class _Colour:
+    """One colour's share of a sweep, over the span of its mask nodes' indices.
+
+    While work vector f holds the iterate, ``old[f]`` is the span in it,
+    ``new[f]`` the span in the other vector (which receives the update), and
+    ``arms[f]`` the E, W, N, S slices of ``read[f]``, the vector holding the
+    other colour's latest values, which the rows next to the circle gather
+    from as well.
+    """
+
+    old: tuple
+    new: tuple
+    arms: tuple
+    read: tuple
+    mask: np.ndarray        # the span's nodes on the solve's mask
+    diag: np.ndarray        # 1 off the mask
+    phi: np.ndarray | None  # -inf off the mask
+    rows: np.ndarray        # span positions of the mask rows with a non-unit arm
+    nbrs: np.ndarray        # (4, rows) work-vector positions of their neighbours
+    coeffs: np.ndarray      # (4, rows) their coefficients, 0 on a cut arm
+    sums: np.ndarray        # the span's neighbour sums, rewritten each sweep
+    keep: np.ndarray = None   # 1 - omega on the mask, 1 off it
+    relax: np.ndarray = None  # omega on the mask, 0 off it
+
+
 class RedBlackSOR:
     """Red-black (projected) SOR sweeps of the disc stencil on the ``nodes`` mask.
 
     Nodes off the mask hold their ``values`` as Dirichlet data, arms that leave
-    the disc read the circle's zero (they have no entry in the operator), and
-    an ``obstacle`` clips each update from below.
+    the disc read the circle's zero, and an ``obstacle`` clips each update
+    from below.
 
-    The solve's work vector holds the red mask nodes, then the black ones, then
-    the halo: the nodes off the mask that their rows read (Adams & Ortega,
-    Proc. ICPP 1982, on colour-ordered unknowns).  Each colour's rows of
-    ``stencil.offdiag`` are one CSR matrix whose columns are positions in the
-    work vector, so a colour's neighbour sums are one matvec against it and
-    its nodes are one contiguous slice, relaxed in place.  The columns keep
-    each row's E, W, N, S order, and the matvec adds a row's products from zero
-    in that order, so each sum is bit for bit the one of four gathers and
-    multiply-adds.  ``store`` scatters the mask nodes back into a field once.
+    The grid is laid out row by row at an odd row stride L (one padding
+    column on a grid of even width), so a node's colour is the parity of its
+    flat index.  A work vector holds the even (red) flat nodes, then the odd
+    (black) ones (Adams & Ortega, Proc. ICPP 1982, on colour-ordered
+    unknowns), and each arm of a colour is one constant offset into the other
+    colour: E +(L-1)/2, W -(L+1)/2, N 0, S -1 from red, and E +(L+1)/2,
+    W -(L-1)/2, N +1, S 0 from black.  A colour relaxes the span of its mask
+    nodes' indices: the neighbour sum ((E + W) + N) + S is three adds of
+    contiguous slices, exact on the unit-coefficient rows, and the few mask
+    rows next to the circle are redone by gathers, ((cE E + cW W) + cN N) + cS S.
+    Either sum is bit for bit the stencil's four multiply-adds from zero in
+    E, W, N, S order.  Nodes of the span off the mask take the factors (1, 0)
+    in place of (1 - omega, omega) and an obstacle of -inf, so they keep
+    their values.  Two work vectors take turns: a sweep writes each colour's
+    update into the other vector, and the black colour reads the red one
+    there.  A node that no mask node's arm reaches holds 0, and every other
+    node its value plus 0.0, so a -0.0 reads as the stencil's sums from zero
+    read it.  ``store`` writes the mask nodes back into a field.
 
     The kernel owns its relaxation factor ``omega``; ``sweeps`` counts the
     sweeps done.  A solve starts at SOR_OMEGA.  Once the ratio q of successive
@@ -262,58 +284,98 @@ class RedBlackSOR:
 
     def __init__(self, values: np.ndarray, nodes: np.ndarray, stencil: DiscStencil,
                  obstacle: np.ndarray | None):
-        red = nodes.copy()  # the mask nodes with i + j even
-        red[::2, 1::2] = red[1::2, ::2] = False
-        # The halo: the disc nodes off the mask that a mask node's arm reaches.
+        nx, ny = values.shape
+        stride = ny | 1
+
+        def rows_at_stride(table, fill):
+            """The table's rows laid end to end at the row stride, flat."""
+            if stride == ny:
+                return table.reshape(-1)
+            out = np.full((nx, stride), fill, dtype=table.dtype)
+            out[:, :ny] = table
+            return out.reshape(-1)
+
+        # The nodes a sweep reads: the mask and the disc nodes its arms reach.
         # The mask lies in the disc, off the grid's edge, so no roll wraps it round.
-        halo = np.zeros_like(nodes)
+        read = nodes.copy()
         for step in ARMS.values():
-            halo |= np.roll(nodes, step, axis=(0, 1))
-        halo &= stencil.inside & ~nodes
-        order = np.concatenate([np.flatnonzero(m) for m in (red, nodes & ~red, halo)],
-                               dtype=np.int32)
-        split, size = np.count_nonzero(red), np.count_nonzero(nodes)
-        self._flat = order[:size]
-        position = np.empty(values.size, dtype=np.int32)
-        position[order] = np.arange(order.size, dtype=np.int32)
-        self._work = np.take(values, order)
-        diag, phi = stencil.diag.ravel(), None if obstacle is None else obstacle.ravel()
+            read |= np.roll(nodes, step, axis=(0, 1))
+        read &= stencil.inside
+        flat_nodes, flat_read = rows_at_stride(nodes, False), rows_at_stride(read, False)
+        flat_values = rows_at_stride(values, 0.0)
+        flat_diag = rows_at_stride(stencil.diag, 0.0)
+        flat_phi = None if obstacle is None else rows_at_stride(obstacle, 0.0)
+        flat_arms = [rows_at_stride(c, 0.0) for c in stencil.arms]
+        red = (flat_values.size + 1) // 2
+        work = np.empty(flat_values.size)
+        np.add(np.where(flat_read[0::2], flat_values[0::2], 0.0), 0.0, out=work[:red])
+        np.add(np.where(flat_read[1::2], flat_values[1::2], 0.0), 0.0, out=work[red:])
+        self._buffers = (work, work.copy())
+        self._flip = 0
+        self._work = work
+        positions = np.flatnonzero(flat_nodes)
+        self._flat = positions - positions // stride * (stride - ny)
+        self._pos = (positions >> 1) + red * (positions & 1)
         self._colours = []
-        for colour in (slice(0, split), slice(split, size)):
-            idx = order[colour]
-            rows = stencil.offdiag[idx]
-            # Reindexed in place, unsorted: each row keeps its E, W, N, S order.
-            # Every column is in range, and "clip" writes to out without a buffer.
-            np.take(position, rows.indices, out=rows.indices, mode="clip")
-            sums = sparse.csr_array((rows.data, rows.indices, rows.indptr),
-                                    shape=(idx.size, order.size))
-            self._colours.append((colour, sums, diag[idx], None if phi is None else phi[idx]))
-        self._new = np.empty(max(split, size - split))
+        for colour, start, other in ((0, 0, red), (1, red, 0)):
+            mine = np.flatnonzero(flat_nodes[colour::2])
+            if mine.size == 0:
+                continue
+            lo, hi = int(mine[0]), int(mine[-1]) + 1
+            span = slice(2 * lo + colour, 2 * hi + colour, 2)
+            mask = flat_nodes[span]
+            coeffs = np.stack([c[span] for c in flat_arms])
+            rows = np.flatnonzero(mask & np.any(coeffs != 1.0, axis=0))
+            offsets = [other + (di * stride + dj + 2 * colour - 1) // 2
+                       for di, dj in ARMS.values()]
+            # Red reads black in the current vector, black reads red in the next.
+            reads = [self._buffers[f if colour == 0 else 1 - f] for f in (0, 1)]
+            self._colours.append(_Colour(
+                old=tuple(b[start + lo:start + hi] for b in self._buffers),
+                new=tuple(b[start + lo:start + hi] for b in self._buffers[::-1]),
+                arms=tuple(tuple(r[lo + k:hi + k] for k in offsets) for r in reads),
+                read=tuple(reads), mask=mask,
+                diag=np.where(mask, flat_diag[span], 1.0),
+                phi=None if flat_phi is None else np.where(mask, flat_phi[span], -np.inf),
+                rows=rows, nbrs=lo + rows + np.array(offsets)[:, None],
+                coeffs=coeffs[:, rows], sums=np.empty(hi - lo)))
         self.omega = SOR_OMEGA
+        self._set_factors()
         self.sweeps = 0
         self._watching = True
         self._last = self._ratio = np.nan
         self._calm = 0
 
+    def _set_factors(self) -> None:
+        for c in self._colours:
+            c.keep = np.where(c.mask, 1.0 - self.omega, 1.0)
+            c.relax = np.where(c.mask, self.omega, 0.0)
+
     def sweep(self) -> float:
         """One red-black sweep; returns the largest absolute update, NaN if any update is."""
-        work, omega = self._work, self.omega
+        f = self._flip
         biggest = 0.0
-        for colour, sums, diag, phi in self._colours:
-            old = work[colour]
-            new = self._new[:old.size]
-            # new = (1 - omega) * old + omega * (s / diag), then clipped by phi.
-            s = sums @ work
-            np.divide(s, diag, out=s)
-            np.multiply(omega, s, out=s)
-            np.multiply(1.0 - omega, old, out=new)
+        for c in self._colours:
+            old, new, s = c.old[f], c.new[f], c.sums
+            e, w, n, so = c.arms[f]
+            np.add(e, w, out=s)
+            np.add(s, n, out=s)
+            np.add(s, so, out=s)
+            if c.rows.size:
+                ce, cw, cn, cs = c.coeffs * c.read[f][c.nbrs]
+                s[c.rows] = ((ce + cw) + cn) + cs
+            # new = keep * old + relax * (s / diag), then clipped by phi.
+            np.divide(s, c.diag, out=s)
+            np.multiply(c.relax, s, out=s)
+            np.multiply(c.keep, old, out=new)
             np.add(new, s, out=new)
-            if phi is not None:
-                np.maximum(phi, new, out=new)
+            if c.phi is not None:
+                np.maximum(c.phi, new, out=new)
             np.subtract(new, old, out=s)
             np.abs(s, out=s)
-            biggest = float(np.max(s, initial=biggest))
-            old[...] = new
+            biggest = float(np.maximum.reduce(s, initial=biggest))
+        self._flip = 1 - f
+        self._work = self._buffers[self._flip]
         self.sweeps += 1
         self._watch(biggest)
         return biggest
@@ -330,6 +392,7 @@ class RedBlackSOR:
             omega = self.omega
             rho2 = (ratio + omega - 1.0) ** 2 / (ratio * omega * omega)
             self.omega = 2.0 / (1.0 + float(np.sqrt(1.0 - rho2)))
+            self._set_factors()
             self._watching = False
 
     def effort(self) -> str:
@@ -338,7 +401,7 @@ class RedBlackSOR:
 
     def store(self, values: np.ndarray) -> None:
         """Write the relaxed mask nodes back into ``values``."""
-        values.flat[self._flat] = self._work[:self._flat.size]
+        values.flat[self._flat] = self._work[self._pos]
 
 
 # Values become Python objects and text CSV_BLOCK rows at a time: a numeric

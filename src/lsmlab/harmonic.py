@@ -26,6 +26,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+# numpy loads ``numpy.polynomial`` on first use; importing it here keeps that cost in
+# start-up, not in the first command that needs it.
+import numpy.polynomial
 
 from . import rng as rngmod
 from .geometry import (Annulus, Ball, Cap, Domain, FullBall, GeometryError, Intersection,

@@ -83,8 +83,12 @@ def radial_value_oracle(gain: GainField, d: int, radii: np.ndarray) -> RadialPro
 
 def neg_laplacian(u: np.ndarray, stencil: DiscStencil, spacing: float) -> np.ndarray:
     """-(discrete Laplacian) with cut-cell arms; zero off the disc."""
-    acc = (stencil.diag * u).ravel() - stencil.offdiag @ u.ravel()
-    return np.where(stencil.inside, acc.reshape(u.shape) / (spacing * spacing), 0.0)
+    c_e, c_w, c_n, c_s = stencil.arms[:, 1:-1, 1:-1]
+    acc = stencil.diag * u
+    # The grid's edge lies outside the disc, so only inner nodes have arms.
+    acc[1:-1, 1:-1] -= (((c_e * u[2:, 1:-1] + c_w * u[:-2, 1:-1]) + c_n * u[1:-1, 2:])
+                        + c_s * u[1:-1, :-2])
+    return np.where(stencil.inside, acc / (spacing * spacing), 0.0)
 
 
 def psor_obstacle_solve(gain: GainField, n: int = 257, tol: float = 1e-8) -> GridField:

@@ -9,6 +9,9 @@ draws depend only on its own key, not on which batches ran before it.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads ``numpy.random`` on first use; importing it here keeps that cost in
+# start-up, not in the first command that needs it.
+import numpy.random
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -1,18 +1,20 @@
 """Shared fixtures: the expensive envelope/oracle runs are built once per session.
 
 Also the brute-force reference that the concave-hull tests compare against,
-``rasterize``, the builder of the grid-region fixtures, and
+``rasterize``, the builder of the grid-region fixtures,
 ``constant_disc_patch``, the constant patch on a centred disc that the
-majorant fixtures branch from.
+majorant fixtures branch from, and ``offdiag_matrix``, the disc stencil's
+couplings as a scipy sparse matrix for the test-only references.
 """
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import lsmlab as L
 from lsmlab.envelope import iterate_envelopes, unbranched_envelope
 from lsmlab.geometry import Ball, GeometryError, GridRegion, domain_dim, signed_distance
-from lsmlab.grids import RedBlackSOR
+from lsmlab.grids import ARMS, RedBlackSOR
 from lsmlab.harmonic import constant_data
 from lsmlab.majorant import grid_patch
 from lsmlab.oracle import psor_obstacle_solve, radial_value_oracle
@@ -134,3 +136,26 @@ def constant_disc_patch(radius: float, level: float, gstar: float):
     return grid_patch(Ball((0.0, 0.0), radius), constant_data(level), gstar,
                       lambda pts: np.full(pts.shape[0], float(level)),
                       label=f"ball[r={radius:.4g}]")
+
+
+def offdiag_matrix(stencil, idx: np.ndarray) -> sparse.csr_array:
+    """The stencil's arm coefficients among the flat nodes ``idx``, as a CSR matrix.
+
+    Row and column k stand for node ``idx[k]``; an arm whose neighbour is not
+    in ``idx`` (or that leaves the disc) has no entry.  lsmlab itself holds
+    the stencil as coefficient tables and loads no scipy; the references
+    that want a matrix (a sparse direct solve, an eigenvalue) build it here.
+    """
+    n = stencil.diag.shape[1]
+    position = np.full(stencil.diag.size, -1)
+    position[idx] = np.arange(idx.size)
+    rows, cols, data = [], [], []
+    for table, (di, dj) in zip(stencil.arms, ARMS.values()):
+        coeff = table.flat[idx]
+        col = position[np.where(coeff > 0.0, idx + di * n + dj, 0)]
+        keep = (coeff > 0.0) & (col >= 0)
+        rows.append(np.flatnonzero(keep))
+        cols.append(col[keep])
+        data.append(coeff[keep])
+    return sparse.csr_array((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(idx.size, idx.size))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import highest_chords
+from conftest import highest_chords, offdiag_matrix
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
@@ -146,15 +146,16 @@ class TestPsor:
 def pdas_obstacle_solve(gain, n: int, max_steps: int = 50) -> np.ndarray:
     """Primal-dual active-set solve of min(A u, u - g) = 0 on the disc's inside nodes.
 
-    A is the cut-cell -Laplacian (times spacing**2), diag - offdiag on the
-    inside nodes; each step fixes u = g on the active set and solves the other
-    rows exactly (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002).  Shares
-    only the stencil with the red-black SOR kernel: a reference for it.
+    A is the cut-cell -Laplacian (times spacing**2), the diagonal less the arm
+    couplings on the inside nodes; each step fixes u = g on the active set and
+    solves the other rows exactly (Hintermueller, Ito & Kunisch, SIAM J.
+    Optim. 2002).  Shares only the stencil with the red-black SOR kernel: a
+    reference for it.
     """
     fld = cartesian_field(n, np.zeros((n, n)), "grid")
     coords, stencil = fld.coords, fld.stencil
     idx = np.flatnonzero(stencil.inside)
-    a = (sparse.diags_array(stencil.diag.ravel()) - stencil.offdiag).tocsr()[idx][:, idx]
+    a = (sparse.diags_array(stencil.diag.flat[idx]) - offdiag_matrix(stencil, idx)).tocsr()
     phi = gain(coords.reshape(-1, 2)[idx])
     u, lam = np.zeros(idx.size), np.zeros(idx.size)
     active = None

@@ -1,26 +1,27 @@
-"""The red-black SOR kernel: its CSR sweep and its per-solve relaxation factor."""
+"""The red-black SOR kernel: its flat-slice sweep and its per-solve relaxation factor."""
 
 import functools
 
 import numpy as np
 import pytest
+from conftest import offdiag_matrix
 from scipy import sparse
 from scipy.sparse.linalg import eigs
 
 import lsmlab as L
 from lsmlab.envelope import (RELAX_TOL, cartesian_field, contact_set, gain_on_grid,
                              iterate_envelopes, unbranched_envelope)
-from lsmlab.grids import SOR_OMEGA, RedBlackSOR
+from lsmlab.grids import ARMS, SOR_OMEGA, RedBlackSOR
 
 
 class GatherSOR:
-    """The gather-table red-black sweep that the CSR kernel replaced, at a given omega.
+    """A gather-table red-black sweep of the stencil's arm table, at a given omega.
 
-    Per colour: flat node indices; per arm (E, W, N, S), each node's entry of
-    ``stencil.offdiag`` at that arm's neighbour, as the neighbour's flat index
-    into a copy of ``values`` padded with a zero slot (the target of an arm
-    without an entry) and its coefficient; the diagonal and obstacle slices.
-    The neighbour sum is four gathers and multiply-adds in E, W, N, S order.
+    Per colour: flat node indices; per arm (E, W, N, S), each node's
+    coefficient from ``stencil.arms`` and its neighbour's flat index into a
+    copy of ``values`` padded with a zero slot (the target of a cut arm); the
+    diagonal and obstacle slices.  The neighbour sum is four gathers and
+    multiply-adds from zero in E, W, N, S order, the operator's row order.
     """
 
     def __init__(self, values, nodes, stencil, obstacle):
@@ -33,9 +34,9 @@ class GatherSOR:
         self._tables = []
         for idx in (self._flat[red], self._flat[~red]):
             arms = []
-            for step in (ncols, -ncols, 1, -1):
-                coeff = stencil.offdiag[idx, idx + step]
-                arms.append((np.where(coeff > 0.0, idx + step, zero), coeff))
+            for table, (di, dj) in zip(stencil.arms, ARMS.values()):
+                coeff = table.flat[idx]
+                arms.append((np.where(coeff > 0.0, idx + di * ncols + dj, zero), coeff))
             phi = obstacle.flat[idx] if obstacle is not None else None
             self._tables.append((idx, arms, stencil.diag.flat[idx], phi))
 
@@ -63,12 +64,12 @@ GAINS = {"annulus": (L.radial_bump_gain(0.3, 0.15), 129),
 
 
 @functools.cache
-def level0_case(kind):
-    """The level-0 solve of one of the benchmark's two Cartesian cases: its
-    largest non-contact component, the dictionary envelope and the gain on
-    the grid."""
-    gain, n = GAINS[kind]
-    w = unbranched_envelope(gain, n).field
+def level0_case(kind, n=None):
+    """The level-0 solve of one of the benchmark's two Cartesian cases (at its
+    own grid size, or at n): its largest non-contact component, the
+    dictionary envelope and the gain on the grid."""
+    gain, size = GAINS[kind]
+    w = unbranched_envelope(gain, n or size).field
     contact = contact_set(w, gain)
     sizes = np.bincount(contact.labels.ravel())[1:]
     comp = contact.labels == 1 + int(np.argmax(sizes))
@@ -93,15 +94,25 @@ def inner_disc():
 
 
 @pytest.fixture(scope="module", params=["annulus", "cap", "annulus-disc", "cap-disc",
-                                        "inner-disc"])
+                                        "inner-disc", "annulus-64", "cap-96", "ring-96"])
 def node_set(request, inner_disc):
     """Its name, a start, a node mask, the stencil and the gain on the grid: a
-    level-0 component, the PSOR oracle's whole disc from max(g, 0), or the
-    small component of ``inner_disc``."""
+    level-0 component (at the case's size, or on the even grids 64^2 and
+    96^2, stored with a padding column), the PSOR oracle's whole disc from
+    max(g, 0), the small component of ``inner_disc``, or a ring
+    0.35 < |x| < 0.75 on 96^2 holding the annulus case's level 0 off it."""
     name = request.param
     if name in GAINS:
         _, w, comp, gvals = level0_case(name)
         return name, w.values, comp, w.stencil, gvals
+    if name in ("annulus-64", "cap-96"):
+        kind, n = name.split("-")
+        _, w, comp, gvals = level0_case(kind, int(n))
+        return name, w.values, comp, w.stencil, gvals
+    if name == "ring-96":
+        _, w, _, gvals = level0_case("annulus", 96)
+        radius = np.linalg.norm(w.coords, axis=-1)
+        return name, w.values, (radius > 0.35) & (radius < 0.75), w.stencil, gvals
     if name == "inner-disc":
         level1, comp, start, gvals = inner_disc
         return name, start, comp, level1.stencil, gvals
@@ -123,13 +134,14 @@ def solve(sweep, values):
 def young_omega(comp, stencil):
     """Young's optimum from the spectral radius of the component's Jacobi matrix."""
     idx = np.flatnonzero(comp)
-    jacobi = sparse.diags_array(1.0 / stencil.diag.flat[idx]) @ stencil.offdiag[idx][:, idx]
+    jacobi = sparse.diags_array(1.0 / stencil.diag.flat[idx]) @ offdiag_matrix(stencil, idx)
     rho = float(np.abs(eigs(jacobi, k=1, which="LM", return_eigenvectors=False)[0]))
     return 2.0 / (1.0 + np.sqrt(1.0 - rho * rho))
 
 
 @pytest.mark.parametrize("projected", [False, True], ids=["dirichlet", "obstacle"])
 def test_csr_sweep_matches_the_gather_sweep(node_set, projected):
+    """The flat-slice sweep against the gather sweep, bit for bit, across the omega switch."""
     name, values, nodes, stencil, gvals = node_set
     obstacle = gvals if projected else None
     new = RedBlackSOR(values, nodes, stencil, obstacle)
@@ -146,6 +158,25 @@ def test_csr_sweep_matches_the_gather_sweep(node_set, projected):
     assert new.sweeps == 600
     if name == "cap":
         assert len(omegas) == 2  # the switch happened inside the compared sweeps
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_small_grids_match_the_gather_sweep(n):
+    # 3^2 has one disc node, so one colour has no node to relax; 4^2 and 6^2
+    # are stored with a padding column and every disc node has a cut arm.
+    fld = cartesian_field(n, np.zeros((n, n)), "grid")
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, n))
+    for obstacle in (None, rng.standard_normal((n, n)) - 1.0):
+        new = RedBlackSOR(values, fld.inside, fld.stencil, obstacle)
+        old = GatherSOR(values, fld.inside, fld.stencil, obstacle)
+        for _ in range(30):
+            omega = new.omega
+            assert new.sweep() == old.sweep(omega)
+        got, expect = values.copy(), values.copy()
+        new.store(got)
+        old.store(expect)
+        assert np.array_equal(got, expect)
 
 
 def test_store_leaves_every_node_off_the_mask(node_set):
